@@ -61,9 +61,6 @@ class Tensor:
             raise ShapeError(f"grad shape {arr.shape} != data shape {self.data.shape}")
         self._grad = arr
 
-    def zero_grad(self) -> None:
-        self._grad = np.zeros_like(self.data)
-
     def accumulate_grad(self, delta: np.ndarray) -> None:
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
@@ -73,9 +70,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
-
-    def copy_values(self) -> np.ndarray:
-        return self.data.copy()
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -133,10 +127,6 @@ class Tape:
             for t in (out,) + inputs:
                 if t.requires_grad and t._grad is None:
                     t._grad = np.zeros_like(t.data)
-
-
-def active_tape() -> Optional[Tape]:
-    return Tape._active
 
 
 def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
@@ -638,10 +628,6 @@ class Adam:
             st.m = self.beta1 * st.m + (1.0 - self.beta1) * g
             st.v = self.beta2 * st.v + (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (st.m / bc1) / (np.sqrt(st.v / bc2) + self.epsilon)
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
             p.grad = None
 
 

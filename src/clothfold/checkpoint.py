@@ -95,12 +95,16 @@ def load_checkpoint(path) -> Checkpoint:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", blob[4:8])
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated before the header")
+    version, header_len = struct.unpack("<IQ", blob[4:16])
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: format version {version}, "
                               f"expected {FORMAT_VERSION}")
-    (header_len,) = struct.unpack("<Q", blob[8:16])
-    header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise CheckpointError(f"{path}: header is cut off or not UTF-8 JSON: {e}") from e
     body = blob[16 + header_len:]
 
     def read_table(table: dict) -> dict[str, np.ndarray]:
@@ -113,16 +117,21 @@ def load_checkpoint(path) -> Checkpoint:
             out[name] = arr.reshape(rec["shape"]).copy()
         return out
 
-    tensors = read_table(header["tensors"])
-    optimizer = None
-    if header.get("optimizer"):
-        oh = header["optimizer"]
-        moments = read_table(oh["tensors"])
-        optimizer = {"t": oh["t"], "lr": oh["lr"], "beta1": oh["beta1"],
-                     "beta2": oh["beta2"], "epsilon": oh["epsilon"],
-                     "moments": moments}
-    return Checkpoint(version, header["model_config"], tensors, optimizer,
-                      header.get("metadata", {}))
+    try:
+        tensors = read_table(header["tensors"])
+        optimizer = None
+        if header.get("optimizer"):
+            oh = header["optimizer"]
+            moments = read_table(oh["tensors"])
+            optimizer = {"t": oh["t"], "lr": oh["lr"], "beta1": oh["beta1"],
+                         "beta2": oh["beta2"], "epsilon": oh["epsilon"],
+                         "moments": moments}
+        return Checkpoint(version, header["model_config"], tensors, optimizer,
+                          header.get("metadata", {}))
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        # A header record that is missing, mistyped, or a shape that does
+        # not match its byte count.
+        raise CheckpointError(f"{path}: malformed header: {e!r}") from e
 
 
 def load_into_model(ckpt: Checkpoint, model: PerceptionModel,
@@ -161,6 +170,9 @@ def restore_optimizer(ckpt: Checkpoint, model: PerceptionModel) -> ad.Adam:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> PerceptionModel:
-    model = PerceptionModel(ModelConfig.from_record(ckpt.model_config))
+    try:
+        model = PerceptionModel(ModelConfig.from_record(ckpt.model_config))
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"invalid checkpoint model config: {e}") from e
     load_into_model(ckpt, model)
     return model

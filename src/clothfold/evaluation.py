@@ -111,8 +111,11 @@ def run_episode(command: str, model: Optional[PerceptionModel],
                 plan=None) -> EpisodeResult:
     """Algorithm: decompose once, then per sub-task segment the workspace,
     predict (or script) an action, translate pixels to the base frame, fold,
-    and re-render. The final state is scored against the expert-defined
-    target. Grasp misses and empty masks terminate the episode as failures.
+    and observe the new state. Each cloth state is rendered once: the
+    post-fold observation is the next step's input, the ``after`` artifact
+    and the source of the final mask. The final state is scored against the
+    expert-defined target. Grasp misses and empty masks terminate the
+    episode as failures.
 
     ``plan`` overrides the template decomposition (e.g. a plan produced by a
     remote backend); it must be a list of validated sub-tasks.
@@ -127,8 +130,8 @@ def run_episode(command: str, model: Optional[PerceptionModel],
     artifact_files: list[str] = []
     failure: Optional[str] = None
     steps_done = 0
+    obs = env.observe()
     for t, subtask in enumerate(plan):
-        obs = env.observe()
         try:
             if model is None:
                 action = scripted_expert(env.mesh, subtask, env.camera)
@@ -148,6 +151,7 @@ def run_episode(command: str, model: Optional[PerceptionModel],
             primitives = geometry.action_to_primitives(pick_base, place_base)
             grasp, _, place = primitives.waypoints
             env.step(grasp.position[:2], place.position[:2])
+            obs = env.observe()
             steps_done += 1
             actions.append({"subtask": subtask.text,
                             "pick_pixel": list(pick_full),
@@ -157,8 +161,7 @@ def run_episode(command: str, model: Optional[PerceptionModel],
                             "primitives": primitives.to_records()})
             if artifacts_dir is not None:
                 fname = f"{episode_tag}step{t}_after.rgb.png"
-                images.write_png_rgb(Path(artifacts_dir) / fname,
-                                     env.observe().rgb)
+                images.write_png_rgb(Path(artifacts_dir) / fname, obs.rgb)
                 artifact_files.append(fname)
         except (GraspMissError, EmptyMaskError, FoldError,
                 geometry.WorkspaceError) as e:
@@ -166,7 +169,7 @@ def run_episode(command: str, model: Optional[PerceptionModel],
             break
 
     final_mpd = mpd(env.mesh, target_mesh)
-    final_miou = miou(env.observe().cloth_mask, target_mask)
+    final_miou = miou(obs.cloth_mask, target_mask)
     return EpisodeResult(
         command=command, condition=condition, family=family,
         subtasks=[s.text for s in plan], actions=actions,

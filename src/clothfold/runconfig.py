@@ -12,6 +12,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .perception.config import ModelConfig
+from .planner.templates import TASK_FAMILIES
 from .trainer.train import TrainConfig
 
 
@@ -125,10 +126,14 @@ def parse_config(raw: dict) -> RunConfig:
     if (train.adapter, train.fusion) != (model.adapter, model.fusion):
         raise ConfigError("model and train sections disagree on adapter/fusion")
 
+    data = _merge_section("data", _DATA_DEFAULTS, raw.get("data"))
+    if data["held_out_family"] not in (None, *TASK_FAMILIES):
+        raise ConfigError(f"data.held_out_family {data['held_out_family']!r} "
+                          f"is not null or one of {list(TASK_FAMILIES)}")
     return RunConfig(
         seed=seed, model=model, train=train,
         sim=_merge_section("sim", _SIM_DEFAULTS, raw.get("sim")),
-        data=_merge_section("data", _DATA_DEFAULTS, raw.get("data")),
+        data=data,
         benchmark=_merge_section("benchmark", _BENCH_DEFAULTS, raw.get("benchmark")),
         planner=_merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner")),
     )

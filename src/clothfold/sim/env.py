@@ -29,11 +29,10 @@ class ClothSim:
     def observe(self) -> Observation:
         return render(self.mesh, self.camera)
 
-    def step(self, pick_w: np.ndarray, place_w: np.ndarray) -> Observation:
-        """Execute one fold and return the new observation. Raises
+    def step(self, pick_w: np.ndarray, place_w: np.ndarray) -> None:
+        """Execute one fold; call ``observe`` for the new image. Raises
         GraspMissError when nothing is within the picker radius."""
         self.mesh = fold(self.mesh, pick_w, place_w)
-        return self.observe()
 
     def clone(self) -> "ClothSim":
         return ClothSim(self.mesh.copy(), self.camera)

@@ -32,7 +32,8 @@ class SimCamera:
                               np.array([0.0, 0.0, self.height]))
 
     def world_to_pixel(self, x: float, y: float, z_world: float = 0.0) -> tuple[float, float]:
-        """World table point -> (u, v) pixel (u = column, v = row)."""
+        """World table point -> (u, v) pixel (u = column, v = row); takes
+        scalars or equal-shaped arrays."""
         z_c = self.height - z_world
         u = self.intrinsics.cx + self.intrinsics.fx * x / z_c
         v = self.intrinsics.cy - self.intrinsics.fy * y / z_c
@@ -59,59 +60,42 @@ class Observation:
     cloth_mask: np.ndarray   # [H, W] bool, renderer ground truth
     camera: SimCamera
 
-    @property
-    def height(self) -> int:
-        return self.rgb.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.rgb.shape[1]
-
-    def image4(self) -> np.ndarray:
-        return np.concatenate([self.rgb, self.depth[..., None]], axis=-1)
-
-    def copy(self) -> "Observation":
-        return Observation(self.rgb.copy(), self.depth.copy(),
-                           self.cloth_mask.copy(), self.camera)
-
 
 def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     """Rasterize the mesh: each particle splats a disk at its projected pixel;
-    the z-buffer keeps the top layer. Depth = mount height - layers * thickness."""
+    the z-buffer keeps the top layer. Depth = mount height - layers * thickness.
+
+    The disk footprints of all particles go into the depth buffer in one
+    ``np.minimum.at``. That is exactly a per-particle z-buffer in any order:
+    all particles share one color, so a pixel's color and mask only say
+    whether some particle covers it, and its depth is the least quantized
+    depth among those. ``np.rint`` rounds half to even like ``round``.
+    """
     h = camera.intrinsics.height
     w = camera.intrinsics.width
     rgb = np.broadcast_to(BACKGROUND_RGB, (h, w, 3)).copy()
     depth = np.full((h, w), camera.table_depth)
     mask = np.zeros((h, w), dtype=bool)
 
-    if mesh.active.any():
-        color = cloth_color(mesh.kind)
-        # Splat radius: ~3/4 cell spacing so neighboring disks overlap.
-        scale_px = camera.intrinsics.fx / camera.height
-        r_px = max(1, int(math.ceil(0.75 * mesh.spacing * scale_px)))
-        offs = np.arange(-r_px, r_px + 1)
-        dv, du = np.meshgrid(offs, offs, indexing="ij")
-        disk = (du * du + dv * dv) <= r_px * r_px
+    # Splat radius: ~3/4 cell spacing so neighboring disks overlap.
+    scale_px = camera.intrinsics.fx / camera.height
+    r_px = max(1, int(math.ceil(0.75 * mesh.spacing * scale_px)))
+    offs = np.arange(-r_px, r_px + 1)
+    dv, du = np.meshgrid(offs, offs, indexing="ij")
+    disk = (du * du + dv * dv) <= r_px * r_px
+    dv, du = dv[disk], du[disk]
 
-        rr, cc = np.nonzero(mesh.active)
-        order = np.argsort(mesh.layers[rr, cc], kind="stable")  # top layers last
-        for idx in order:
-            r, c = rr[idx], cc[idx]
-            x, y = mesh.positions[r, c]
-            z_w = mesh.layers[r, c] * LAYER_THICKNESS
-            z_c = round((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
-            u, v = camera.world_to_pixel(x, y, z_w)
-            ui, vi = int(round(u)), int(round(v))
-            u0, u1 = max(0, ui - r_px), min(w, ui + r_px + 1)
-            v0, v1 = max(0, vi - r_px), min(h, vi + r_px + 1)
-            if u0 >= u1 or v0 >= v1:
-                continue
-            sub = disk[v0 - (vi - r_px):v1 - (vi - r_px),
-                       u0 - (ui - r_px):u1 - (ui - r_px)]
-            tile = depth[v0:v1, u0:u1]
-            hit = sub & (z_c <= tile)
-            tile[hit] = z_c
-            rgb[v0:v1, u0:u1][hit] = color
-            mask[v0:v1, u0:u1][hit] = True
+    x, y = mesh.positions[mesh.active].T
+    z_w = mesh.layers[mesh.active] * LAYER_THICKNESS
+    z_c = np.rint((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
+    u, v = camera.world_to_pixel(x, y, z_w)
+    rows = np.rint(v).astype(np.int64)[:, None] + dv[None, :]
+    cols = np.rint(u).astype(np.int64)[:, None] + du[None, :]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    flat = (rows * w + cols)[inside]
+    z_px = np.broadcast_to(z_c[:, None], rows.shape)[inside]
 
+    np.minimum.at(depth.reshape(-1), flat, z_px)
+    mask.reshape(-1)[flat[z_px <= camera.table_depth]] = True
+    rgb[mask] = cloth_color(mesh.kind)
     return Observation(rgb, depth, mask, camera)

@@ -1,8 +1,10 @@
 """Checkpoint persistence, run configuration validation, and CLI behavior."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,3 +332,57 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout
+
+
+def _forged_checkpoints(model, tmp_path):
+    """Malformed checkpoint files keyed by what is wrong with them."""
+    good = tmp_path / "good.cfck"
+    ck.save_checkpoint(good, model)
+    blob = good.read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    body = blob[16 + header_len:]
+
+    def forged(edit):
+        header = json.loads(blob[16:16 + header_len])
+        edit(header, header["tensors"][sorted(header["tensors"])[0]])
+        text = json.dumps(header, sort_keys=True).encode()
+        return blob[:8] + len(text).to_bytes(8, "little") + text + body
+
+    return {
+        "shorter_than_16_bytes": blob[:12],
+        "header_cut_off": blob[:16 + header_len // 2],
+        "header_not_utf8": blob[:16] + b"\xff" * header_len + body,
+        "header_not_json": blob[:16] + b"x" * header_len + body,
+        "header_nested_too_deep": blob[:16] + b"[" * header_len + body,
+        "header_not_an_object": blob[:16] + b"[]".ljust(header_len) + body,
+        "shape_disagrees_with_nbytes": forged(lambda h, t: t["shape"].append(2)),
+        "tensor_without_offset": forged(lambda h, t: t.pop("offset")),
+        "model_config_invalid": forged(lambda h, t: h["model_config"].update(embed_dim=-3)),
+    }
+
+
+_BAD_INPUTS = [("held_out_family", 2)] + [
+    (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
+                           "header_not_json", "header_nested_too_deep",
+                           "header_not_an_object", "shape_disagrees_with_nbytes",
+                           "tensor_without_offset", "model_config_invalid")]
+
+
+@pytest.mark.parametrize("case,exit_code", _BAD_INPUTS)
+def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, tmp_path):
+    if case == "held_out_family":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"held_out_family": "XYZ"}}))
+        argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]
+    else:
+        bad = tmp_path / "bad.cfck"
+        bad.write_bytes(_forged_checkpoints(model, tmp_path)[case])
+        argv = ["eval", "--checkpoint", str(bad), "--out", str(tmp_path / "o")]
+    src = str(Path(ck.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "clothfold", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
