@@ -20,7 +20,7 @@ from .planner.templates import (FAMILY_KIND, SEEN_VARIANTS, TASK_FAMILIES,
                                 UNSEEN_VARIANTS, command_bank)
 from .sim import (ClothSim, GraspMissError, SimCamera, default_camera,
                   jittered_sim, render, scripted_expert)
-from .sim.mesh import ClothMesh, FoldError
+from .sim.mesh import ClothMesh, FoldError, fold
 
 SUCCESS_MPD_THRESHOLD = 0.0125    # meters
 MASK_ONLY_MIOU_THRESHOLD = 0.8
@@ -89,12 +89,11 @@ class EpisodeResult:
 
 def expert_rollout(env: ClothSim, plan) -> ClothMesh:
     """Fold along exact landmark points; defines the target configuration."""
-    target_env = env.clone()
+    mesh = env.mesh.copy()
     for subtask in plan:
-        pick_w = target_env.mesh.landmark_point(subtask.pick_landmark)
-        place_w = target_env.mesh.landmark_point(subtask.place_landmark)
-        target_env.step(pick_w, place_w)
-    return target_env.mesh
+        mesh = fold(mesh, mesh.landmark_point(subtask.pick_landmark),
+                    mesh.landmark_point(subtask.place_landmark))
+    return mesh
 
 
 def pixel_to_base(pixel: tuple[int, int], obs, camera: SimCamera) -> np.ndarray:
@@ -150,8 +149,7 @@ def run_episode(command: str, model: Optional[PerceptionModel],
             place_base = pixel_to_base(place_full, obs, env.camera)
             primitives = geometry.action_to_primitives(pick_base, place_base)
             grasp, _, place = primitives.waypoints
-            env.step(grasp.position[:2], place.position[:2])
-            obs = env.observe()
+            obs = env.step(grasp.position[:2], place.position[:2])
             steps_done += 1
             actions.append({"subtask": subtask.text,
                             "pick_pixel": list(pick_full),

@@ -29,13 +29,11 @@ class ClothSim:
     def observe(self) -> Observation:
         return render(self.mesh, self.camera)
 
-    def step(self, pick_w: np.ndarray, place_w: np.ndarray) -> None:
-        """Execute one fold; call ``observe`` for the new image. Raises
+    def step(self, pick_w: np.ndarray, place_w: np.ndarray) -> Observation:
+        """Execute one fold and return the new observation. Raises
         GraspMissError when nothing is within the picker radius."""
         self.mesh = fold(self.mesh, pick_w, place_w)
-
-    def clone(self) -> "ClothSim":
-        return ClothSim(self.mesh.copy(), self.camera)
+        return self.observe()
 
 
 def jittered_sim(kind: str, rng: np.random.Generator,
