@@ -21,8 +21,8 @@ from .planner.grammar import GrammarError
 from .perception.model import PerceptionModel
 from .runconfig import ConfigError, RunConfig, load_config
 from .sim import default_camera, jittered_sim
-from .trainer import (TrainingDivergedError, generate_dataset, grad_check,
-                      load_dataset, prepare_sample, run_ablation, train)
+from .trainer import (DatasetFormatError, TrainingDivergedError, generate_dataset,
+                      grad_check, load_dataset, prepare_sample, run_ablation, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, ckpt_io.CheckpointError) as e:
         print(f"training error: {e}", file=sys.stderr)
         return EXIT_TRAINING
-    except OSError as e:
+    except (OSError, images.ImageFormatError, DatasetFormatError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
 

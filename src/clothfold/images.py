@@ -3,10 +3,14 @@
 Only the subset this project produces is supported: truecolor PNGs written
 with filter type 0 on every scanline, and binary P5 PGMs with maxval 65535.
 Depth images store 0.1 mm units; heatmaps store round(q * 65535).
+Readers raise ImageFormatError for any file they cannot decode (cut off,
+corrupt, or outside that subset); writers raise it for a wrong shape or
+out-of-range depth. Failing to open, read or write a file stays OSError.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 
@@ -32,14 +36,13 @@ def write_png_rgb(path, rgb01: np.ndarray) -> None:
     if rgb01.ndim != 3 or rgb01.shape[2] != 3:
         raise ImageFormatError(f"expected [H, W, 3], got {rgb01.shape}")
     h, w, _ = rgb01.shape
-    u8 = np.round(np.clip(rgb01, 0.0, 1.0) * 255.0).astype(np.uint8)
-    raw = bytearray()
-    for row in u8:
-        raw.append(0)                     # filter type 0 on every scanline
-        raw.extend(row.tobytes())
+    levels = np.clip(rgb01, 0.0, 1.0)
+    levels *= 255.0
+    raw = np.zeros((h, 1 + w * 3), dtype=np.uint8)   # column 0: filter type 0
+    raw[:, 1:] = np.round(levels, out=levels).reshape(h, w * 3)
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     data = (_PNG_MAGIC + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(bytes(raw), 6))
+            + _chunk(b"IDAT", zlib.compress(raw.tobytes(), 6))
             + _chunk(b"IEND", b""))
     with open(path, "wb") as f:
         f.write(data)
@@ -54,33 +57,33 @@ def read_png_rgb(path) -> np.ndarray:
     pos = len(_PNG_MAGIC)
     width = height = None
     idat = bytearray()
-    while pos < len(blob):
-        (length,) = struct.unpack(">I", blob[pos:pos + 4])
-        tag = blob[pos + 4:pos + 8]
-        payload = blob[pos + 8:pos + 8 + length]
-        pos += 12 + length
-        if tag == b"IHDR":
-            width, height, depth, color, comp, filt, inter = struct.unpack(
-                ">IIBBBBB", payload)
-            if depth != 8 or color != 2 or inter != 0:
-                raise ImageFormatError(f"{path}: unsupported PNG variant")
-        elif tag == b"IDAT":
-            idat.extend(payload)
-        elif tag == b"IEND":
-            break
-    if width is None:
-        raise ImageFormatError(f"{path}: missing IHDR")
-    raw = zlib.decompress(bytes(idat))
+    try:
+        while pos < len(blob):
+            length, tag = struct.unpack(">I4s", blob[pos:pos + 8])
+            payload = blob[pos + 8:pos + 8 + length]
+            pos += 12 + length
+            if tag == b"IHDR":
+                width, height, depth, color, comp, filt, inter = struct.unpack(
+                    ">IIBBBBB", payload)
+                if depth != 8 or color != 2 or inter != 0:
+                    raise ImageFormatError(f"{path}: unsupported PNG variant")
+            elif tag == b"IDAT":
+                idat.extend(payload)
+            elif tag == b"IEND":
+                break
+        if width is None:
+            raise ImageFormatError(f"{path}: missing IHDR")
+        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+    except (struct.error, zlib.error) as e:
+        raise ImageFormatError(f"{path}: cut-off or corrupt PNG: {e}") from e
     stride = width * 3 + 1
-    if len(raw) != stride * height:
+    if raw.size != stride * height:
         raise ImageFormatError(f"{path}: truncated image data")
-    rows = []
-    for r in range(height):
-        line = raw[r * stride:(r + 1) * stride]
-        if line[0] != 0:
-            raise ImageFormatError(f"{path}: unsupported PNG filter {line[0]}")
-        rows.append(np.frombuffer(line[1:], dtype=np.uint8))
-    return np.stack(rows).reshape(height, width, 3).astype(np.float64) / 255.0
+    lines = raw.reshape(height, stride)
+    filters = lines[:, 0]
+    if filters.any():
+        raise ImageFormatError(f"{path}: unsupported PNG filter {filters[filters != 0][0]}")
+    return np.divide(lines[:, 1:].reshape(height, width, 3), 255.0, dtype=np.float64)
 
 
 def write_pgm16(path, values: np.ndarray) -> None:
@@ -97,24 +100,25 @@ def read_pgm16(path) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
     parts = blob.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"65535":
+    if (len(parts) != 4 or parts[0] != b"P5" or parts[2] != b"65535"
+            or not re.fullmatch(rb"\s*\d+\s+\d+\s*", parts[1])):
         raise ImageFormatError(f"{path}: not a 16-bit P5 PGM")
     w, h = (int(x) for x in parts[1].split())
-    data = np.frombuffer(parts[3][:w * h * 2], dtype=">u2")
-    if data.size != w * h:
+    if len(parts[3]) < w * h * 2:
         raise ImageFormatError(f"{path}: truncated PGM data")
-    return data.reshape(h, w).astype(np.uint16)
+    return np.frombuffer(parts[3], dtype=">u2", count=w * h).reshape(h, w).astype(np.uint16)
 
 
 def write_depth_pgm(path, depth_m: np.ndarray) -> None:
-    counts = np.round(depth_m / DEPTH_UNIT)
+    counts = depth_m / DEPTH_UNIT
+    np.round(counts, out=counts)
     if counts.min() < 0 or counts.max() > 65535:
         raise ImageFormatError("depth outside the 0 .. 6.5535 m PGM range")
     write_pgm16(path, counts.astype(np.uint16))
 
 
 def read_depth_pgm(path) -> np.ndarray:
-    return read_pgm16(path).astype(np.float64) * DEPTH_UNIT
+    return np.multiply(read_pgm16(path), DEPTH_UNIT, dtype=np.float64)
 
 
 def write_heatmap_pgm(path, q: np.ndarray) -> None:

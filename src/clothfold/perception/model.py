@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..sim.expert import PickPlaceAction
-from ..sim.render import CLOTH_COLOR_MARGIN, Observation
+from ..sim.render import Observation, cloth_mask_from_rgb
 from .adapters import adapter_param_count
 from .config import ModelConfig
 from .decoder import CunDecoder
@@ -37,24 +37,21 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[Observation, tu
     Returns the masked observation plus the (row, col) crop offset needed to
     map model pixels back into the full frame. Idempotent on its own output.
     """
-    mask = obs.rgb.max(axis=-1) > CLOTH_COLOR_MARGIN
+    mask = cloth_mask_from_rgb(obs.rgb)
     if not mask.any():
         raise EmptyMaskError("no cloth pixels found in the observation")
-    rgb = np.where(mask[..., None], obs.rgb, 0.0)
-    depth = np.where(mask, obs.depth, obs.camera.table_depth)
-
     h, w = mask.shape
     if crop_size > min(h, w):
         raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
     r0 = (h - crop_size) // 2
     c0 = (w - crop_size) // 2
-    cropped = Observation(rgb[r0:r0 + crop_size, c0:c0 + crop_size],
-                          depth[r0:r0 + crop_size, c0:c0 + crop_size],
-                          mask[r0:r0 + crop_size, c0:c0 + crop_size],
-                          obs.camera)
-    if not cropped.cloth_mask.any():
+    window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
+    mask = mask[window]
+    if not mask.any():
         raise EmptyMaskError("center crop removed all cloth pixels")
-    return cropped, (r0, c0)
+    rgb = np.where(mask[..., None], obs.rgb[window], 0.0)
+    depth = np.where(mask, obs.depth[window], obs.camera.table_depth)
+    return Observation(rgb, depth, mask, obs.camera), (r0, c0)
 
 
 def normalize_observation(obs: Observation) -> np.ndarray:

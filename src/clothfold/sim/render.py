@@ -15,6 +15,11 @@ CLOTH_COLOR_MARGIN = 0.05             # min distance of any cloth color channel 
 DEPTH_QUANTUM = 1e-4                  # depths snap to 0.1 mm so exports round-trip
 
 
+def cloth_mask_from_rgb(rgb: np.ndarray) -> np.ndarray:
+    """``rgb.max(axis=-1) > CLOTH_COLOR_MARGIN`` (NaN included), on channel planes."""
+    return np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2]) > CLOTH_COLOR_MARGIN
+
+
 @dataclass(frozen=True)
 class SimCamera:
     """Overhead camera: optical axis straight down at the table center.

@@ -1,5 +1,6 @@
 from .heatmaps import action_to_heatmap, bce, total_loss
 from .dataset import (
+    DatasetFormatError,
     DatasetManifest,
     Demonstration,
     LoadedDemo,
@@ -19,9 +20,9 @@ from .train import (
 from .ablate import AblationReport, run_ablation
 
 __all__ = [
-    "AblationReport", "DatasetManifest", "Demonstration", "GradCheckReport",
-    "LoadedDemo", "PreparedSample", "TrainConfig", "TrainResult",
-    "TrainingDivergedError", "action_to_heatmap", "bce", "generate_dataset",
-    "grad_check", "load_dataset", "prepare_sample", "run_ablation",
-    "total_loss", "train",
+    "AblationReport", "DatasetFormatError", "DatasetManifest", "Demonstration",
+    "GradCheckReport", "LoadedDemo", "PreparedSample", "TrainConfig",
+    "TrainResult", "TrainingDivergedError", "action_to_heatmap", "bce",
+    "generate_dataset", "grad_check", "load_dataset", "prepare_sample",
+    "run_ablation", "total_loss", "train",
 ]

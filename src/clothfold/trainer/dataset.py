@@ -22,7 +22,7 @@ from ..planner.templates import (FAMILY_KIND, SEEN_VARIANTS, TASK_FAMILIES,
                                  UNSEEN_VARIANTS, command_bank)
 from ..sim import (ClothSim, ExpertError, GraspMissError, Observation,
                    SimCamera, default_camera, jittered_sim, scripted_expert)
-from ..sim.render import CLOTH_COLOR_MARGIN
+from ..sim.render import cloth_mask_from_rgb
 from ..geometry import CameraIntrinsics
 
 log = logging.getLogger(__name__)
@@ -34,6 +34,11 @@ FULL_SCALE_TOTAL = 15750
 FULL_SCALE_TRAIN = 15000
 FULL_SCALE_TEST = 750
 TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
+
+
+class DatasetFormatError(RuntimeError):
+    """A manifest that is not UTF-8 JSON, misses a key, or whose demos are not
+    a list of records."""
 
 
 @dataclass(frozen=True)
@@ -55,16 +60,7 @@ class Demonstration:
     depth_file: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "episode_id": self.episode_id, "step_index": self.step_index,
-            "family": self.family, "variant": self.variant,
-            "condition": self.condition, "split": self.split,
-            "cloth_kind": self.cloth_kind, "command": self.command,
-            "subtask": self.subtask,
-            "pick_pixel": list(self.pick_pixel), "place_pixel": list(self.place_pixel),
-            "pick_world": list(self.pick_world), "place_world": list(self.place_world),
-            "rgb_file": self.rgb_file, "depth_file": self.depth_file,
-        }
+        return dict(vars(self))        # every field; JSON writes the tuples as lists
 
     @classmethod
     def from_record(cls, rec: dict) -> "Demonstration":
@@ -91,29 +87,26 @@ class DatasetManifest:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version, "seed": self.seed,
-            "episodes_per_family": self.episodes_per_family,
-            "held_out_family": self.held_out_family,
-            "camera": self.camera, "cloth_kinds": self.cloth_kinds,
-            "families": self.families, "counts": self.counts,
-            "skipped_episodes": self.skipped_episodes,
-            "full_scale_protocol": {"total": FULL_SCALE_TOTAL,
-                                    "train": FULL_SCALE_TRAIN,
-                                    "test": FULL_SCALE_TEST},
-            "provenance": self.provenance,
-            "demos": [d.to_record() for d in self.demos],
-        }
+        payload = {**vars(self), "demos": [d.to_record() for d in self.demos],
+                   "full_scale_protocol": {"total": FULL_SCALE_TOTAL,
+                                           "train": FULL_SCALE_TRAIN,
+                                           "test": FULL_SCALE_TEST}}
         return json.dumps(payload, indent=1, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        raw = json.loads(text)
-        demos = [Demonstration.from_record(r) for r in raw["demos"]]
-        return cls(raw["version"], raw["seed"], raw["episodes_per_family"],
-                   raw["held_out_family"], raw["camera"], raw["cloth_kinds"],
-                   raw["families"], raw["counts"], raw["skipped_episodes"],
-                   demos, raw.get("provenance", {}))
+    def from_json(cls, text: str | bytes) -> "DatasetManifest":
+        try:
+            raw = json.loads(text)
+            if not isinstance(raw["demos"], list):
+                raise TypeError(f"'demos' is a {type(raw['demos']).__name__}, not a list")
+            demos = [Demonstration.from_record(r) for r in raw["demos"]]
+            camera_from_record(raw["camera"])     # a bad camera record is malformed too
+            return cls(raw["version"], raw["seed"], raw["episodes_per_family"],
+                       raw["held_out_family"], raw["camera"], raw["cloth_kinds"],
+                       raw["families"], raw["counts"], raw["skipped_episodes"],
+                       demos, raw.get("provenance", {}))
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
+            raise DatasetFormatError(f"malformed dataset manifest: {e!r}") from e
 
 
 def camera_record(camera: SimCamera) -> dict:
@@ -242,12 +235,11 @@ class LoadedDemo:
 
 def load_dataset(dataset_dir) -> tuple[DatasetManifest, list[LoadedDemo]]:
     root = Path(dataset_dir)
-    manifest = DatasetManifest.from_json((root / "manifest.json").read_text())
+    manifest = DatasetManifest.from_json((root / "manifest.json").read_bytes())
     camera = camera_from_record(manifest.camera)
     loaded = []
     for d in manifest.demos:
         rgb = images.read_png_rgb(root / d.rgb_file)
         depth = images.read_depth_pgm(root / d.depth_file)
-        mask = rgb.max(axis=-1) > CLOTH_COLOR_MARGIN
-        loaded.append(LoadedDemo(d, Observation(rgb, depth, mask, camera)))
+        loaded.append(LoadedDemo(d, Observation(rgb, depth, cloth_mask_from_rgb(rgb), camera)))
     return manifest, loaded

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -361,19 +362,60 @@ def _forged_checkpoints(model, tmp_path):
     }
 
 
+def _bad_dataset(case, data_dir, tmp_path):
+    """A copy of the dataset with its manifest or first demo's image broken."""
+    bad = tmp_path / "data"
+    shutil.copytree(data_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    first = manifest["demos"][0]
+    png, pgm = bad / first["rgb_file"], bad / first["depth_file"]
+    pgm_data = pgm.read_bytes().split(b"\n", 3)[3]
+    if case.startswith("png_cut_to_"):
+        png.write_bytes(png.read_bytes()[:int(case.split("_")[-2])])
+    elif case == "pgm_size_not_numeric":
+        pgm.write_bytes(b"P5\nwide tall\n65535\n" + pgm_data)
+    elif case == "pgm_size_negative":
+        pgm.write_bytes(b"P5\n-224 224\n65535\n" + pgm_data)
+    elif case == "pgm_data_odd_length":
+        pgm.write_bytes(b"P5\n224 224\n65535\n" + pgm_data[:101])
+    elif case == "manifest_not_json":
+        (bad / "manifest.json").write_text("{not json")
+    else:
+        if case == "manifest_key_missing":
+            del first["rgb_file"]
+        elif case == "manifest_camera_key_missing":
+            del manifest["camera"]["fx"]
+        elif case == "manifest_demos_not_a_list":
+            manifest["demos"] = {"0": first}
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+    return bad
+
+
+_BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", "pgm_size_not_numeric",
+                 "pgm_size_negative", "pgm_data_odd_length", "manifest_not_json",
+                 "manifest_key_missing", "manifest_camera_key_missing",
+                 "manifest_demos_not_a_list")
+
 _BAD_INPUTS = [("held_out_family", 2)] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
-                           "tensor_without_offset", "model_config_invalid")]
+                           "tensor_without_offset", "model_config_invalid")] + [
+    (case, 5) for case in _BAD_DATASETS]
 
 
 @pytest.mark.parametrize("case,exit_code", _BAD_INPUTS)
-def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, tmp_path):
+def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, cli_env,
+                                                        tmp_path):
     if case == "held_out_family":
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": {"held_out_family": "XYZ"}}))
         argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]
+    elif case in _BAD_DATASETS:
+        _, cfg_path, data_dir = cli_env
+        argv = ["train", "--config", str(cfg_path),
+                "--dataset", str(_bad_dataset(case, data_dir, tmp_path)),
+                "--out", str(tmp_path / "t")]
     else:
         bad = tmp_path / "bad.cfck"
         bad.write_bytes(_forged_checkpoints(model, tmp_path)[case])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clothfold import images, sim
 
@@ -66,3 +68,45 @@ class TestPgm:
         images.write_pgm16(path, np.array([[0x0102]], dtype=np.uint16))
         blob = path.read_bytes()
         assert blob.endswith(b"\x01\x02")
+
+
+class TestCorruptFiles:
+    """A cut or changed file decodes or raises ImageFormatError, nothing else;
+    a cut file that still decodes (CRCs are not checked) decodes unchanged."""
+
+    @pytest.mark.parametrize("kind", ["png", "pgm"])
+    def test_every_prefix(self, tmp_path, rng, kind):
+        path, read = _small_file(tmp_path, rng, kind)
+        blob = path.read_bytes()
+        whole = read(path)
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            try:
+                back = read(path)
+            except images.ImageFormatError:
+                continue
+            np.testing.assert_array_equal(back, whole)     # only CRCs or IEND cut
+
+    @given(kind=st.sampled_from(["png", "pgm"]), where=st.floats(0.0, 1.0),
+           value=st.integers(0, 255))
+    @settings(max_examples=150, deadline=None)
+    def test_any_changed_byte(self, tmp_path_factory, kind, where, value):
+        path, read = _small_file(tmp_path_factory.mktemp("img"),
+                                 np.random.default_rng(1), kind)
+        blob = bytearray(path.read_bytes())
+        blob[min(int(where * len(blob)), len(blob) - 1)] = value
+        path.write_bytes(bytes(blob))
+        try:
+            read(path)
+        except images.ImageFormatError:
+            pass
+
+
+def _small_file(directory, rng, kind):
+    if kind == "png":
+        path = directory / "x.png"
+        images.write_png_rgb(path, rng.random((5, 7, 3)))
+        return path, images.read_png_rgb
+    path = directory / "x.pgm"
+    images.write_pgm16(path, rng.integers(0, 65536, (5, 7)).astype(np.uint16))
+    return path, images.read_pgm16
