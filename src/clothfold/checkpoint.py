@@ -1,10 +1,12 @@
 """Versioned binary checkpoint container.
 
 Layout: 4 magic bytes, a uint32 format version, a uint64 header length, a
-JSON header (model config echo, named tensor table, optional optimizer
-state, metadata), then raw little-endian float64 tensor payloads. The named
-tensor table covers the model's full parameter census (frozen towers
-included), so externally converted weights can be loaded by name.
+JSON header (model config echo, named tensor table, metadata), then raw
+little-endian float64 tensor payloads. The named tensor table covers the
+model's full parameter census (frozen towers included), so externally
+converted weights can be loaded by name. Header keys the loader does not read
+are ignored, so files from earlier writers, whose header had one more key,
+load the same.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .perception.config import ModelConfig
 from .perception.model import PerceptionModel
 
@@ -33,51 +34,21 @@ class Checkpoint:
     format_version: int
     model_config: dict
     tensors: dict[str, np.ndarray]
-    optimizer: Optional[dict] = None          # {"t": int, "m": {...}, "v": {...}}
     metadata: dict = field(default_factory=dict)
 
 
-def _tensor_blobs(named: dict[str, np.ndarray]) -> tuple[dict, bytes]:
-    table = {}
-    payload = bytearray()
-    for name in sorted(named):
-        arr = np.ascontiguousarray(named[name], dtype="<f8")
+def save_checkpoint(path, model: PerceptionModel,
+                    metadata: Optional[dict] = None) -> None:
+    table, payload = {}, bytearray()
+    for name, tensor in sorted(model.named_parameters().items()):
+        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
         table[name] = {"shape": list(arr.shape), "offset": len(payload),
                        "nbytes": arr.nbytes}
         payload.extend(arr.tobytes())
-    return table, bytes(payload)
-
-
-def save_checkpoint(path, model: PerceptionModel,
-                    optimizer: Optional[ad.Adam] = None,
-                    metadata: Optional[dict] = None) -> None:
-    named = {name: t.data for name, t in model.named_parameters().items()}
-    table, payload = _tensor_blobs(named)
-
-    optim_header = None
-    optim_payload = b""
-    if optimizer is not None:
-        by_id = {id(t): name for name, t in model.named_parameters().items()}
-        moments = {}
-        for p in optimizer.params:
-            name = by_id.get(id(p))
-            if name is None:
-                raise CheckpointError("optimizer tracks a tensor outside the model")
-            st = optimizer.state[id(p)]
-            moments[f"optim.m.{name}"] = st.m
-            moments[f"optim.v.{name}"] = st.v
-        optim_table, optim_payload = _tensor_blobs(moments)
-        for rec in optim_table.values():
-            rec["offset"] += len(payload)
-        optim_header = {"t": optimizer.t, "lr": optimizer.lr,
-                        "beta1": optimizer.beta1, "beta2": optimizer.beta2,
-                        "epsilon": optimizer.epsilon, "tensors": optim_table}
-
     header = {
         "format_version": FORMAT_VERSION,
         "model_config": model.cfg.to_record(),
         "tensors": table,
-        "optimizer": optim_header,
         "metadata": metadata or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -87,7 +58,6 @@ def save_checkpoint(path, model: PerceptionModel,
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
         f.write(payload)
-        f.write(optim_payload)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -106,27 +76,15 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError(f"{path}: header is cut off or not UTF-8 JSON: {e}") from e
     body = blob[16 + header_len:]
-
-    def read_table(table: dict) -> dict[str, np.ndarray]:
-        out = {}
-        for name, rec in table.items():
+    try:
+        tensors = {}
+        for name, rec in header["tensors"].items():
             start, nbytes = rec["offset"], rec["nbytes"]
             if start + nbytes > len(body):
                 raise CheckpointError(f"{path}: truncated payload for {name!r}")
             arr = np.frombuffer(body[start:start + nbytes], dtype="<f8")
-            out[name] = arr.reshape(rec["shape"]).copy()
-        return out
-
-    try:
-        tensors = read_table(header["tensors"])
-        optimizer = None
-        if header.get("optimizer"):
-            oh = header["optimizer"]
-            moments = read_table(oh["tensors"])
-            optimizer = {"t": oh["t"], "lr": oh["lr"], "beta1": oh["beta1"],
-                         "beta2": oh["beta2"], "epsilon": oh["epsilon"],
-                         "moments": moments}
-        return Checkpoint(version, header["model_config"], tensors, optimizer,
+            tensors[name] = arr.reshape(rec["shape"]).copy()
+        return Checkpoint(version, header["model_config"], tensors,
                           header.get("metadata", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         # A header record that is missing, mistyped, or a shape that does
@@ -152,21 +110,6 @@ def load_into_model(ckpt: Checkpoint, model: PerceptionModel,
             raise CheckpointError(f"tensor {name!r}: checkpoint shape "
                                   f"{src.shape} != model shape {tensor.data.shape}")
         tensor.data[:] = src
-
-
-def restore_optimizer(ckpt: Checkpoint, model: PerceptionModel) -> ad.Adam:
-    if ckpt.optimizer is None:
-        raise CheckpointError("checkpoint carries no optimizer state")
-    o = ckpt.optimizer
-    named = model.trainable_parameters()
-    opt = ad.Adam(list(named.values()), lr=o["lr"], beta1=o["beta1"],
-                  beta2=o["beta2"], epsilon=o["epsilon"])
-    opt.t = o["t"]
-    for name, p in named.items():
-        st = opt.state[id(p)]
-        st.m = o["moments"][f"optim.m.{name}"].copy()
-        st.v = o["moments"][f"optim.v.{name}"].copy()
-    return opt
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> PerceptionModel:

@@ -17,7 +17,6 @@ from . import checkpoint as ckpt_io
 from . import evaluation, images
 from .planner import (BackendError, LlmBackendConfig, PlanningError,
                       decompose, llm_decompose, transcribe_text)
-from .planner.grammar import GrammarError
 from .perception.model import PerceptionModel
 from .runconfig import ConfigError, RunConfig, load_config
 from .sim import default_camera, jittered_sim
@@ -215,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", default=None)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--resume", default=None, help="checkpoint to resume from")
+    sp.add_argument("--resume", default=None,
+                    help="checkpoint whose weights training starts from "
+                         "(Adam moments and epochs restart)")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="run the task x condition benchmark")
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PlanningError, GrammarError, BackendError) as e:
+    except (PlanningError, BackendError) as e:
         print(f"planning error: {e}", file=sys.stderr)
         return EXIT_PLANNING
     except (TrainingDivergedError, ckpt_io.CheckpointError) as e:

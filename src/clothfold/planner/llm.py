@@ -7,6 +7,7 @@ command is template-decomposable.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Optional, Union
 
-from .grammar import GrammarError, SubTask, validate_subtask
+from .grammar import GrammarError, PlanningError, SubTask, validate_subtask
 from .templates import FAMILY_KIND, HighLevelCommand, decompose, parse_command
 
 log = logging.getLogger(__name__)
@@ -29,7 +30,7 @@ class BackendError(RuntimeError):
     """Network/timeout/protocol failure talking to the LLM endpoint."""
 
 
-class PlanValidationError(RuntimeError):
+class PlanValidationError(PlanningError):
     """A completion line failed the sub-task grammar."""
 
     def __init__(self, line: str, cause: Exception):
@@ -68,7 +69,8 @@ def _http_transport(url: str, body: dict, headers: dict, timeout_s: float) -> di
     try:
         with urllib.request.urlopen(req, timeout=timeout_s) as resp:
             return json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as e:
+    except (urllib.error.URLError, http.client.HTTPException, TimeoutError,
+            UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise BackendError(f"LLM endpoint failure at {url}: {e}") from e
 
 
@@ -89,9 +91,12 @@ def request_completion(backend: LlmBackendConfig, user_text: str,
     send = transport or _http_transport
     resp = send(backend.endpoint_url, body, headers, backend.timeout_s)
     try:
-        return resp["choices"][0]["message"]["content"]
+        content = resp["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as e:
         raise BackendError(f"malformed completion payload: {resp!r}") from e
+    if not isinstance(content, str):
+        raise BackendError(f"completion content is not a string: {resp!r}")
+    return content
 
 
 _LINE_PREFIX = re.compile(r"^\s*(?:[-*]|\(?\d+[.):]?|step\s+\d+[:.]?)\s*", re.IGNORECASE)

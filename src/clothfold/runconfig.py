@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -88,55 +89,35 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
 
-    model_rec = dict(ModelConfig().to_record())
-    model_rec["head_dim"] = 0          # derived unless the user pins it
-    model_over = raw.get("model")
-    if model_over is not None:
-        if not isinstance(model_over, dict):
-            raise ConfigError("section 'model' must be an object")
-        unknown = sorted(set(model_over) - set(model_rec))
-        if unknown:
-            raise ConfigError(f"unknown keys in section 'model': {unknown}")
-        model_rec.update(model_over)
-    train_rec = dict(TrainConfig().to_record())
-    train_over = raw.get("train")
-    if train_over is not None:
-        if not isinstance(train_over, dict):
-            raise ConfigError("section 'train' must be an object")
-        unknown = sorted(set(train_over) - set(train_rec))
-        if unknown:
-            raise ConfigError(f"unknown keys in section 'train': {unknown}")
-        train_rec.update(train_over)
-
+    model_rec = _merge_section("model", {**ModelConfig().to_record(), "head_dim": 0},
+                               raw.get("model"))      # head_dim 0: derived unless pinned
+    train_rec = _merge_section("train", TrainConfig().to_record(), raw.get("train"))
     try:
         model = ModelConfig.from_record(model_rec)
         train = TrainConfig.from_record(train_rec)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid model/train settings: {e}") from e
 
-    # Keep the model and train adapter/fusion axes in lockstep unless the
-    # user explicitly pinned an axis in the train section.
-    explicit = train_over or {}
-    patched = train.to_record()
-    if "adapter" not in explicit:
-        patched["adapter"] = model.adapter
-    if "fusion" not in explicit:
-        patched["fusion"] = model.fusion
-    train = TrainConfig.from_record(patched)
-    if (train.adapter, train.fusion) != (model.adapter, model.fusion):
-        raise ConfigError("model and train sections disagree on adapter/fusion")
-
+    sim = _merge_section("sim", _SIM_DEFAULTS, raw.get("sim"))
     data = _merge_section("data", _DATA_DEFAULTS, raw.get("data"))
+    benchmark = _merge_section("benchmark", _BENCH_DEFAULTS, raw.get("benchmark"))
+    for key, value in (("sim.resolution", sim["resolution"]),
+                       ("data.episodes_per_family", data["episodes_per_family"]),
+                       ("benchmark.episodes_per_cell", benchmark["episodes_per_cell"])):
+        if type(value) is not int or value <= 0:
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    height = sim["camera_height"]
+    if type(height) not in (int, float) or not 0 < height < math.inf:
+        raise ConfigError(f"sim.camera_height must be a positive number, got {height!r}")
+    if type(benchmark["mask_only"]) is not bool:
+        raise ConfigError(f"benchmark.mask_only must be true or false, "
+                          f"got {benchmark['mask_only']!r}")
     if data["held_out_family"] not in (None, *TASK_FAMILIES):
         raise ConfigError(f"data.held_out_family {data['held_out_family']!r} "
                           f"is not null or one of {list(TASK_FAMILIES)}")
-    return RunConfig(
-        seed=seed, model=model, train=train,
-        sim=_merge_section("sim", _SIM_DEFAULTS, raw.get("sim")),
-        data=data,
-        benchmark=_merge_section("benchmark", _BENCH_DEFAULTS, raw.get("benchmark")),
-        planner=_merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner")),
-    )
+    return RunConfig(seed=seed, model=model, train=train, sim=sim, data=data,
+                     benchmark=benchmark,
+                     planner=_merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner")))
 
 
 def load_config(path: Optional[str]) -> RunConfig:

@@ -6,7 +6,6 @@ from .mesh import (
     cloth_kinds,
     fold,
     init_cloth,
-    landmark_point,
 )
 from .render import Observation, SimCamera, default_camera, render
 from .expert import ExpertError, PickPlaceAction, scripted_expert
@@ -16,5 +15,5 @@ __all__ = [
     "ClothMesh", "ClothSim", "ExpertError", "FoldError", "GraspMissError",
     "LandmarkError", "Observation", "PickPlaceAction", "SimCamera",
     "cloth_kinds", "default_camera", "fold", "init_cloth", "jittered_sim",
-    "landmark_point", "render", "scripted_expert",
+    "render", "scripted_expert",
 ]

@@ -227,7 +227,3 @@ def fold(mesh: ClothMesh, pick_w, place_w, eps_grasp: float = EPS_GRASP,
         landed = d.min(axis=1) <= 0.75 * out.spacing
         out.layers[moved] += np.where(landed, mesh.layers[unmoved][d.argmin(axis=1)], 0)
     return out
-
-
-def landmark_point(mesh: ClothMesh, name: str) -> np.ndarray:
-    return mesh.landmark_point(name)

@@ -52,9 +52,8 @@ def run_ablation(demos: Sequence[LoadedDemo], model_cfg: ModelConfig,
     for adapter in adapters:
         for fusion in fusions:
             m_cfg = replace(model_cfg, adapter=adapter, fusion=fusion)
-            t_cfg = replace(train_cfg, adapter=adapter, fusion=fusion)
             model = PerceptionModel(m_cfg)
-            result = train(demos, model, t_cfg)
+            result = train(demos, model, train_cfg)
             bench = run_benchmark(model, BenchmarkConfig(
                 episodes_per_cell=episodes_per_cell, seed=benchmark_seed,
                 conditions=("SI",)), camera=camera)

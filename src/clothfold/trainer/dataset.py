@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -37,8 +37,14 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 
 
 class DatasetFormatError(RuntimeError):
-    """A manifest that is not UTF-8 JSON, misses a key, or whose demos are not
-    a list of records."""
+    """A manifest that is not UTF-8 JSON, misses a key, whose demos are not a
+    list of records, or whose demo fields have the wrong JSON type."""
+
+
+# The JSON types a demo record may hold for each field annotation; a tuple
+# field is a two-item list of them.
+_RECORD_TYPES = {"int": (int,), "str": (str,), "tuple[int, int]": (int,),
+                 "tuple[float, float]": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -64,12 +70,17 @@ class Demonstration:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Demonstration":
-        return cls(rec["episode_id"], rec["step_index"], rec["family"],
-                   rec["variant"], rec["condition"], rec["split"],
-                   rec["cloth_kind"], rec["command"], rec["subtask"],
-                   tuple(rec["pick_pixel"]), tuple(rec["place_pixel"]),
-                   tuple(rec["pick_world"]), tuple(rec["place_world"]),
-                   rec["rgb_file"], rec["depth_file"])
+        """Raises KeyError for a missing field and TypeError for a mistyped one."""
+        args = []
+        for f in fields(cls):
+            value, kinds = rec[f.name], _RECORD_TYPES[f.type]
+            pair = f.type.startswith("tuple")
+            ok = (type(value) is list and len(value) == 2
+                  and all(type(v) in kinds for v in value)) if pair else type(value) in kinds
+            if not ok:
+                raise TypeError(f"demo field {f.name!r} has the wrong type: {value!r}")
+            args.append(tuple(value) if pair else value)
+        return cls(*args)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import autodiff as ad
-from ..perception.config import ADAPTER_TYPES, FUSION_TYPES
 from ..perception.model import PerceptionModel, normalize_observation, segment_workspace
 from .dataset import LoadedDemo
 from .heatmaps import action_to_heatmap, total_loss
@@ -29,8 +28,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     sigma_hm: float = 4.0          # ground-truth heatmap width, pixels
     seed: int = 0
-    adapter: str = "dora"
-    fusion: str = "cross-attention"
     clip_norm: float = 100.0       # global gradient-norm clip; 0 disables
     val_fraction: float = 0.1
 
@@ -39,8 +36,6 @@ class TrainConfig:
             raise ValueError("epochs, batch size and learning rate must be positive")
         if self.sigma_hm <= 0:
             raise ValueError("sigma_hm must be positive")
-        if self.adapter not in ADAPTER_TYPES or self.fusion not in FUSION_TYPES:
-            raise ValueError("unknown adapter or fusion type")
         if not (0 <= self.val_fraction < 1):
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -121,8 +116,6 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
     """
     if not demos:
         raise ValueError("training needs a non-empty dataset")
-    if (config.adapter, config.fusion) != (model.cfg.adapter, model.cfg.fusion):
-        raise ValueError("train config adapter/fusion disagree with the model config")
 
     samples = [prepare_sample(model, d, config.sigma_hm) for d in demos]
     rng = np.random.default_rng(config.seed)

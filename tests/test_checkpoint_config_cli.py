@@ -1,10 +1,12 @@
 """Checkpoint persistence, run configuration validation, and CLI behavior."""
 
+import http.server
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -57,26 +59,23 @@ class TestCheckpoint:
             ck.load_into_model(loaded, bigger, require_config_match=False)
         assert "shape" in str(e2.value) or "name" in str(e2.value)
 
-    def test_optimizer_state_optional(self, tmp_path, model):
-        from clothfold import autodiff as ad
-        path_plain = tmp_path / "plain.cfck"
-        ck.save_checkpoint(path_plain, model)
-        assert ck.load_checkpoint(path_plain).optimizer is None
-
-        opt = ad.Adam(list(model.trainable_parameters().values()), lr=1e-3)
-        for p in opt.params:
-            p.grad = np.ones(p.shape)
-        opt.step()
-        path_opt = tmp_path / "opt.cfck"
-        ck.save_checkpoint(path_opt, model, optimizer=opt)
-        loaded = ck.load_checkpoint(path_opt)
-        assert loaded.optimizer is not None and loaded.optimizer["t"] == 1
-        restored = ck.restore_optimizer(loaded, model)
-        assert restored.t == 1
-        name0 = next(iter(model.trainable_parameters()))
-        p0 = model.trainable_parameters()[name0]
-        np.testing.assert_array_equal(restored.state[id(p0)].m,
-                                      loaded.optimizer["moments"][f"optim.m.{name0}"])
+    def test_header_with_null_optimizer_key_loads(self, tmp_path, model, rng):
+        """Earlier writers put ``"optimizer": null`` in every header; such files
+        still load bit-exact."""
+        for t in model.trainable_parameters().values():
+            t.data[:] = rng.normal(size=t.shape)
+        path = tmp_path / "m.cfck"
+        ck.save_checkpoint(path, model)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len])
+        assert "optimizer" not in header
+        text = json.dumps({**header, "optimizer": None}, sort_keys=True).encode()
+        path.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text
+                         + blob[16 + header_len:])
+        loaded = ck.load_checkpoint(path)
+        for name, t in model.named_parameters().items():
+            assert np.array_equal(loaded.tensors[name], t.data), name
 
     def test_truncated_file_rejected(self, tmp_path, model):
         path = tmp_path / "m.cfck"
@@ -126,9 +125,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             parse_config({"sim": {"reso": 224}})
 
-    def test_adapter_axis_follows_model(self):
+    def test_adapter_axis_owned_by_model(self):
         cfg = parse_config({"model": {"adapter": "lora"}})
-        assert cfg.train.adapter == "lora"
+        assert cfg.model.adapter == "lora"
+        assert not {"adapter", "fusion"} & set(cfg.train.to_record())
 
     def test_conflicting_axes_rejected(self):
         with pytest.raises(ConfigError):
@@ -370,7 +370,11 @@ def _bad_dataset(case, data_dir, tmp_path):
     first = manifest["demos"][0]
     png, pgm = bad / first["rgb_file"], bad / first["depth_file"]
     pgm_data = pgm.read_bytes().split(b"\n", 3)[3]
-    if case.startswith("png_cut_to_"):
+    if case in _BAD_DEMO_FIELDS:
+        key, value = _BAD_DEMO_FIELDS[case]
+        first[key] = value
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+    elif case.startswith("png_cut_to_"):
         png.write_bytes(png.read_bytes()[:int(case.split("_")[-2])])
     elif case == "pgm_size_not_numeric":
         pgm.write_bytes(b"P5\nwide tall\n65535\n" + pgm_data)
@@ -391,26 +395,96 @@ def _bad_dataset(case, data_dir, tmp_path):
     return bad
 
 
+_BAD_DEMO_FIELDS = {          # first demo record's field -> a mistyped value
+    "demo_rgb_file_a_number": ("rgb_file", 5),
+    "demo_pick_pixel_a_string": ("pick_pixel", "ab"),
+    "demo_pick_pixel_one_item": ("pick_pixel", [1]),
+    "demo_subtask_null": ("subtask", None),
+    "demo_split_a_number": ("split", 3),
+}
+
 _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", "pgm_size_not_numeric",
                  "pgm_size_negative", "pgm_data_odd_length", "manifest_not_json",
                  "manifest_key_missing", "manifest_camera_key_missing",
-                 "manifest_demos_not_a_list")
+                 "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS)
 
-_BAD_INPUTS = [("held_out_family", 2)] + [
+_BAD_CONFIGS = {              # config -> the command that reads it
+    "held_out_family": ({"data": {"held_out_family": "XYZ"}}, ["gen-data"]),
+    "sim_resolution_not_int": ({"sim": {"resolution": "abc"}}, ["eval", "--expert"]),
+    "sim_resolution_zero": ({"sim": {"resolution": 0}}, ["eval", "--expert"]),
+    "sim_camera_height_negative": ({"sim": {"camera_height": -1}}, ["eval", "--expert"]),
+    "benchmark_episodes_per_cell_not_int": ({"benchmark": {"episodes_per_cell": "x"}},
+                                            ["eval", "--expert"]),
+    "benchmark_mask_only_not_bool": ({"benchmark": {"mask_only": "yes"}},
+                                     ["eval", "--expert"]),
+    "data_episodes_per_family_not_int": ({"data": {"episodes_per_family": "x"}},
+                                         ["gen-data"]),
+    "train_adapter_key": ({"train": {"adapter": "dora"}}, ["eval", "--expert"]),
+}
+
+
+def _response(body: bytes, length: int | None = None) -> bytes:
+    length = len(body) if length is None else length
+    return (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode() + body)
+
+
+def _completion(content) -> bytes:
+    return _response(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
+
+
+_BAD_COMPLETIONS = {          # raw HTTP response of the LLM endpoint
+    "llm_line_fails_grammar": _completion("Wave the cloth"),
+    "llm_content_null": _completion(None),
+    "llm_content_a_list": _completion(["Wave the cloth"]),
+    "llm_body_not_utf8": _response(b"\xff\xfe{}"),
+    "llm_body_nested_too_deep": _response(b"[" * 100_000),
+    "llm_body_cut_short": _response(b'{"choices"', length=1000),
+    "llm_connection_dropped": b"",
+}
+
+
+@pytest.fixture(scope="module")
+def llm_endpoint():
+    """A local chat-completions endpoint answering ``POST /<case>`` with that
+    case's raw response from ``_BAD_COMPLETIONS``, then closing."""
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.wfile.write(_BAD_COMPLETIONS[self.path.strip("/")])
+            self.close_connection = True
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+_BAD_INPUTS = [(case, 2) for case in _BAD_CONFIGS] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
                            "tensor_without_offset", "model_config_invalid")] + [
-    (case, 5) for case in _BAD_DATASETS]
+    (case, 5) for case in _BAD_DATASETS] + [
+    (case, 3) for case in _BAD_COMPLETIONS]
 
 
 @pytest.mark.parametrize("case,exit_code", _BAD_INPUTS)
 def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, cli_env,
-                                                        tmp_path):
-    if case == "held_out_family":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"data": {"held_out_family": "XYZ"}}))
-        argv = ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]
+                                                        llm_endpoint, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    if case in _BAD_CONFIGS:
+        section, command = _BAD_CONFIGS[case]
+        cfg.write_text(json.dumps(section))
+        argv = [*command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    elif case in _BAD_COMPLETIONS:
+        cfg.write_text(json.dumps({"planner": {"backend": {
+            "endpoint_url": f"{llm_endpoint}/{case}", "timeout_s": 30.0}}}))
+        argv = ["plan", "--config", str(cfg), "--command", "Roll the scarf into a tube"]
     elif case in _BAD_DATASETS:
         _, cfg_path, data_dir = cli_env
         argv = ["train", "--config", str(cfg_path),

@@ -183,17 +183,17 @@ class TestFold:
 class TestLandmarks:
     def test_fresh_towel_topleft(self):
         m = sim.init_cloth("towel", (25, 25), 0.5)
-        np.testing.assert_allclose(sim.landmark_point(m, "top-left corner"),
+        np.testing.assert_allclose(m.landmark_point("top-left corner"),
                                    [-0.25, 0.25])
 
     def test_trousers_left_waist_defined(self):
         m = sim.init_cloth("trousers")
-        assert sim.landmark_point(m, "left waist") is not None
+        assert m.landmark_point("left waist") is not None
 
     def test_towel_has_no_sleeve(self):
         m = sim.init_cloth("towel")
         with pytest.raises(sim.LandmarkError):
-            sim.landmark_point(m, "left sleeve")
+            m.landmark_point("left sleeve")
 
     def test_landmark_tracks_folds(self):
         m = sim.init_cloth("towel", (25, 25), 0.5)
