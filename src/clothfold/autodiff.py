@@ -2,14 +2,20 @@
 
 Tensors hold contiguous row-major float64 arrays. Operations record onto the
 active :class:`Tape` (define-by-run); the tape is rebuilt on every forward
-pass and replayed in reverse by :func:`backward`. Only the operations needed
-by the perception model are implemented; there is no broadcasting beyond the
-row-vector / column-vector cases the model actually uses.
+pass and replayed in reverse by :meth:`Tape.backward`. Only the operations
+needed by the perception model are implemented; there is no broadcasting
+beyond the row-vector / column-vector cases the model actually uses.
+
+Every operation computes its output and gives one gradient expression per
+input; :func:`_op` records it. The gradient rule is the same for all of
+them: in backward, an input receives its expression's value only if it
+``requires_grad``, added to what it already holds, in input order.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -129,19 +135,25 @@ class Tape:
                     t._grad = np.zeros_like(t.data)
 
 
-def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
-    t = tape or Tape._active
-    if t is None:
-        raise GradientError("backward called with no tape active or supplied")
-    t.backward(loss)
-
-
-def _record(out: Tensor, inputs: Sequence[Tensor],
-            backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+def _op(name: str, data: np.ndarray, inputs: Sequence[Tensor],
+        *grads: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Output ``Tensor(data)`` of op ``name``, recorded on the active tape
+    when an input requires grad; ``grads[i]`` maps the output's gradient to
+    the contribution of ``inputs[i]``. ``name`` is the backward closure's
+    ``__qualname__``, so a profiler can tell the ops apart."""
+    out = Tensor(data)
     tape = Tape._active
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        tape.record(out, inputs, backward_fn)
+    if tape is None or not any(t.requires_grad for t in inputs):
+        return out
+
+    def bw(g):
+        for t, grad in zip(inputs, grads):
+            if t.requires_grad:
+                t.accumulate_grad(grad(g))
+
+    bw.__qualname__ = name
+    out.requires_grad = True
+    tape.record(out, inputs, bw)
     return out
 
 
@@ -152,118 +164,57 @@ def _record(out: Tensor, inputs: Sequence[Tensor],
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g)
-
-    return _record(out, (a, b), bw)
+    return _op("add", a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
-
-    return _record(out, (a, b), bw)
+    return _op("sub", a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return _record(out, (a, b), bw)
+    return _op("mul", a.data * b.data, (a, b),
+               lambda g: g * b.data, lambda g: g * a.data)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.data * c)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _record(out, (a,), bw)
+    return _op("scale", a.data * c, (a,), lambda g: g * c)
 
 
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """x[n, d] + b[d] broadcast across rows."""
     if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise ShapeError(f"add_rowvec shapes: {x.shape} + {b.shape}")
-    out = Tensor(x.data + b.data[None, :])
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(g.sum(axis=0))
-
-    return _record(out, (x, b), bw)
+    return _op("add_rowvec", x.data + b.data[None, :], (x, b),
+               lambda g: g, lambda g: g.sum(axis=0))
 
 
 def scale_columns(x: Tensor, s: Tensor) -> Tensor:
     """y[i, j] = x[i, j] * s[j]; used by DoRA magnitudes and IA3 scalings."""
     if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[1] != s.shape[0]:
         raise ShapeError(f"scale_columns shapes: {x.shape} * {s.shape}")
-    out = Tensor(x.data * s.data[None, :])
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * s.data[None, :])
-        if s.requires_grad:
-            s.accumulate_grad((g * x.data).sum(axis=0))
-
-    return _record(out, (x, s), bw)
+    return _op("scale_columns", x.data * s.data[None, :], (x, s),
+               lambda g: g * s.data[None, :], lambda g: (g * x.data).sum(axis=0))
 
 
 def pow_const(x: Tensor, p: float) -> Tensor:
     p = float(p)
-    out = Tensor(np.power(x.data, p))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * p * np.power(x.data, p - 1.0))
-
-    return _record(out, (x,), bw)
+    return _op("pow_const", np.power(x.data, p), (x,),
+               lambda g: g * p * np.power(x.data, p - 1.0))
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / x.data)
-
-    return _record(out, (x,), bw)
+    return _op("log", np.log(x.data), (x,), lambda g: g / x.data)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes through unclipped entries only."""
-    out_data = np.clip(x.data, lo, hi)
     mask = (x.data > lo) & (x.data < hi)
-    out = Tensor(out_data)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
-
-    return _record(out, (x,), bw)
+    return _op("clip", np.clip(x.data, lo, hi), (x,), lambda g: g * mask)
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -283,47 +234,25 @@ def sigmoid(x: Tensor) -> Tensor:
     ex = np.exp(d[~pos])
     out_data[~pos] = ex / (1.0 + ex)
     np.clip(out_data, _SIGMOID_LO, _SIGMOID_HI, out=out_data)
-    out = Tensor(out_data)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out_data * (1.0 - out_data))
-
-    return _record(out, (x,), bw)
+    return _op("sigmoid", out_data, (x,), lambda g: g * out_data * (1.0 - out_data))
 
 
 def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
-    out = Tensor(out_data)
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - out_data * out_data))
-
-    return _record(out, (x,), bw)
+    return _op("tanh", out_data, (x,), lambda g: g * (1.0 - out_data * out_data))
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.array(x.data.sum()))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full_like(x.data, g.flat[0]))
-
-    return _record(out, (x,), bw)
+    return _op("sum_all", np.array(x.data.sum()), (x,),
+               lambda g: np.full_like(x.data, g.flat[0]))
 
 
 def column_sums(x: Tensor) -> Tensor:
     """Sum a 2-D tensor over rows, returning a length-d vector."""
     if x.data.ndim != 2:
         raise ShapeError(f"column_sums expects 2-D, got {x.shape}")
-    out = Tensor(x.data.sum(axis=0))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g[None, :], x.shape).copy())
-
-    return _record(out, (x,), bw)
+    return _op("column_sums", x.data.sum(axis=0), (x,),
+               lambda g: np.broadcast_to(g[None, :], x.shape).copy())
 
 
 def mean_rows(x: Tensor) -> Tensor:
@@ -331,121 +260,76 @@ def mean_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"mean_rows expects 2-D, got {x.shape}")
     n = x.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g / n, x.shape).copy())
-
-    return _record(out, (x,), bw)
+    return _op("mean_rows", x.data.mean(axis=0, keepdims=True), (x,),
+               lambda g: np.broadcast_to(g / n, x.shape).copy())
 
 
 def tile_rows(x: Tensor, n: int) -> Tensor:
     """Repeat a (1, d) row n times -> (n, d)."""
     if x.data.ndim != 2 or x.shape[0] != 1:
         raise ShapeError(f"tile_rows expects (1, d), got {x.shape}")
-    out = Tensor(np.broadcast_to(x.data, (n, x.shape[1])).copy())
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.sum(axis=0, keepdims=True))
-
-    return _record(out, (x,), bw)
+    return _op("tile_rows", np.broadcast_to(x.data, (n, x.shape[1])).copy(), (x,),
+               lambda g: g.sum(axis=0, keepdims=True))
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     """Row-major reshape; always copies (no view aliasing on the tape)."""
-    out = Tensor(x.data.reshape(shape).copy())
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
-
-    return _record(out, (x,), bw)
+    return _op("reshape", x.data.reshape(shape).copy(), (x,),
+               lambda g: g.reshape(x.shape))
 
 
 def transpose2d(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose2d expects 2-D, got {x.shape}")
-    out = Tensor(x.data.T.copy())
+    return _op("transpose2d", x.data.T.copy(), (x,), lambda g: g.T)
 
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.T)
 
-    return _record(out, (x,), bw)
+def _span(axis: int, start: int, stop: int) -> tuple:
+    """Index of ``start:stop`` along ``axis`` of a 2-D array."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _concat(name: str, parts: Iterable[Tensor], axis: int) -> Tensor:
+    parts = list(parts)
+    if not parts or any(p.data.ndim != 2 for p in parts):
+        raise ShapeError(f"{name} expects 2-D tensors")
+    if any(p.shape[1 - axis] != parts[0].shape[1 - axis] for p in parts):
+        raise ShapeError(f"{name} {('width', 'height')[axis]} mismatch")
+    ends = accumulate(p.shape[axis] for p in parts)
+    spans = [_span(axis, stop - p.shape[axis], stop) for p, stop in zip(parts, ends)]
+    return _op(name, np.concatenate([p.data for p in parts], axis=axis), tuple(parts),
+               *(lambda g, i=i: g[i] for i in spans))
 
 
 def concat_rows(parts: Iterable[Tensor]) -> Tensor:
-    parts = list(parts)
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ShapeError("concat_rows expects 2-D tensors")
-    width = parts[0].shape[1]
-    if any(p.shape[1] != width for p in parts):
-        raise ShapeError("concat_rows width mismatch")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    sizes = [p.shape[0] for p in parts]
-
-    def bw(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                p.accumulate_grad(g[off:off + n])
-            off += n
-
-    return _record(out, tuple(parts), bw)
+    return _concat("concat_rows", parts, 0)
 
 
 def concat_cols(parts: Iterable[Tensor]) -> Tensor:
-    parts = list(parts)
-    if not parts or any(p.data.ndim != 2 for p in parts):
-        raise ShapeError("concat_cols expects 2-D tensors")
-    height = parts[0].shape[0]
-    if any(p.shape[0] != height for p in parts):
-        raise ShapeError("concat_cols height mismatch")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    sizes = [p.shape[1] for p in parts]
+    return _concat("concat_cols", parts, 1)
 
-    def bw(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            if p.requires_grad:
-                p.accumulate_grad(g[:, off:off + n])
-            off += n
 
-    return _record(out, tuple(parts), bw)
+def _slice(name: str, x: Tensor, start: int, stop: int, axis: int) -> Tensor:
+    if x.data.ndim != 2:
+        raise ShapeError(f"{name} expects 2-D, got {x.shape}")
+    if not (0 <= start < stop <= x.shape[axis]):
+        raise ShapeError(f"{name} [{start}:{stop}] out of range for {x.shape}")
+    i = _span(axis, start, stop)
+
+    def scatter(g):
+        full = np.zeros_like(x.data)
+        full[i] = g
+        return full
+
+    return _op(name, x.data[i].copy(), (x,), scatter)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_rows expects 2-D, got {x.shape}")
-    if not (0 <= start < stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows [{start}:{stop}] out of range for {x.shape}")
-    out = Tensor(x.data[start:stop].copy())
-
-    def bw(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[start:stop] = g
-            x.accumulate_grad(full)
-
-    return _record(out, (x,), bw)
+    return _slice("slice_rows", x, start, stop, 0)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"slice_cols expects 2-D, got {x.shape}")
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for {x.shape}")
-    out = Tensor(x.data[:, start:stop].copy())
-
-    def bw(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[:, start:stop] = g
-            x.accumulate_grad(full)
-
-    return _record(out, (x,), bw)
+    return _slice("slice_cols", x, start, stop, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,15 +341,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.data.T @ g)
-
-    return _record(out, (a, b), bw)
+    return _op("matmul", a.data @ b.data, (a, b),
+               lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -476,14 +353,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor(out_data)
-
-    def bw(g):
-        if x.requires_grad:
-            dot = (g * out_data).sum(axis=ax, keepdims=True)
-            x.accumulate_grad(out_data * (g - dot))
-
-    return _record(out, (x,), bw)
+    return _op("softmax", out_data, (x,),
+               lambda g: out_data * (g - (g * out_data).sum(axis=ax, keepdims=True)))
 
 
 LAYER_NORM_EPS = 1e-5
@@ -501,20 +372,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = x.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data[None, :] + bias.data[None, :])
 
-    def bw(g):
-        if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=0))
-        if x.requires_grad:
-            gh = g * gain.data[None, :]
-            m1 = gh.mean(axis=1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=1, keepdims=True)
-            x.accumulate_grad((gh - m1 - xhat * m2) * inv)
+    def grad_x(g):
+        gh = g * gain.data[None, :]
+        m1 = gh.mean(axis=1, keepdims=True)
+        m2 = (gh * xhat).mean(axis=1, keepdims=True)
+        return (gh - m1 - xhat * m2) * inv
 
-    return _record(out, (x, gain, bias), bw)
+    return _op("layer_norm", xhat * gain.data[None, :] + bias.data[None, :],
+               (x, gain, bias), grad_x,
+               lambda g: (g * xhat).sum(axis=0), lambda g: g.sum(axis=0))
 
 
 def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -530,18 +397,11 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xf = x.data.reshape(c_in, h * wid)
     # einsum keeps a plain sequential reduction, so the result is bit-equal
     # to a per-pixel linear map (BLAS gemm would differ in the last ulp).
-    out = Tensor(np.einsum("oc,chw->ohw", w.data, x.data) + b.data[:, None, None])
-
-    def bw(g):
-        gf = g.reshape(c_out, h * wid)
-        if w.requires_grad:
-            w.accumulate_grad(gf @ xf.T)
-        if b.requires_grad:
-            b.accumulate_grad(gf.sum(axis=1))
-        if x.requires_grad:
-            x.accumulate_grad((w.data.T @ gf).reshape(c_in, h, wid))
-
-    return _record(out, (x, w, b), bw)
+    return _op("conv1x1",
+               np.einsum("oc,chw->ohw", w.data, x.data) + b.data[:, None, None], (x, w, b),
+               lambda g: (w.data.T @ g.reshape(c_out, h * wid)).reshape(c_in, h, wid),
+               lambda g: g.reshape(c_out, h * wid) @ xf.T,
+               lambda g: g.reshape(c_out, h * wid).sum(axis=1))
 
 
 _INTERP_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -576,13 +436,8 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     _, h, wid = x.shape
     uh = _interp_matrix(h, factor)
     uw = _interp_matrix(wid, factor)
-    out = Tensor(np.matmul(np.matmul(uh, x.data), uw.T))
-
-    def bw(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.matmul(np.matmul(uh.T, g), uw))
-
-    return _record(out, (x,), bw)
+    return _op("bilinear_upsample", np.matmul(np.matmul(uh, x.data), uw.T), (x,),
+               lambda g: np.matmul(np.matmul(uh.T, g), uw))
 
 
 # ---------------------------------------------------------------------------

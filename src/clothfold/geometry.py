@@ -119,18 +119,16 @@ class PrimitiveSequence:
         return [w.to_record() for w in self.waypoints]
 
 
-DEFAULT_APPROACH_HEIGHT = 0.10
 DEFAULT_TRANSPORT_HEIGHT = 0.15
 
 
 def action_to_primitives(pick_base: np.ndarray, place_base: np.ndarray,
                          workspace_half: float = 0.5,
                          table_z: float = 0.0,
-                         approach_height: float = DEFAULT_APPROACH_HEIGHT,
                          transport_height: float = DEFAULT_TRANSPORT_HEIGHT) -> PrimitiveSequence:
     """Expand a pick/place pair into the fixed grasp -> move -> place sequence."""
-    if approach_height <= 0 or transport_height <= 0:
-        raise ValueError("approach and transport heights must be positive")
+    if transport_height <= 0:
+        raise ValueError("transport height must be positive")
     pick = np.asarray(pick_base, dtype=np.float64)
     place = np.asarray(place_base, dtype=np.float64)
     for name, p in (("pick", pick), ("place", place)):

@@ -2,7 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+
+
+# The JSON types a record may hold for each field annotation; a tuple field
+# is a two-item list of them. A bool is not a number here.
+_RECORD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+                 "tuple[int, int]": (int,), "tuple[float, float]": (int, float)}
+
+
+def typed_fields(cls, rec: dict) -> list:
+    """The values of dataclass ``cls``'s fields in ``rec``, in field order,
+    with tuple fields made tuples. Raises KeyError for a missing field and
+    TypeError for a value whose type is not the field's annotation."""
+    args = []
+    for f in fields(cls):
+        value, kinds = rec[f.name], _RECORD_TYPES[f.type]
+        pair = f.type.startswith("tuple")
+        ok = (type(value) is list and len(value) == 2
+              and all(type(v) in kinds for v in value)) if pair else type(value) in kinds
+        if not ok:
+            raise TypeError(f"{cls.__name__} field {f.name!r} must be {f.type}, "
+                            f"got {value!r}")
+        args.append(tuple(value) if pair else value)
+    return args
 
 
 ADAPTER_TYPES = ("dora", "lora", "ia3", "none")
@@ -26,8 +49,11 @@ class ModelConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.embed_dim <= 0 or self.depth <= 0 or self.num_heads <= 0:
-            raise ValueError("embed_dim, depth and num_heads must be positive")
+        typed_fields(type(self), vars(self))
+        for name in ("embed_dim", "depth", "num_heads", "patch_size", "image_size",
+                     "max_text_len", "dora_rank", "mlp_ratio"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"num_heads {self.num_heads}")
@@ -39,8 +65,6 @@ class ModelConfig:
         if self.image_size % self.patch_size != 0:
             raise ValueError(f"image size {self.image_size} not divisible by "
                              f"patch size {self.patch_size}")
-        if self.dora_rank <= 0:
-            raise ValueError("dora_rank must be positive")
         if self.adapter not in ADAPTER_TYPES:
             raise ValueError(f"adapter must be one of {ADAPTER_TYPES}")
         if self.fusion not in FUSION_TYPES:

@@ -66,24 +66,11 @@ class HeatmapPair:
     q_place: np.ndarray
 
 
-def select_action(q_pick: np.ndarray, q_place: np.ndarray,
-                  mask: Optional[np.ndarray] = None) -> PickPlaceAction:
-    """Argmax pixels; ties resolve to the smallest row-major index.
-
-    ``mask`` optionally restricts the argmax to cloth pixels (off by
-    default: the maps are trained to peak on the cloth anyway).
-    """
-    h, w = q_pick.shape
-    if mask is not None:
-        if mask.shape != q_pick.shape or not mask.any():
-            raise ValueError("mask must match the map shape and be non-empty")
-        neg = np.where(mask, 0.0, -1.0)
-        ip = int(np.argmax(q_pick + neg))
-        il = int(np.argmax(q_place + neg))
-    else:
-        ip = int(np.argmax(q_pick))
-        il = int(np.argmax(q_place))
-    return PickPlaceAction(divmod(ip, w), divmod(il, w))
+def select_action(q_pick: np.ndarray, q_place: np.ndarray) -> PickPlaceAction:
+    """Argmax pixels; ties resolve to the smallest row-major index."""
+    w = q_pick.shape[1]
+    return PickPlaceAction(divmod(int(np.argmax(q_pick)), w),
+                           divmod(int(np.argmax(q_place)), w))
 
 
 class PerceptionModel:

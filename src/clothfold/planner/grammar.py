@@ -69,7 +69,6 @@ class SubTask:
     place_landmark: str
     cloth_kind: Optional[str] = None
     tokens: tuple[str, ...] = field(default_factory=tuple)
-    conjunction_index: int = -1
 
     def to_record(self) -> dict:
         return {
@@ -164,13 +163,12 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
     pick_landmark = _resolve_landmark(pick_part, kind, "part", text)
     place_landmark = _resolve_landmark(place_part, kind, "target", text)
 
-    conj = tokens.index("and")
     m = re.search(r"\band\b", text, flags=re.IGNORECASE)
     pick_phrase = text[:m.start()].strip() if m else text
     place_phrase = text[m.end():].strip() if m else ""
     return SubTask(text=text.strip(), pick_phrase=pick_phrase, place_phrase=place_phrase,
                    pick_landmark=pick_landmark, place_landmark=place_landmark,
-                   cloth_kind=kind, tokens=tuple(tokens), conjunction_index=conj)
+                   cloth_kind=kind, tokens=tuple(tokens))
 
 
 @dataclass(frozen=True)

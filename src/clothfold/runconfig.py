@@ -109,6 +109,9 @@ def parse_config(raw: dict) -> RunConfig:
     height = sim["camera_height"]
     if type(height) not in (int, float) or not 0 < height < math.inf:
         raise ConfigError(f"sim.camera_height must be a positive number, got {height!r}")
+    if model.image_size > sim["resolution"]:
+        raise ConfigError(f"model.image_size {model.image_size} exceeds "
+                          f"sim.resolution {sim['resolution']}")
     if type(benchmark["mask_only"]) is not bool:
         raise ConfigError(f"benchmark.mask_only must be true or false, "
                           f"got {benchmark['mask_only']!r}")

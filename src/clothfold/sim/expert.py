@@ -30,14 +30,6 @@ class PickPlaceAction:
         self.pick_world = None if pick_world is None else np.asarray(pick_world, float)
         self.place_world = None if place_world is None else np.asarray(place_world, float)
 
-    def to_record(self) -> dict:
-        rec = {"pick_pixel": list(self.pick_pixel), "place_pixel": list(self.place_pixel)}
-        if self.pick_world is not None:
-            rec["pick_world"] = [float(v) for v in self.pick_world]
-        if self.place_world is not None:
-            rec["place_world"] = [float(v) for v in self.place_world]
-        return rec
-
     def __repr__(self):
         return f"PickPlaceAction(pick={self.pick_pixel}, place={self.place_pixel})"
 

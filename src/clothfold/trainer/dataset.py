@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .. import images
+from ..perception.config import typed_fields
 from ..planner import decompose
 from ..planner.templates import (FAMILY_KIND, SEEN_VARIANTS, TASK_FAMILIES,
                                  UNSEEN_VARIANTS, command_bank)
@@ -39,12 +40,6 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 class DatasetFormatError(RuntimeError):
     """A manifest that is not UTF-8 JSON, misses a key, whose demos are not a
     list of records, or whose demo fields have the wrong JSON type."""
-
-
-# The JSON types a demo record may hold for each field annotation; a tuple
-# field is a two-item list of them.
-_RECORD_TYPES = {"int": (int,), "str": (str,), "tuple[int, int]": (int,),
-                 "tuple[float, float]": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -71,16 +66,7 @@ class Demonstration:
     @classmethod
     def from_record(cls, rec: dict) -> "Demonstration":
         """Raises KeyError for a missing field and TypeError for a mistyped one."""
-        args = []
-        for f in fields(cls):
-            value, kinds = rec[f.name], _RECORD_TYPES[f.type]
-            pair = f.type.startswith("tuple")
-            ok = (type(value) is list and len(value) == 2
-                  and all(type(v) in kinds for v in value)) if pair else type(value) in kinds
-            if not ok:
-                raise TypeError(f"demo field {f.name!r} has the wrong type: {value!r}")
-            args.append(tuple(value) if pair else value)
-        return cls(*args)
+        return cls(*typed_fields(cls, rec))
 
 
 @dataclass

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import autodiff as ad
+from ..perception.config import typed_fields
 from ..perception.model import PerceptionModel, normalize_observation, segment_workspace
 from .dataset import LoadedDemo
 from .heatmaps import action_to_heatmap, total_loss
@@ -32,6 +33,7 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        typed_fields(type(self), vars(self))
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("epochs, batch size and learning rate must be positive")
         if self.sigma_hm <= 0:

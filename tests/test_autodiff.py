@@ -376,3 +376,75 @@ class TestDeterminism:
         a = ad.softmax(ad.tanh(ad.Tensor(x))).data
         b = ad.softmax(ad.tanh(ad.Tensor(x.copy()))).data
         assert np.array_equal(a, b)
+
+
+# (op name, input shapes, op applied to the inputs); inputs are drawn from
+# [0.5, 1.5], inside the domains of log and pow_const.
+_OP_CASES = [
+    ("add", [(3, 4), (3, 4)], ad.add),
+    ("sub", [(3, 4), (3, 4)], ad.sub),
+    ("mul", [(3, 4), (3, 4)], ad.mul),
+    ("scale", [(3, 4)], lambda x: ad.scale(x, -1.7)),
+    ("add_rowvec", [(3, 4), (4,)], ad.add_rowvec),
+    ("scale_columns", [(3, 4), (4,)], ad.scale_columns),
+    ("pow_const", [(3, 4)], lambda x: ad.pow_const(x, 1.5)),
+    ("log", [(3, 4)], ad.log),
+    ("clip", [(3, 4)], lambda x: ad.clip(x, 0.8, 1.2)),
+    ("sigmoid", [(3, 4)], ad.sigmoid),
+    ("tanh", [(3, 4)], ad.tanh),
+    ("sum_all", [(3, 4)], ad.sum_all),
+    ("column_sums", [(3, 4)], ad.column_sums),
+    ("mean_rows", [(3, 4)], ad.mean_rows),
+    ("tile_rows", [(1, 4)], lambda x: ad.tile_rows(x, 3)),
+    ("reshape", [(3, 4)], lambda x: ad.reshape(x, (2, 6))),
+    ("transpose2d", [(3, 4)], ad.transpose2d),
+    ("concat_rows", [(2, 4), (3, 4)], lambda a, b: ad.concat_rows([a, b, a])),
+    ("concat_cols", [(3, 2), (3, 4)], lambda a, b: ad.concat_cols([a, b, a])),
+    ("slice_rows", [(4, 3)], lambda x: ad.slice_rows(x, 1, 3)),
+    ("slice_cols", [(3, 4)], lambda x: ad.slice_cols(x, 1, 3)),
+    ("matmul", [(3, 4), (4, 2)], ad.matmul),
+    ("softmax", [(3, 4)], ad.softmax),
+    ("softmax", [(3, 4)], lambda x: ad.softmax(x, axis=0)),
+    ("layer_norm", [(3, 4), (4,), (4,)], ad.layer_norm),
+    ("conv1x1", [(3, 2, 2), (2, 3), (2,)], ad.conv1x1),
+    ("bilinear_upsample", [(2, 2, 3)], lambda x: ad.bilinear_upsample(x, 2)),
+    ("add", [(3, 4)], lambda x: ad.add(x, x)),              # aliased inputs
+    ("mul", [(3, 4)], lambda x: ad.mul(x, x)),
+    ("matmul", [(3, 3)], lambda x: ad.matmul(x, x)),
+]
+_OP_IDS = [f"{name}-{i}" for i, (name, _, _) in enumerate(_OP_CASES)]
+
+
+def _run_op(op, shapes, frozen=()):
+    """Leaf inputs, the op's output, the tape and the input gradients of the
+    loss sum(op(inputs) * w); inputs whose index is in ``frozen`` do not
+    require grad."""
+    rng = np.random.default_rng(3)
+    xs = [ad.Tensor(rng.uniform(0.5, 1.5, size=s), requires_grad=i not in frozen)
+          for i, s in enumerate(shapes)]
+    with ad.Tape() as tape:
+        out = op(*xs)
+        w = rng.normal(size=out.shape)
+        tape.backward(ad.sum_all(ad.mul(out, ad.constant(w))))
+    return xs, out, w, tape
+
+
+@pytest.mark.parametrize("name,shapes,op", _OP_CASES, ids=_OP_IDS)
+def test_op_gradient_vs_finite_differences(name, shapes, op):
+    xs, out, w, tape = _run_op(op, shapes)
+    (backward_fn,) = [fn for o, _, fn in tape.nodes if o is out]
+    assert backward_fn.__qualname__.split(".", 1)[0] == name
+    fds = finite_difference(lambda: float((op(*xs).data * w).sum()), xs)
+    for x, fd in zip(xs, fds):
+        assert rel_err(x.grad, fd) < 1e-5
+
+
+@pytest.mark.parametrize("name,shapes,op",
+                         [c for c in _OP_CASES if len(c[1]) > 1],
+                         ids=[i for i, c in zip(_OP_IDS, _OP_CASES) if len(c[1]) > 1])
+def test_frozen_input_gets_no_gradient(name, shapes, op):
+    xs, _, _, _ = _run_op(op, shapes)
+    frozen_xs, _, _, _ = _run_op(op, shapes, frozen=(0,))
+    assert frozen_xs[0].grad is None
+    for x, fx in zip(xs[1:], frozen_xs[1:]):
+        np.testing.assert_array_equal(fx.grad, x.grad)

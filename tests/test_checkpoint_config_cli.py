@@ -408,6 +408,16 @@ _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", "pgm_size_not_nu
                  "manifest_key_missing", "manifest_camera_key_missing",
                  "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS)
 
+
+def _train_on_cli_data(section, **values):
+    """A small-model config with ``values`` set in ``section``, run by
+    ``train`` on the CLI test dataset."""
+    cfg = {"model": {"embed_dim": 16, "depth": 1, "patch_size": 16},
+           "train": {"epochs": 1, "batch_size": 4}}
+    cfg[section] = {**cfg[section], **values}
+    return cfg, ["train"]
+
+
 _BAD_CONFIGS = {              # config -> the command that reads it
     "held_out_family": ({"data": {"held_out_family": "XYZ"}}, ["gen-data"]),
     "sim_resolution_not_int": ({"sim": {"resolution": "abc"}}, ["eval", "--expert"]),
@@ -420,6 +430,19 @@ _BAD_CONFIGS = {              # config -> the command that reads it
     "data_episodes_per_family_not_int": ({"data": {"episodes_per_family": "x"}},
                                          ["gen-data"]),
     "train_adapter_key": ({"train": {"adapter": "dora"}}, ["eval", "--expert"]),
+    "train_epochs_float": _train_on_cli_data("train", epochs=1.5),
+    "train_epochs_bool": _train_on_cli_data("train", epochs=True),
+    "train_batch_size_float": _train_on_cli_data("train", batch_size=2.5),
+    "train_seed_string": _train_on_cli_data("train", seed="x"),
+    "train_clip_norm_string": _train_on_cli_data("train", clip_norm="x"),
+    "model_embed_dim_float": _train_on_cli_data("model", embed_dim=16.0),
+    "model_seed_string": _train_on_cli_data("model", seed="x"),
+    "model_patch_size_zero": _train_on_cli_data("model", patch_size=0),
+    "model_image_size_zero": _train_on_cli_data("model", image_size=0),
+    "model_image_size_above_resolution": _train_on_cli_data("model", image_size=232,
+                                                            patch_size=8),
+    "model_max_text_len_zero": _train_on_cli_data("model", max_text_len=0),
+    "model_mlp_ratio_zero": _train_on_cli_data("model", mlp_ratio=0),
 }
 
 
@@ -481,6 +504,8 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         section, command = _BAD_CONFIGS[case]
         cfg.write_text(json.dumps(section))
         argv = [*command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == ["train"]:
+            argv += ["--dataset", str(cli_env[2])]
     elif case in _BAD_COMPLETIONS:
         cfg.write_text(json.dumps({"planner": {"backend": {
             "endpoint_url": f"{llm_endpoint}/{case}", "timeout_s": 30.0}}}))

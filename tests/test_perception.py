@@ -301,15 +301,6 @@ class TestSelectAction:
         b = select_action(np.tanh(3 * q) + 2, np.tanh(3 * q) + 2)
         assert a.pick_pixel == b.pick_pixel
 
-    def test_optional_cloth_mask_constraint(self):
-        q = np.full((6, 6), 0.2)
-        q[0, 0] = 0.9                      # off-cloth global max
-        q[3, 3] = 0.5
-        mask = np.zeros((6, 6), bool)
-        mask[3:5, 3:5] = True
-        assert select_action(q, q).pick_pixel == (0, 0)
-        assert select_action(q, q, mask=mask).pick_pixel == (3, 3)
-
 
 class TestSegmentWorkspace:
     def test_mask_equals_renderer_mask(self, towel_obs):
