@@ -10,6 +10,12 @@ Every operation computes its output and gives one gradient expression per
 input; :func:`_op` records it. The gradient rule is the same for all of
 them: in backward, an input receives its expression's value only if it
 ``requires_grad``, added to what it already holds, in input order.
+
+Gradient lifetime: leaves (``requires_grad`` tensors no recorded node
+produced, such as parameters) keep ``.grad`` after backward, and so does
+the loss; an intermediate's gradient is freed as soon as its node has run.
+A first write takes the contribution as is; later writes add out of place,
+so a gradient array shared between tensors is never modified.
 """
 
 from __future__ import annotations
@@ -68,9 +74,12 @@ class Tensor:
         self._grad = arr
 
     def accumulate_grad(self, delta: np.ndarray) -> None:
+        # A non-contiguous first delta (a transposed view) is copied: as an
+        # output gradient it would select a different BLAS kernel downstream.
         if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        self._grad += delta
+            self._grad = np.ascontiguousarray(delta)
+        else:
+            self._grad = self._grad + delta
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -116,10 +125,13 @@ class Tape:
         self.nodes.clear()
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into every requires_grad tensor on the tape.
+        """Accumulate d(loss)/d(t) into every leaf on the tape: each
+        requires_grad input that no recorded node produced.
 
-        Tensors recorded on the tape that the loss does not reach end up with
-        all-zero gradients rather than stale or missing ones.
+        Gradient lifetime: the loss and the leaves keep ``.grad``; each
+        intermediate's gradient is freed (``None``) once its node has run.
+        Leaves the loss does not reach end up with all-zero gradients rather
+        than stale or missing ones.
         """
         if loss.size != 1:
             raise GradientError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -129,9 +141,12 @@ class Tape:
             if g is None:
                 continue
             backward_fn(g)
-        for out, inputs, _ in self.nodes:
-            for t in (out,) + inputs:
-                if t.requires_grad and t._grad is None:
+            if out is not loss:
+                out._grad = None
+        produced = {id(out) for out, _, _ in self.nodes}
+        for _, inputs, _ in self.nodes:
+            for t in inputs:
+                if t.requires_grad and t._grad is None and id(t) not in produced:
                     t._grad = np.zeros_like(t.data)
 
 

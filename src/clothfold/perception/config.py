@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
+from .vocab import default_vocabulary
+
 
 # The JSON types a record may hold for each field annotation; a tuple field
 # is a two-item list of them. A bool is not a number here.
@@ -54,6 +56,12 @@ class ModelConfig:
                      "max_text_len", "dora_rank", "mlp_ratio"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        n_words = len(default_vocabulary())
+        if self.vocab_size not in (0, n_words):
+            raise ValueError(f"vocab_size must be 0 or the vocabulary size {n_words}, "
+                             f"got {self.vocab_size}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"num_heads {self.num_heads}")

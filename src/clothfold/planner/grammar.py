@@ -5,7 +5,7 @@ cloth kind's landmark table so that every accepted sentence is executable."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..sim import mesh as _mesh
@@ -68,7 +68,6 @@ class SubTask:
     pick_landmark: str
     place_landmark: str
     cloth_kind: Optional[str] = None
-    tokens: tuple[str, ...] = field(default_factory=tuple)
 
     def to_record(self) -> dict:
         return {
@@ -168,7 +167,7 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
     place_phrase = text[m.end():].strip() if m else ""
     return SubTask(text=text.strip(), pick_phrase=pick_phrase, place_phrase=place_phrase,
                    pick_landmark=pick_landmark, place_landmark=place_landmark,
-                   cloth_kind=kind, tokens=tuple(tokens))
+                   cloth_kind=kind)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
@@ -36,6 +37,8 @@ class TrainConfig:
         typed_fields(type(self), vars(self))
         if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
             raise ValueError("epochs, batch size and learning rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.sigma_hm <= 0:
             raise ValueError("sigma_hm must be positive")
         if not (0 <= self.val_fraction < 1):
@@ -134,8 +137,11 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
     best_state: Optional[dict[str, np.ndarray]] = None
 
     for epoch in range(config.epochs):
+        t0 = time.perf_counter()
         rng.shuffle(train_idx)
         epoch_total = 0.0
+        max_grad_norm = 0.0
+        clips = 0
         for start in range(0, len(train_idx), config.batch_size):
             batch = train_idx[start:start + config.batch_size]
             for j in batch:
@@ -147,8 +153,11 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
                     raise TrainingDivergedError(
                         f"loss became {value} at epoch {epoch}")
                 epoch_total += value
-            clip_gradients(params, config.clip_norm)
+            grad_norm = clip_gradients(params, config.clip_norm)
+            max_grad_norm = max(max_grad_norm, grad_norm)
+            clips += 0 < config.clip_norm < grad_norm
             opt.step()
+        train_s = time.perf_counter() - t0
         train_loss = epoch_total / max(len(train_idx), 1)
 
         val_loss = None
@@ -162,8 +171,11 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
         result.loss_curve.append({"epoch": epoch, "train_loss": train_loss,
                                   "val_loss": val_loss})
         result.final_train_loss = train_loss
-        log.info("epoch %d: train %.2f val %s", epoch, train_loss,
-                 f"{val_loss:.2f}" if val_loss is not None else "-")
+        log.info("epoch %d: train %.2f val %s; %.2f s, %.1f samples/s, "
+                 "max grad norm %.4g, clipped %d of %d steps", epoch, train_loss,
+                 f"{val_loss:.2f}" if val_loss is not None else "-",
+                 time.perf_counter() - t0, len(train_idx) / train_s,
+                 max_grad_norm, clips, math.ceil(len(train_idx) / config.batch_size))
 
     if best_state is not None:
         for k, p in params_by_name.items():

@@ -443,6 +443,9 @@ _BAD_CONFIGS = {              # config -> the command that reads it
                                                             patch_size=8),
     "model_max_text_len_zero": _train_on_cli_data("model", max_text_len=0),
     "model_mlp_ratio_zero": _train_on_cli_data("model", mlp_ratio=0),
+    "model_seed_negative": _train_on_cli_data("model", seed=-1),
+    "train_seed_negative": _train_on_cli_data("train", seed=-1),
+    "model_vocab_size_wrong": _train_on_cli_data("model", vocab_size=5),
 }
 
 

@@ -87,7 +87,7 @@ class TestValidateSubtask:
     def test_tokens_split_never_errors_for_valid(self):
         st_ = planner.validate_subtask(
             "Grasp the top edge of the Towel and place it to the bottom edge")
-        pick, place = planner.split_at_conjunction(list(st_.tokens))
+        pick, place = planner.split_at_conjunction(st_.text.split())
         assert pick and place
 
 

@@ -1,7 +1,9 @@
 """Heatmap targets, BCE losses, dataset generation/replay, and training."""
 
 import hashlib
+import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +263,25 @@ class TestTrain:
                           seed=1)
         with pytest.raises(ValueError):
             train([], PerceptionModel(cfg), TrainConfig())
+
+    def test_epoch_log_reports_rate_norm_and_clips(self, tiny_dataset, caplog):
+        _, demos = tiny_dataset
+        cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
+                          seed=1)
+        with caplog.at_level(logging.INFO, logger="clothfold.trainer.train"):
+            train(demos[:5], PerceptionModel(cfg),
+                  TrainConfig(epochs=2, batch_size=2, val_fraction=0.0, clip_norm=1e-9))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "clothfold.trainer.train"]
+        assert len(lines) == 2
+        for epoch, line in enumerate(lines):
+            m = re.fullmatch(r"epoch (\d+): train \S+ val -; ([\d.]+) s, ([\d.]+) "
+                             r"samples/s, max grad norm (\S+), clipped (\d+) of (\d+) steps",
+                             line)
+            assert m, line
+            assert int(m[1]) == epoch
+            assert float(m[3]) > 0 and float(m[4]) > 1e-9
+            assert int(m[5]) == int(m[6]) == 3        # 5 samples in batches of 2
 
     def test_curve_csv_schema(self, tiny_dataset):
         _, demos = tiny_dataset
