@@ -5,7 +5,6 @@ heatmap decoders with argmax action selection."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .decoder import CunDecoder
 from .encoder import FrozenEncoder
 from .fusion import (FusionBlock, LearnableTokens, TransformerFusion,
                      prepend_tokens)
-from .vocab import Vocabulary, default_vocabulary, tokenize
+from .vocab import default_vocabulary, tokenize
 
 DEPTH_RANGE = 0.05      # meters of depth variation mapped onto [0, 1]
 
@@ -74,12 +73,9 @@ def select_action(q_pick: np.ndarray, q_place: np.ndarray) -> PickPlaceAction:
 
 
 class PerceptionModel:
-    def __init__(self, cfg: ModelConfig, vocab: Optional[Vocabulary] = None):
+    def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
-        self.vocab = vocab or default_vocabulary()
-        if cfg.vocab_size and cfg.vocab_size != len(self.vocab):
-            raise ValueError(f"config vocab_size {cfg.vocab_size} != vocabulary "
-                             f"size {len(self.vocab)}")
+        self.vocab = default_vocabulary()
         self._and_id = self.vocab.word_to_id["and"]
         # Separate streams keep the frozen towers bit-identical across
         # adapter and fusion choices.

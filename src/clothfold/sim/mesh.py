@@ -164,8 +164,10 @@ def init_cloth(kind: str, grid_dims: tuple[int, int] = (25, 25), size_m: float =
 def nearest_particle(mesh: ClothMesh, point_w: np.ndarray) -> tuple[int, int, float]:
     """Nearest active particle to a world point: (row, col, distance)."""
     p = np.asarray(point_w, dtype=np.float64)[:2]
-    d = np.linalg.norm(mesh.positions - p[None, None, :], axis=-1)
-    d = np.where(mesh.active, d, np.inf)
+    dx = mesh.positions[..., 0] - p[0]
+    dy = mesh.positions[..., 1] - p[1]
+    d = np.sqrt(dx * dx + dy * dy)      # np.linalg.norm's bits, see fold
+    d[~mesh.active] = np.inf
     i = int(np.argmin(d))
     r, c = divmod(i, mesh.n_cols)
     return r, c, float(d[r, c])
@@ -217,13 +219,19 @@ def fold(mesh: ClothMesh, pick_w, place_w, eps_grasp: float = EPS_GRASP,
     # Moved particles stack on whatever unmoved cloth they land above: each
     # takes the layers of its nearest unmoved particle (the first on ties)
     # if that one lies within the landing radius. The distances are
-    # np.linalg.norm's, bit for bit, without its slow size-2 axis reduction.
+    # np.linalg.norm's, bit for bit (its size-2 axis reduction is
+    # sqrt(dx*dx + dy*dy)), built in two [moved, unmoved] buffers, and the
+    # nearest one is read at argmin's index rather than by a second min pass.
     unmoved = out.active & ~moved
     if unmoved.any():
         base = out.positions[unmoved]
-        dx = base[None, :, 0] - reflected[:, 0, None]
-        dy = base[None, :, 1] - reflected[:, 1, None]
-        d = np.sqrt(dx * dx + dy * dy)                   # [moved, unmoved]
-        landed = d.min(axis=1) <= 0.75 * out.spacing
-        out.layers[moved] += np.where(landed, mesh.layers[unmoved][d.argmin(axis=1)], 0)
+        d = base[:, 0] - reflected[:, 0, None]
+        d *= d
+        dy = base[:, 1] - reflected[:, 1, None]
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+        nearest = d.argmin(axis=1)
+        landed = d[np.arange(len(nearest)), nearest] <= 0.75 * out.spacing
+        out.layers[moved] += np.where(landed, mesh.layers[unmoved][nearest], 0)
     return out

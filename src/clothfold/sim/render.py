@@ -75,10 +75,13 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     all particles share one color, so a pixel's color and mask only say
     whether some particle covers it, and its depth is the least quantized
     depth among those. ``np.rint`` rounds half to even like ``round``.
+
+    The RGB frame is one gather of the (background, cloth) color pair by the
+    mask: a new float64 [H, W, 3] array, C-contiguous and writable, that
+    shares no memory with another frame.
     """
     h = camera.intrinsics.height
     w = camera.intrinsics.width
-    rgb = np.broadcast_to(BACKGROUND_RGB, (h, w, 3)).copy()
     depth = np.full((h, w), camera.table_depth)
     mask = np.zeros((h, w), dtype=bool)
 
@@ -102,5 +105,5 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
 
     np.minimum.at(depth.reshape(-1), flat, z_px)
     mask.reshape(-1)[flat[z_px <= camera.table_depth]] = True
-    rgb[mask] = cloth_color(mesh.kind)
+    rgb = np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]).take(mask.view(np.uint8), axis=0)
     return Observation(rgb, depth, mask, camera)

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clothfold import sim
+from clothfold.geometry import CameraIntrinsics
 from clothfold.planner import validate_subtask
-from clothfold.sim.mesh import LAYER_THICKNESS, MIN_FOLD_SPAN
+from clothfold.sim.mesh import LAYER_THICKNESS, MIN_FOLD_SPAN, nearest_particle
+from clothfold.sim.render import BACKGROUND_RGB, SimCamera
 
 
 def reflect_oracle(mesh, pick_w, place_w, min_span=MIN_FOLD_SPAN):
@@ -73,6 +75,74 @@ class TestInitCloth:
                 for name in m.landmark_names():
                     r, c = m.landmarks[name]
                     assert m.active[r, c], (kind, dims, name)
+
+
+def norm_nearest(mesh, point_w):
+    """Nearest active particle by np.linalg.norm over the whole grid."""
+    p = np.asarray(point_w, dtype=np.float64)[:2]
+    d = np.linalg.norm(mesh.positions - p[None, None, :], axis=-1)
+    d = np.where(mesh.active, d, np.inf)
+    r, c = divmod(int(np.argmin(d)), mesh.n_cols)
+    return r, c, float(d[r, c])
+
+
+@st.composite
+def meshes_and_queries(draw):
+    """A posed cloth after up to two landmark folds, some particles switched
+    off, and a query at a particle, at the midpoint of two, or anywhere."""
+    kind = draw(st.sampled_from(sim.cloth_kinds()))
+    mesh = sim.init_cloth(kind, (draw(st.integers(8, 20)), draw(st.integers(8, 20))),
+                          draw(st.floats(0.15, 0.5)),
+                          (draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))),
+                          draw(st.floats(-np.pi, np.pi)))
+    names = mesh.landmark_names()
+    for _ in range(draw(st.integers(0, 2))):
+        try:
+            mesh = sim.fold(mesh, mesh.landmark_point(draw(st.sampled_from(names))),
+                            mesh.landmark_point(draw(st.sampled_from(names))))
+        except (sim.FoldError, sim.GraspMissError):
+            break
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mesh.active &= rng.random(mesh.active.shape) >= draw(st.sampled_from([0.0, 0.3, 0.9]))
+    cells = mesh.positions.reshape(-1, 2)
+    where = draw(st.sampled_from(["particle", "midpoint", "anywhere"]))
+    a, b = rng.integers(len(cells), size=2)
+    if where == "particle":
+        point = cells[a].copy()
+    elif where == "midpoint":
+        point = 0.5 * (cells[a] + cells[b])
+    else:
+        point = rng.uniform(-0.5, 0.5, size=2)
+    return mesh, point
+
+
+class TestNearestParticle:
+    @given(meshes_and_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_norm_reference(self, case):
+        mesh, point = case
+        r, c, d = nearest_particle(mesh, point)
+        wr, wc, wd = norm_nearest(mesh, point)
+        assert (r, c) == (wr, wc)
+        assert np.float64(d).tobytes() == np.float64(wd).tobytes()
+        if mesh.active.any():
+            assert mesh.active[r, c]
+
+    def test_ties_resolve_to_the_first_particle(self):
+        m = sim.init_cloth("towel", (10, 10), 0.4)
+        point = 0.5 * (m.positions[4, 4] + m.positions[4, 5])
+        assert nearest_particle(m, point)[:2] == norm_nearest(m, point)[:2] == (4, 4)
+
+    def test_inactive_particle_never_chosen(self):
+        m = sim.init_cloth("towel", (10, 10), 0.4)
+        m.active[3, 3] = False
+        r, c, d = nearest_particle(m, m.positions[3, 3])
+        assert (r, c) != (3, 3) and m.active[r, c] and d > 0
+
+    def test_no_active_particle_is_infinitely_far(self):
+        m = sim.init_cloth("t-shirt", (10, 10), 0.4)
+        m.active[:] = False
+        assert nearest_particle(m, (0.0, 0.0))[2] == np.inf
 
 
 class TestFold:
@@ -237,6 +307,24 @@ class TestRender:
         assert np.array_equal(a.rgb, b.rgb)
         assert np.array_equal(a.depth, b.depth)
         assert np.array_equal(a.cloth_mask, b.cloth_mask)
+
+    def test_rgb_is_a_fresh_writable_float_frame(self):
+        # segment_workspace and the PNG writer take the frame as a float64
+        # [H, W, 3] array that the caller owns.
+        m = sim.init_cloth("t-shirt")
+        m = sim.fold(m, m.landmark_point("left sleeve"), m.landmark_point("right sleeve"))
+        cam = SimCamera(CameraIntrinsics(160.0, 160.0, 80.0, 48.0, 160, 96))
+        a = sim.render(m, cam)
+        b = sim.render(m, cam)
+        for obs in (a, b):
+            assert obs.rgb.dtype == np.float64 and obs.rgb.shape == (96, 160, 3)
+            assert obs.rgb.flags.c_contiguous and obs.rgb.flags.writeable
+        assert not np.shares_memory(a.rgb, b.rgb)
+        want = b.rgb.tobytes()
+        a.rgb[...] = 0.5
+        assert b.rgb.tobytes() == want
+        assert sim.render(m, cam).rgb.tobytes() == want
+        assert (BACKGROUND_RGB == 0).all()
 
     def test_depth_positive(self):
         obs = sim.render(sim.init_cloth("t-shirt"), sim.default_camera())
