@@ -32,9 +32,16 @@ class SimCamera:
     intrinsics: CameraIntrinsics
     height: float = 1.0
 
+    def __post_init__(self):
+        # Built and checked once per camera; a rollout applies it twice per
+        # step. Its arrays are read-only, as every caller shares them.
+        rotation = np.diag([1.0, -1.0, -1.0])
+        translation = np.array([0.0, 0.0, self.height])
+        rotation.flags.writeable = translation.flags.writeable = False
+        object.__setattr__(self, "_base_from_camera", RigidTransform(rotation, translation))
+
     def base_from_camera(self) -> RigidTransform:
-        return RigidTransform(np.diag([1.0, -1.0, -1.0]),
-                              np.array([0.0, 0.0, self.height]))
+        return self._base_from_camera
 
     def world_to_pixel(self, x: float, y: float, z_world: float = 0.0) -> tuple[float, float]:
         """World table point -> (u, v) pixel (u = column, v = row); takes
@@ -56,14 +63,32 @@ def default_camera(resolution: int = 224, height: float = 1.0) -> SimCamera:
     return SimCamera(CameraIntrinsics(f, f, c, c, resolution, resolution), height)
 
 
-@dataclass
 class Observation:
-    """RGB-D image: rgb in [0,1] (quantized to the uint8 grid), depth in meters."""
+    """RGB-D image: rgb in [0,1] (quantized to the uint8 grid), depth in
+    meters, cloth_mask the renderer's ground truth.
 
-    rgb: np.ndarray          # [H, W, 3]
-    depth: np.ndarray        # [H, W]
-    cloth_mask: np.ndarray   # [H, W] bool, renderer ground truth
-    camera: SimCamera
+    ``Observation(rgb, depth, cloth_mask, camera)`` holds the frame it is
+    given. ``render`` passes no frame but ``colors``, the (background, cloth)
+    color pair: the frame is then built on the first read of ``rgb``, one
+    gather of that pair by ``cloth_mask``, and kept, so every later read
+    returns the same array. ``render`` returns the mask read-only, so the
+    frame is the one of the mask as rendered.
+    """
+
+    def __init__(self, rgb: np.ndarray | None, depth: np.ndarray,
+                 cloth_mask: np.ndarray, camera: SimCamera,
+                 colors: np.ndarray | None = None):
+        self._rgb = rgb              # [H, W, 3], or None until first read
+        self.colors = colors         # [2, 3] (background, cloth), or None
+        self.depth = depth           # [H, W]
+        self.cloth_mask = cloth_mask  # [H, W] bool
+        self.camera = camera
+
+    @property
+    def rgb(self) -> np.ndarray:
+        if self._rgb is None:
+            self._rgb = self.colors.take(self.cloth_mask.view(np.uint8), axis=0)
+        return self._rgb
 
 
 def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
@@ -76,9 +101,10 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     whether some particle covers it, and its depth is the least quantized
     depth among those. ``np.rint`` rounds half to even like ``round``.
 
-    The RGB frame is one gather of the (background, cloth) color pair by the
-    mask: a new float64 [H, W, 3] array, C-contiguous and writable, that
-    shares no memory with another frame.
+    Only depth and mask are built here. The RGB frame is built on the first
+    read of ``obs.rgb`` and then kept: one gather of the (background, cloth)
+    color pair by the mask as rendered, a new float64 [H, W, 3] array,
+    C-contiguous and writable, that shares no memory with another frame.
     """
     h = camera.intrinsics.height
     w = camera.intrinsics.width
@@ -105,5 +131,6 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
 
     np.minimum.at(depth.reshape(-1), flat, z_px)
     mask.reshape(-1)[flat[z_px <= camera.table_depth]] = True
-    rgb = np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]).take(mask.view(np.uint8), axis=0)
-    return Observation(rgb, depth, mask, camera)
+    mask.flags.writeable = False
+    return Observation(None, depth, mask, camera,
+                       colors=np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clothfold import sim
-from clothfold.geometry import CameraIntrinsics
+from clothfold.geometry import CameraIntrinsics, RigidTransform
 from clothfold.planner import validate_subtask
 from clothfold.sim.mesh import LAYER_THICKNESS, MIN_FOLD_SPAN, nearest_particle
 from clothfold.sim.render import BACKGROUND_RGB, SimCamera
@@ -329,6 +329,18 @@ class TestRender:
     def test_depth_positive(self):
         obs = sim.render(sim.init_cloth("t-shirt"), sim.default_camera())
         assert (obs.depth > 0).all()
+
+
+class TestSimCamera:
+    def test_base_from_camera_is_built_once_with_the_same_bits(self):
+        cam = sim.default_camera(224, 1.3)
+        t = cam.base_from_camera()
+        assert cam.base_from_camera() is t
+        fresh = RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, 1.3]))
+        p = np.array([0.1, -0.2, 1.25])
+        assert t.apply(p).tobytes() == fresh.apply(p).tobytes()
+        with pytest.raises(ValueError):
+            t.translation[2] = 0.0
 
 
 class TestScriptedExpert:
