@@ -11,6 +11,15 @@ input; :func:`_op` records it. The gradient rule is the same for all of
 them: in backward, an input receives its expression's value only if it
 ``requires_grad``, added to what it already holds, in input order.
 
+What a node holds: the :class:`GradCell` of its output, the cells of its
+inputs that require grad, and one closure that holds, for each of those
+inputs, the gradient expression and only the arrays that expression reads.
+The tape holds no tensor, so an output's data lives as long as the forward
+code holds the tensor, or a recorded expression reads the array; an output
+no expression reads (raw attention logits, the residual sum before a
+``layer_norm``, a pre-activation before ``tanh``) is freed as soon as the
+forward drops it.
+
 Gradient lifetime: leaves (``requires_grad`` tensors no recorded node
 produced, such as parameters) keep ``.grad`` after backward, and so does
 the loss; an intermediate's gradient is freed as soon as its node has run.
@@ -35,6 +44,25 @@ class GradientError(RuntimeError):
     """A gradient-related contract was violated (non-scalar loss, missing grads)."""
 
 
+class GradCell:
+    """The gradient of one tensor, held apart from its data so that a tape
+    can keep it without keeping the data alive."""
+
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple):
+        self.grad: Optional[np.ndarray] = None
+        self.shape = shape
+
+    def add(self, delta: np.ndarray) -> None:
+        # A non-contiguous first delta (a transposed view) is copied: as an
+        # output gradient it would select a different BLAS kernel downstream.
+        if self.grad is None:
+            self.grad = np.ascontiguousarray(delta)
+        else:
+            self.grad = self.grad + delta
+
+
 class Tensor:
     """Dense float64 array with optional gradient storage.
 
@@ -42,13 +70,13 @@ class Tensor:
     gradients and are safe to share read-only across threads.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "name")
+    __slots__ = ("data", "requires_grad", "_cell", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._grad: Optional[np.ndarray] = None
+        self._cell: Optional[GradCell] = None
         self.name = name
 
     @property
@@ -60,26 +88,28 @@ class Tensor:
         return self.data.size
 
     @property
+    def cell(self) -> GradCell:
+        """This tensor's gradient cell, made on first use."""
+        cell = self._cell
+        if cell is None:
+            cell = self._cell = GradCell(self.data.shape)
+        return cell
+
+    @property
     def grad(self) -> Optional[np.ndarray]:
-        return self._grad
+        cell = self._cell
+        return None if cell is None else cell.grad
 
     @grad.setter
     def grad(self, value) -> None:
         if value is None:
-            self._grad = None
+            if self._cell is not None:
+                self._cell.grad = None
             return
         arr = np.asarray(value, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"grad shape {arr.shape} != data shape {self.data.shape}")
-        self._grad = arr
-
-    def accumulate_grad(self, delta: np.ndarray) -> None:
-        # A non-contiguous first delta (a transposed view) is copied: as an
-        # output gradient it would select a different BLAS kernel downstream.
-        if self._grad is None:
-            self._grad = np.ascontiguousarray(delta)
-        else:
-            self._grad = self._grad + delta
+        self.cell.grad = arr
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -98,16 +128,17 @@ def constant(data) -> Tensor:
 class Tape:
     """Ordered record of operations from one forward pass.
 
-    Nodes are appended in execution order, which for define-by-run execution
-    is a topological order of the graph. ``backward`` replays the list in
-    reverse. Clearing the tape drops the nodes only; tensor values are
-    untouched.
+    Nodes are ``(output cell, input cells, backward_fn)``, appended in
+    execution order, which for define-by-run execution is a topological
+    order of the graph. ``backward`` replays the list in reverse. Clearing
+    the tape drops the nodes only; tensor values are untouched.
     """
 
     _active: Optional["Tape"] = None
 
     def __init__(self):
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
+        self.nodes: list[tuple[GradCell, tuple[GradCell, ...],
+                               Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         self._prev = Tape._active
@@ -117,16 +148,18 @@ class Tape:
     def __exit__(self, *exc) -> None:
         Tape._active = self._prev
 
-    def record(self, out: Tensor, inputs: Sequence[Tensor],
+    def record(self, out: GradCell, inputs: Sequence[GradCell],
                backward_fn: Callable[[np.ndarray], None]) -> None:
+        """Append a node: ``backward_fn`` maps the gradient held by ``out``
+        into the ``inputs`` cells."""
         self.nodes.append((out, tuple(inputs), backward_fn))
 
     def clear(self) -> None:
         self.nodes.clear()
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into every leaf on the tape: each
-        requires_grad input that no recorded node produced.
+        """Accumulate d(loss)/d(t) into every leaf on the tape: each input
+        cell that no recorded node produced.
 
         Gradient lifetime: the loss and the leaves keep ``.grad``; each
         intermediate's gradient is freed (``None``) once its node has run.
@@ -135,40 +168,44 @@ class Tape:
         """
         if loss.size != 1:
             raise GradientError(f"backward needs a scalar loss, got shape {loss.shape}")
-        loss.accumulate_grad(np.ones_like(loss.data))
+        loss_cell = loss.cell
+        loss_cell.add(np.ones_like(loss.data))
         for out, inputs, backward_fn in reversed(self.nodes):
-            g = out._grad
+            g = out.grad
             if g is None:
                 continue
             backward_fn(g)
-            if out is not loss:
-                out._grad = None
+            if out is not loss_cell:
+                out.grad = None
         produced = {id(out) for out, _, _ in self.nodes}
         for _, inputs, _ in self.nodes:
-            for t in inputs:
-                if t.requires_grad and t._grad is None and id(t) not in produced:
-                    t._grad = np.zeros_like(t.data)
+            for cell in inputs:
+                if cell.grad is None and id(cell) not in produced:
+                    cell.grad = np.zeros(cell.shape)
 
 
 def _op(name: str, data: np.ndarray, inputs: Sequence[Tensor],
         *grads: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """Output ``Tensor(data)`` of op ``name``, recorded on the active tape
     when an input requires grad; ``grads[i]`` maps the output's gradient to
-    the contribution of ``inputs[i]``. ``name`` is the backward closure's
-    ``__qualname__``, so a profiler can tell the ops apart."""
+    the contribution of ``inputs[i]`` and is kept only if that input
+    requires grad. ``name`` is the backward closure's ``__qualname__``, so a
+    profiler can tell the ops apart."""
     out = Tensor(data)
     tape = Tape._active
-    if tape is None or not any(t.requires_grad for t in inputs):
+    if tape is None:
+        return out
+    pairs = [(t.cell, grad) for t, grad in zip(inputs, grads) if t.requires_grad]
+    if not pairs:
         return out
 
     def bw(g):
-        for t, grad in zip(inputs, grads):
-            if t.requires_grad:
-                t.accumulate_grad(grad(g))
+        for cell, grad in pairs:
+            cell.add(grad(g))
 
     bw.__qualname__ = name
     out.requires_grad = True
-    tape.record(out, inputs, bw)
+    tape.record(out.cell, [cell for cell, _ in pairs], bw)
     return out
 
 
@@ -191,8 +228,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return _op("mul", a.data * b.data, (a, b),
-               lambda g: g * b.data, lambda g: g * a.data)
+    av, bv = a.data, b.data
+    return _op("mul", av * bv, (a, b), lambda g: g * bv, lambda g: g * av)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -212,18 +249,21 @@ def scale_columns(x: Tensor, s: Tensor) -> Tensor:
     """y[i, j] = x[i, j] * s[j]; used by DoRA magnitudes and IA3 scalings."""
     if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[1] != s.shape[0]:
         raise ShapeError(f"scale_columns shapes: {x.shape} * {s.shape}")
-    return _op("scale_columns", x.data * s.data[None, :], (x, s),
-               lambda g: g * s.data[None, :], lambda g: (g * x.data).sum(axis=0))
+    xv, sv = x.data, s.data[None, :]
+    return _op("scale_columns", xv * sv, (x, s),
+               lambda g: g * sv, lambda g: (g * xv).sum(axis=0))
 
 
 def pow_const(x: Tensor, p: float) -> Tensor:
     p = float(p)
-    return _op("pow_const", np.power(x.data, p), (x,),
-               lambda g: g * p * np.power(x.data, p - 1.0))
+    xv = x.data
+    return _op("pow_const", np.power(xv, p), (x,),
+               lambda g: g * p * np.power(xv, p - 1.0))
 
 
 def log(x: Tensor) -> Tensor:
-    return _op("log", np.log(x.data), (x,), lambda g: g / x.data)
+    xv = x.data
+    return _op("log", np.log(xv), (x,), lambda g: g / xv)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
@@ -237,17 +277,17 @@ _SIGMOID_HI = np.nextafter(1.0, 0.0)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, evaluated branch-wise for stability.
+    """Elementwise logistic function, from exp(-|x|), which cannot overflow.
 
     Outputs are nudged off the exact 0/1 endpoints that float64 rounding
     would otherwise produce for |x| beyond ~37.
     """
     d = x.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)                  # exp(-x) where x >= 0, else exp(x)
+    out_data = np.where(d >= 0, 1.0, e)
+    out_data /= e + 1.0
     np.clip(out_data, _SIGMOID_LO, _SIGMOID_HI, out=out_data)
     return _op("sigmoid", out_data, (x,), lambda g: g * out_data * (1.0 - out_data))
 
@@ -258,25 +298,28 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    shape = x.shape
     return _op("sum_all", np.array(x.data.sum()), (x,),
-               lambda g: np.full_like(x.data, g.flat[0]))
+               lambda g: np.full(shape, g.flat[0]))
 
 
 def column_sums(x: Tensor) -> Tensor:
     """Sum a 2-D tensor over rows, returning a length-d vector."""
     if x.data.ndim != 2:
         raise ShapeError(f"column_sums expects 2-D, got {x.shape}")
+    shape = x.shape
     return _op("column_sums", x.data.sum(axis=0), (x,),
-               lambda g: np.broadcast_to(g[None, :], x.shape).copy())
+               lambda g: np.broadcast_to(g[None, :], shape).copy())
 
 
 def mean_rows(x: Tensor) -> Tensor:
     """Mean over rows of a 2-D tensor -> shape (1, d)."""
     if x.data.ndim != 2:
         raise ShapeError(f"mean_rows expects 2-D, got {x.shape}")
-    n = x.shape[0]
+    shape = x.shape
+    n = shape[0]
     return _op("mean_rows", x.data.mean(axis=0, keepdims=True), (x,),
-               lambda g: np.broadcast_to(g / n, x.shape).copy())
+               lambda g: np.broadcast_to(g / n, shape).copy())
 
 
 def tile_rows(x: Tensor, n: int) -> Tensor:
@@ -289,8 +332,9 @@ def tile_rows(x: Tensor, n: int) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     """Row-major reshape; always copies (no view aliasing on the tape)."""
+    in_shape = x.shape
     return _op("reshape", x.data.reshape(shape).copy(), (x,),
-               lambda g: g.reshape(x.shape))
+               lambda g: g.reshape(in_shape))
 
 
 def transpose2d(x: Tensor) -> Tensor:
@@ -330,9 +374,10 @@ def _slice(name: str, x: Tensor, start: int, stop: int, axis: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[axis]):
         raise ShapeError(f"{name} [{start}:{stop}] out of range for {x.shape}")
     i = _span(axis, start, stop)
+    shape = x.shape
 
     def scatter(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[i] = g
         return full
 
@@ -356,8 +401,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    return _op("matmul", a.data @ b.data, (a, b),
-               lambda g: g @ b.data.T, lambda g: a.data.T @ g)
+    av, bv = a.data, b.data
+    return _op("matmul", av @ bv, (a, b), lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -365,11 +410,17 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     ax = axis if axis >= 0 else x.data.ndim + axis
     if not (0 <= ax < x.data.ndim):
         raise ShapeError(f"softmax axis {axis} invalid for {x.shape}")
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=ax, keepdims=True)
-    return _op("softmax", out_data, (x,),
-               lambda g: out_data * (g - (g * out_data).sum(axis=ax, keepdims=True)))
+    out_data = x.data - x.data.max(axis=ax, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=ax, keepdims=True)
+
+    def grad_x(g):
+        dx = g * out_data
+        np.subtract(g, dx.sum(axis=ax, keepdims=True), out=dx)
+        dx *= out_data
+        return dx
+
+    return _op("softmax", out_data, (x,), grad_x)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -383,19 +434,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} for width {d}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # Row means and variances are written out as np.mean / np.var compute
+    # them (a sum, then a divide by the count), so the bits are theirs.
+    xhat = x.data - np.add.reduce(x.data, axis=1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
+    gv = gain.data[None, :]
 
     def grad_x(g):
-        gh = g * gain.data[None, :]
-        m1 = gh.mean(axis=1, keepdims=True)
-        m2 = (gh * xhat).mean(axis=1, keepdims=True)
-        return (gh - m1 - xhat * m2) * inv
+        gh = g * gv
+        m1 = np.add.reduce(gh, axis=1, keepdims=True) / d
+        t = gh * xhat
+        m2 = np.add.reduce(t, axis=1, keepdims=True) / d
+        np.multiply(xhat, m2, out=t)
+        gh -= m1
+        gh -= t
+        gh *= inv
+        return gh
 
-    return _op("layer_norm", xhat * gain.data[None, :] + bias.data[None, :],
-               (x, gain, bias), grad_x,
+    out_data = xhat * gv
+    out_data += bias.data[None, :]
+    return _op("layer_norm", out_data, (x, gain, bias), grad_x,
                lambda g: (g * xhat).sum(axis=0), lambda g: g.sum(axis=0))
 
 
@@ -410,11 +470,12 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.shape != (c_out,):
         raise ShapeError(f"conv1x1 bias shape {b.shape}, expected ({c_out},)")
     xf = x.data.reshape(c_in, h * wid)
+    wv = w.data
     # einsum keeps a plain sequential reduction, so the result is bit-equal
     # to a per-pixel linear map (BLAS gemm would differ in the last ulp).
     return _op("conv1x1",
-               np.einsum("oc,chw->ohw", w.data, x.data) + b.data[:, None, None], (x, w, b),
-               lambda g: (w.data.T @ g.reshape(c_out, h * wid)).reshape(c_in, h, wid),
+               np.einsum("oc,chw->ohw", wv, x.data) + b.data[:, None, None], (x, w, b),
+               lambda g: (wv.T @ g.reshape(c_out, h * wid)).reshape(c_in, h, wid),
                lambda g: g.reshape(c_out, h * wid) @ xf.T,
                lambda g: g.reshape(c_out, h * wid).sum(axis=1))
 
@@ -460,29 +521,42 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class AdamState:
-    """Per-parameter Adam moment buffers; the step counter is shared."""
+    """One parameter's Adam moment buffers: views into the optimizer's flat
+    moment vectors. The step counter is shared."""
 
     __slots__ = ("m", "v")
 
-    def __init__(self, shape: tuple):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
+    def __init__(self, m: np.ndarray, v: np.ndarray):
+        self.m = m
+        self.v = v
 
 
 class Adam:
-    """Adam with bias correction. ``step`` applies the update and clears grads."""
+    """Adam with bias correction. ``step`` applies the update and clears grads.
+
+    The moments of all parameters live in two flat vectors, so one step is
+    one set of elementwise ops over every parameter at once.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         if lr <= 0 or not (0 <= beta1 < 1) or not (0 <= beta2 < 1) or epsilon <= 0:
             raise ValueError("invalid Adam hyperparameters")
         self.params = list(params)
+        if not self.params:
+            raise ValueError("Adam needs at least one parameter")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.state = {id(p): AdamState(p.shape) for p in self.params}
+        ends = list(accumulate(p.size for p in self.params))
+        self._spans = [(stop - p.size, stop) for p, stop in zip(self.params, ends)]
+        self._m = np.zeros(ends[-1])
+        self._v = np.zeros_like(self._m)
+        self.state = {id(p): AdamState(self._m[a:b].reshape(p.shape),
+                                       self._v[a:b].reshape(p.shape))
+                      for p, (a, b) in zip(self.params, self._spans)}
 
     def step(self) -> None:
         missing = [p for p in self.params if p.grad is None]
@@ -492,12 +566,25 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p in self.params:
-            st = self.state[id(p)]
-            g = p.grad
-            st.m = self.beta1 * st.m + (1.0 - self.beta1) * g
-            st.v = self.beta2 * st.v + (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (st.m / bc1) / (np.sqrt(st.v / bc2) + self.epsilon)
+        # In place, but with the operations of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*(g*g) and lr*(m/bc1) / (sqrt(v/bc2) + eps), so
+        # every element gets the bits a per-parameter update gives it.
+        g = np.concatenate([p.grad.ravel() for p in self.params])
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        g *= g
+        g *= 1.0 - self.beta2
+        v *= self.beta2
+        v += g
+        u = m / bc1
+        u *= self.lr
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += self.epsilon
+        u /= den
+        for p, (a, b) in zip(self.params, self._spans):
+            p.data -= u[a:b].reshape(p.shape)
             p.grad = None
 
 

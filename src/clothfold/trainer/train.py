@@ -84,8 +84,14 @@ def sample_loss(model: PerceptionModel, sample: PreparedSample,
 
 
 def clip_gradients(params: Sequence[ad.Tensor], max_norm: float) -> float:
+    """Scale the gradients down to a global norm of ``max_norm`` (0 disables
+    the clip) and return the norm before clipping. A non-finite norm raises
+    :class:`TrainingDivergedError`: scaling could not repair it, and the
+    step would write NaN into the parameters."""
     total = math.sqrt(sum(float((p.grad ** 2).sum())
                           for p in params if p.grad is not None))
+    if not math.isfinite(total):
+        raise TrainingDivergedError(f"gradient norm became {total}")
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for p in params:

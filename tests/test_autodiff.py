@@ -432,7 +432,7 @@ def _run_op(op, shapes, frozen=()):
 @pytest.mark.parametrize("name,shapes,op", _OP_CASES, ids=_OP_IDS)
 def test_op_gradient_vs_finite_differences(name, shapes, op):
     xs, out, w, tape = _run_op(op, shapes)
-    (backward_fn,) = [fn for o, _, fn in tape.nodes if o is out]
+    (backward_fn,) = [fn for o, _, fn in tape.nodes if o is out.cell]
     assert backward_fn.__qualname__.split(".", 1)[0] == name
     fds = finite_difference(lambda: float((op(*xs).data * w).sum()), xs)
     for x, fd in zip(xs, fds):

@@ -1,5 +1,5 @@
 """Gradient storage against its reference: zero-filled buffers added to in
-place, and every recorded tensor zero-filled after backward.
+place, and every recorded gradient cell zero-filled after backward.
 
 ``autodiff`` takes a first gradient contribution as is, adds later ones out
 of place, frees intermediate gradients and zero-fills only unreached leaves.
@@ -15,29 +15,29 @@ from clothfold.trainer import action_to_heatmap
 from clothfold.trainer.train import PreparedSample, sample_loss
 
 
-def _reference_accumulate_grad(self, delta):
-    if self._grad is None:
-        self._grad = np.zeros_like(self.data)
-    self._grad += delta
+def _reference_add(self, delta):
+    if self.grad is None:
+        self.grad = np.zeros(self.shape)
+    self.grad += delta
 
 
 def _reference_backward(self, loss):
     if loss.size != 1:
         raise ad.GradientError(f"backward needs a scalar loss, got shape {loss.shape}")
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss.cell.add(np.ones_like(loss.data))
     for out, inputs, backward_fn in reversed(self.nodes):
-        if out._grad is not None:
-            backward_fn(out._grad)
+        if out.grad is not None:
+            backward_fn(out.grad)
     for out, inputs, _ in self.nodes:
-        for t in (out,) + inputs:
-            if t.requires_grad and t._grad is None:
-                t._grad = np.zeros_like(t.data)
+        for cell in (out,) + inputs:
+            if cell.grad is None:
+                cell.grad = np.zeros(cell.shape)
 
 
 def _both(monkeypatch, run):
     """Leaf gradients of ``run()`` under the reference and under autodiff."""
     with monkeypatch.context() as m:
-        m.setattr(ad.Tensor, "accumulate_grad", _reference_accumulate_grad)
+        m.setattr(ad.GradCell, "add", _reference_add)
         m.setattr(ad.Tape, "backward", _reference_backward)
         want = run()
     return want, run()

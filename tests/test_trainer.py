@@ -1,6 +1,7 @@
 """Heatmap targets, BCE losses, dataset generation/replay, and training."""
 
 import hashlib
+import importlib
 import logging
 import math
 import re
@@ -17,7 +18,11 @@ from clothfold.trainer import (TrainConfig, TrainingDivergedError,
                                action_to_heatmap, bce, generate_dataset,
                                load_dataset, total_loss, train)
 from clothfold.trainer.heatmaps import BCE_CLAMP
+from clothfold.trainer.train import clip_gradients
 from conftest import finite_difference, rel_err
+
+# The module; ``clothfold.trainer.train`` as an attribute is the function.
+train_module = importlib.import_module("clothfold.trainer.train")
 
 
 class TestActionToHeatmap:
@@ -258,6 +263,24 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError):
             train(demos[:4], model, TrainConfig(epochs=1, batch_size=2))
 
+    def test_infinite_gradient_aborts_before_the_step(self, tiny_dataset, monkeypatch):
+        """A finite loss whose gradient is infinite on the only step of a run
+        with no validation slice: the step would write NaN weights."""
+        _, demos = tiny_dataset
+        cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
+                          seed=1)
+        model = PerceptionModel(cfg)
+        p = model.fusion.ln_g
+        p.data[:] = 0.0
+        monkeypatch.setattr(train_module, "sample_loss", lambda m, s, w=1.0: ad.scale(
+            ad.sum_all(ad.pow_const(p, 0.5)), w))
+        before = {k: t.data.copy() for k, t in model.trainable_parameters().items()}
+        with np.errstate(divide="ignore"), \
+                pytest.raises(TrainingDivergedError, match="gradient norm"):
+            train(demos[:1], model, TrainConfig(epochs=1, batch_size=1, val_fraction=0.0))
+        for k, t in model.trainable_parameters().items():
+            assert np.array_equal(before[k], t.data), k
+
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
                           seed=1)
@@ -293,6 +316,30 @@ class TestTrain:
         lines = result.curve_csv().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 3
+
+
+class TestClipGradients:
+    def test_scales_to_max_norm(self):
+        p = ad.Tensor(np.zeros(2), requires_grad=True)
+        q = ad.Tensor(np.zeros(1), requires_grad=True)
+        p.grad, q.grad = np.array([3.0, 0.0]), np.array([4.0])
+        assert clip_gradients([p, q], 1.0) == 5.0
+        np.testing.assert_allclose(np.concatenate([p.grad, q.grad]), [0.6, 0.0, 0.8])
+
+    @pytest.mark.parametrize("max_norm", [100.0, 0.0])
+    def test_non_finite_norm_raises(self, max_norm):
+        p = ad.Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        with ad.Tape() as tape, np.errstate(divide="ignore"):
+            loss = ad.sum_all(ad.pow_const(p, 0.5))
+            tape.backward(loss)
+        assert loss.item() == 1.0
+        assert p.grad.tolist() == [math.inf, 0.5]
+        with pytest.raises(TrainingDivergedError):
+            clip_gradients([p], max_norm)
+        assert p.grad.tolist() == [math.inf, 0.5]
+        p.grad = np.array([math.nan, 0.0])
+        with pytest.raises(TrainingDivergedError):
+            clip_gradients([p], max_norm)
 
 
 class TestGradCheck:
