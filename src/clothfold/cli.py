@@ -20,8 +20,9 @@ from .planner import (BackendError, LlmBackendConfig, PlanningError,
 from .perception.model import PerceptionModel
 from .runconfig import ConfigError, RunConfig, load_config
 from .sim import default_camera, jittered_sim
-from .trainer import (DatasetFormatError, TrainingDivergedError, generate_dataset,
-                      grad_check, load_dataset, prepare_sample, run_ablation, train)
+from .trainer import (CropError, DatasetFormatError, TrainingDivergedError,
+                      generate_dataset, grad_check, load_dataset, prepare_sample,
+                      run_ablation, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -258,7 +259,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, CropError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (PlanningError, BackendError) as e:

@@ -75,21 +75,8 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(p, dtype=np.float64) + self.translation
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self @ other)(p) == self(other(p))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
 
 
 def camera_to_base(point_cam: np.ndarray, base_from_camera: RigidTransform) -> np.ndarray:
@@ -111,9 +98,6 @@ class Waypoint:
 @dataclass
 class PrimitiveSequence:
     waypoints: list[Waypoint] = field(default_factory=list)
-
-    def tags(self) -> list[str]:
-        return [w.kind for w in self.waypoints]
 
     def to_records(self) -> list[dict]:
         return [w.to_record() for w in self.waypoints]

@@ -3,9 +3,9 @@
 Only the subset this project produces is supported: truecolor PNGs written
 with filter type 0 on every scanline, and binary P5 PGMs with maxval 65535.
 Depth images store 0.1 mm units; heatmaps store round(q * 65535).
-Readers raise ImageFormatError for any file they cannot decode (cut off,
-corrupt, or outside that subset); writers raise it for a wrong shape or
-out-of-range depth. Failing to open, read or write a file stays OSError.
+Readers raise ImageFormatError for a file they cannot decode (cut off, a bad
+PNG chunk CRC, corrupt, or outside that subset); writers raise it for a wrong
+shape or out-of-range depth. Failing to open, read or write stays OSError.
 """
 
 from __future__ import annotations
@@ -61,7 +61,10 @@ def read_png_rgb(path) -> np.ndarray:
         while pos < len(blob):
             length, tag = struct.unpack(">I4s", blob[pos:pos + 8])
             payload = blob[pos + 8:pos + 8 + length]
+            (crc,) = struct.unpack(">I", blob[pos + 8 + length:pos + 12 + length])
             pos += 12 + length
+            if crc != zlib.crc32(payload, zlib.crc32(tag)):
+                raise ImageFormatError(f"{path}: {tag!r} chunk fails its CRC")
             if tag == b"IHDR":
                 width, height, depth, color, comp, filt, inter = struct.unpack(
                     ">IIBBBBB", payload)
@@ -124,6 +127,3 @@ def read_depth_pgm(path) -> np.ndarray:
 def write_heatmap_pgm(path, q: np.ndarray) -> None:
     write_pgm16(path, np.round(np.clip(q, 0.0, 1.0) * HEATMAP_SCALE).astype(np.uint16))
 
-
-def read_heatmap_pgm(path) -> np.ndarray:
-    return read_pgm16(path).astype(np.float64) / HEATMAP_SCALE

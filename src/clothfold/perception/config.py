@@ -56,6 +56,8 @@ class ModelConfig:
                      "max_text_len", "dora_rank", "mlp_ratio"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.patch_size < 2:        # the decoder upsamples by it
+            raise ValueError(f"patch_size must be at least 2, got {self.patch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         n_words = len(default_vocabulary())

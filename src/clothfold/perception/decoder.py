@@ -1,10 +1,15 @@
 """Convolutional upsampling decoder: fused tokens -> full-resolution heatmap.
 
-Stages of 1x1 convolution interleaved with align-corners bilinear upsampling
-carry the patch grid back to image resolution; a final sigmoid maps the
-single output channel to probabilities. Channel widths halve per stage down
-to the single-channel output, and the per-stage upsampling factors multiply
-back to the patch size (asserted at construction).
+Stages of 1x1 convolution, tanh and align-corners bilinear upsampling carry
+the patch grid back to image resolution; a final sigmoid maps the single
+output channel to probabilities. Channel widths halve per stage down to the
+single-channel output, and the per-stage upsampling factors multiply back to
+the patch size (asserted at construction).
+
+Each convolution after the first runs before the previous stage's upsample,
+on the coarser grid. In real arithmetic that is the per-stage ``conv -> tanh
+-> up``: a 1x1 convolution commutes with the upsample, and its bias passes
+through because every interpolation row sums to 1. Only the rounding differs.
 """
 
 from __future__ import annotations
@@ -38,7 +43,9 @@ class CunDecoder:
 
     def forward(self, fused_tokens: ad.Tensor) -> ad.Tensor:
         """(P+1) x D fused features (row 0 = prepended token) -> H x W logits
-        through sigmoid. P must be a perfect square."""
+        through sigmoid. P must be a perfect square. Three stages run
+        ``conv0 tanh conv1 up0 tanh conv2 up1 up2``: the same function as
+        ``conv0 tanh up0 conv1 tanh up1 conv2 up2`` (see the module docstring)."""
         cfg = self.cfg
         n, d = fused_tokens.shape
         if n != cfg.num_patches + 1 or d != cfg.embed_dim:
@@ -49,12 +56,10 @@ class CunDecoder:
             raise ValueError(f"patch count {cfg.num_patches} is not a square grid")
         x = ad.slice_rows(fused_tokens, 1, n)                 # drop the prepended token
         x = ad.reshape(ad.transpose2d(x), (cfg.embed_dim, g, g))
-        last = len(self.factors) - 1
-        for i, (w, b, f) in enumerate(zip(self.weights, self.biases, self.factors)):
-            x = ad.conv1x1(x, w, b)
-            if i != last:
-                x = ad.tanh(x)
-            x = ad.bilinear_upsample(x, f)
+        x = ad.conv1x1(x, self.weights[0], self.biases[0])
+        for w, b, f in zip(self.weights[1:], self.biases[1:], self.factors):
+            x = ad.bilinear_upsample(ad.conv1x1(ad.tanh(x), w, b), f)
+        x = ad.bilinear_upsample(x, self.factors[-1])
         x = ad.reshape(x, (cfg.image_size, cfg.image_size))
         return ad.sigmoid(x)
 

@@ -127,9 +127,9 @@ def load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_bytes().decode("utf-8"))
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise ConfigError(f"config file {path} is not UTF-8 JSON: {e}") from e
     return parse_config(raw)

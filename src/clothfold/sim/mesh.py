@@ -96,9 +96,6 @@ class ClothMesh:
                          self.active.copy(), self.positions.copy(),
                          self.layers.copy(), dict(self.landmarks))
 
-    def active_count(self) -> int:
-        return int(self.active.sum())
-
     def active_positions(self) -> np.ndarray:
         """(K, 2) positions of active particles in row-major grid order."""
         return self.positions[self.active]

@@ -8,6 +8,7 @@ from .dataset import (
     load_dataset,
 )
 from .train import (
+    CropError,
     GradCheckReport,
     PreparedSample,
     TrainConfig,
@@ -20,7 +21,7 @@ from .train import (
 from .ablate import AblationReport, run_ablation
 
 __all__ = [
-    "AblationReport", "DatasetFormatError", "DatasetManifest", "Demonstration",
+    "AblationReport", "CropError", "DatasetFormatError", "DatasetManifest", "Demonstration",
     "GradCheckReport", "LoadedDemo", "PreparedSample", "TrainConfig",
     "TrainResult", "TrainingDivergedError", "action_to_heatmap", "bce",
     "generate_dataset", "grad_check", "load_dataset", "prepare_sample",

@@ -23,6 +23,11 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+class CropError(ValueError):
+    """A demonstration's action pixel lies outside the model's centre crop:
+    ``model.image_size`` is too small for the data."""
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
@@ -64,16 +69,21 @@ class PreparedSample:
 
 def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
                    sigma_hm: float) -> PreparedSample:
-    """Mask + crop the stored observation and build crop-frame targets."""
+    """Mask + crop the stored observation and build crop-frame targets. A pick
+    or place pixel the crop cuts off raises CropError before segmentation."""
     size = model.cfg.image_size
-    seg, (r0, c0) = segment_workspace(demo.observation, size)
-    pick = (demo.demo.pick_pixel[0] - r0, demo.demo.pick_pixel[1] - c0)
-    place = (demo.demo.place_pixel[0] - r0, demo.demo.place_pixel[1] - c0)
-    return PreparedSample(normalize_observation(seg),
-                          model.tokenize(demo.demo.subtask),
-                          action_to_heatmap(pick, sigma_hm, size, size),
-                          action_to_heatmap(place, sigma_hm, size, size),
-                          pick, place)
+    r0, c0 = ((n - size) // 2 for n in demo.observation.depth.shape)
+    d, crop, gt = demo.demo, [], []
+    for what, (r, c) in (("pick", d.pick_pixel), ("place", d.place_pixel)):
+        crop.append((r - r0, c - c0))
+        try:
+            gt.append(action_to_heatmap(crop[-1], sigma_hm, size, size))
+        except ValueError as e:
+            raise CropError(f"demo of episode {d.episode_id} step {d.step_index}: {what} "
+                            f"pixel {(r, c)} lies outside the {size}x{size} centre crop "
+                            f"at {(r0, c0)}; raise model.image_size") from e
+    seg, _ = segment_workspace(demo.observation, size)
+    return PreparedSample(normalize_observation(seg), model.tokenize(d.subtask), *gt, *crop)
 
 
 def sample_loss(model: PerceptionModel, sample: PreparedSample,

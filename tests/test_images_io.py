@@ -56,7 +56,7 @@ class TestPgm:
         raw = images.read_pgm16(path)
         assert raw[1, 0] == 65535
         assert raw[0, 1] == round(0.5 * 65535)
-        back = images.read_heatmap_pgm(path)
+        back = raw.astype(np.float64) / images.HEATMAP_SCALE
         assert np.abs(back - q).max() <= 0.5 / 65535
 
     def test_out_of_range_depth_rejected(self, tmp_path):
@@ -72,7 +72,8 @@ class TestPgm:
 
 class TestCorruptFiles:
     """A cut or changed file decodes or raises ImageFormatError, nothing else;
-    a cut file that still decodes (CRCs are not checked) decodes unchanged."""
+    a cut file that still decodes (only IEND cut off) decodes unchanged, and
+    so does a changed PNG, since every chunk carries a CRC."""
 
     @pytest.mark.parametrize("kind", ["png", "pgm"])
     def test_every_prefix(self, tmp_path, rng, kind):
@@ -85,7 +86,7 @@ class TestCorruptFiles:
                 back = read(path)
             except images.ImageFormatError:
                 continue
-            np.testing.assert_array_equal(back, whole)     # only CRCs or IEND cut
+            np.testing.assert_array_equal(back, whole)     # only IEND cut off
 
     @given(kind=st.sampled_from(["png", "pgm"]), where=st.floats(0.0, 1.0),
            value=st.integers(0, 255))
@@ -93,13 +94,28 @@ class TestCorruptFiles:
     def test_any_changed_byte(self, tmp_path_factory, kind, where, value):
         path, read = _small_file(tmp_path_factory.mktemp("img"),
                                  np.random.default_rng(1), kind)
+        whole = read(path)
         blob = bytearray(path.read_bytes())
         blob[min(int(where * len(blob)), len(blob) - 1)] = value
         path.write_bytes(bytes(blob))
         try:
-            read(path)
+            back = read(path)
         except images.ImageFormatError:
-            pass
+            return
+        if kind == "png":
+            np.testing.assert_array_equal(back, whole)
+
+    @pytest.mark.parametrize("chunk,offset", [("IHDR", 8 + 13), ("IDAT", 8 + 20),
+                                              ("IEND", 8)])
+    def test_flipped_png_chunk_byte_rejected(self, tmp_path, rng, chunk, offset):
+        """A flipped bit in a chunk's payload or CRC fails that chunk's CRC:
+        IHDR and IEND CRCs sit after the payload, the IDAT byte inside it."""
+        path, _ = _small_file(tmp_path, rng, "png")
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(chunk.encode()) - 4 + offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(images.ImageFormatError, match=f"{chunk}.*CRC"):
+            images.read_png_rgb(path)
 
 
 def _small_file(directory, rng, kind):

@@ -14,7 +14,7 @@ from clothfold import autodiff as ad
 from clothfold import sim
 from clothfold.perception import ModelConfig, PerceptionModel
 from clothfold.planner import decompose
-from clothfold.trainer import (TrainConfig, TrainingDivergedError,
+from clothfold.trainer import (CropError, TrainConfig, TrainingDivergedError,
                                action_to_heatmap, bce, generate_dataset,
                                load_dataset, total_loss, train)
 from clothfold.trainer.heatmaps import BCE_CLAMP
@@ -280,6 +280,25 @@ class TestTrain:
             train(demos[:1], model, TrainConfig(epochs=1, batch_size=1, val_fraction=0.0))
         for k, t in model.trainable_parameters().items():
             assert np.array_equal(before[k], t.data), k
+
+    def test_demo_outside_the_crop_names_demo_and_pixel(self, tiny_dataset):
+        _, demos = tiny_dataset
+        cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=16, seed=1)
+        with pytest.raises(CropError, match=r"episode \d+ step \d+: (pick|place) pixel "
+                                            r"\(\d+, \d+\) lies outside the 16x16"):
+            train(demos, PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=2))
+
+    def test_crop_without_cloth_is_a_crop_error(self, tmp_path):
+        # Seed 5, episode 3 step 1: the 8x8 centre crop holds no cloth, so
+        # segmenting it first would end in EmptyMaskError instead.
+        generate_dataset(tmp_path, seed=5, episodes_per_family=1)
+        _, demos = load_dataset(tmp_path)
+        (demo,) = [d for d in demos if (d.demo.episode_id, d.demo.step_index) == (3, 1)]
+        assert not demo.observation.cloth_mask[108:116, 108:116].any()
+        cfg = ModelConfig(embed_dim=8, depth=1, patch_size=4, image_size=8, seed=1)
+        with pytest.raises(CropError, match=r"episode 3 step 1: pick pixel \(153, 129\) "
+                                            r"lies outside the 8x8 centre crop at \(108, 108\)"):
+            train([demo], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
