@@ -83,6 +83,8 @@ def load_checkpoint(path) -> Checkpoint:
             if start + nbytes > len(body):
                 raise CheckpointError(f"{path}: truncated payload for {name!r}")
             arr = np.frombuffer(body[start:start + nbytes], dtype="<f8")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinity")
             tensors[name] = arr.reshape(rec["shape"]).copy()
         return Checkpoint(version, header["model_config"], tensors,
                           header.get("metadata", {}))

@@ -37,8 +37,8 @@ def mpd(final: ClothMesh, target: ClothMesh) -> float:
     if final.kind != target.kind or final.active.shape != target.active.shape:
         raise MetricError(f"cannot compare {final.kind}{final.active.shape} "
                           f"with {target.kind}{target.active.shape}")
-    d = np.linalg.norm(final.active_positions() - target.active_positions(), axis=-1)
-    return float(d.mean())
+    dx, dy = (final.active_positions() - target.active_positions()).T
+    return float(np.sqrt(dx * dx + dy * dy).mean())    # np.linalg.norm's bits
 
 
 def miou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:

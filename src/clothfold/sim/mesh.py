@@ -19,6 +19,7 @@ EPS_GRASP = 0.02              # picker attach radius, meters
 LAYER_THICKNESS = 0.002       # meters of height per cloth layer
 MIN_FOLD_SPAN = 0.01          # grasp-to-place spans below this are no-ops
 _ON_LINE_TOL = 1e-12          # particles this close to the fold line stay put
+_CELL_WIDTH = 1.001           # fold's landing-grid cells, in landing radii
 
 
 class GraspMissError(RuntimeError):
@@ -181,6 +182,17 @@ def fold(mesh: ClothMesh, pick_w, place_w, eps_grasp: float = EPS_GRASP,
     Spans below ``min_span`` (sub grid resolution) leave the mesh unchanged,
     covering both the degenerate pick == place case and already-satisfied
     steps reached through rounded pixel coordinates.
+
+    Moved particles stack on whatever unmoved cloth they land above: each
+    takes the layers of its nearest unmoved particle (the first on ties) if
+    that one lies within the landing radius ``0.75 * spacing``. The nearest
+    one is found by cell lookup: the unmoved particles are binned into grid
+    cells a little wider than the radius, and each moved particle is
+    compared only with those in the 3x3 cells around its own. That search
+    is exact. An unmoved particle within the radius is less than one cell
+    width away on each axis, rounding included, so it lies in one of those
+    nine cells; so do the nearest one and all its ties whenever it landed,
+    and a moved particle with no candidate in range lands on nothing.
     """
     pick = np.asarray(pick_w, dtype=np.float64)[:2]
     place = np.asarray(place_w, dtype=np.float64)[:2]
@@ -213,22 +225,42 @@ def fold(mesh: ClothMesh, pick_w, place_w, eps_grasp: float = EPS_GRASP,
         raise FoldError("fold would carry cloth outside the workspace")
     out.positions[moved] = reflected
 
-    # Moved particles stack on whatever unmoved cloth they land above: each
-    # takes the layers of its nearest unmoved particle (the first on ties)
-    # if that one lies within the landing radius. The distances are
-    # np.linalg.norm's, bit for bit (its size-2 axis reduction is
-    # sqrt(dx*dx + dy*dy)), built in two [moved, unmoved] buffers, and the
-    # nearest one is read at argmin's index rather than by a second min pass.
+    # The distances are np.linalg.norm's, bit for bit (its size-2 axis
+    # reduction is sqrt(dx*dx + dy*dy)). Cells are keyed column-major with
+    # two empty rows per column, so the three cells of a neighbouring column
+    # are one run of the sorted keys. A run that reaches into another column
+    # only adds farther particles, which cannot change the nearest one.
     unmoved = out.active & ~moved
     if unmoved.any():
         base = out.positions[unmoved]
-        d = base[:, 0] - reflected[:, 0, None]
+        radius = 0.75 * out.spacing
+        lo = base.min(axis=0)
+        cell = np.floor((out.positions - lo) / (_CELL_WIDTH * radius)).astype(np.int64)
+        stride = int(cell[..., 1][unmoved].max()) + 3
+        key = cell[..., 0] * stride + cell[..., 1]
+        keys = key[unmoved]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = key[moved][:, None] + (np.array([-1, 0, 1]) * stride - 1)
+        start = np.searchsorted(keys, first).ravel()
+        count = np.searchsorted(keys, first + 2, side="right").ravel() - start
+        # Every run's indices into the sorted keys, one run after another.
+        owner = np.repeat(np.arange(len(first)), count.reshape(-1, 3).sum(axis=1))
+        cand = order[np.arange(count.sum()) + np.repeat(start - count.cumsum() + count, count)]
+
+        d = base[cand, 0] - reflected[owner, 0]
         d *= d
-        dy = base[:, 1] - reflected[:, 1, None]
+        dy = base[cand, 1] - reflected[owner, 1]
         dy *= dy
         d += dy
         np.sqrt(d, out=d)
-        nearest = d.argmin(axis=1)
-        landed = d[np.arange(len(nearest)), nearest] <= 0.75 * out.spacing
-        out.layers[moved] += np.where(landed, mesh.layers[unmoved][nearest], 0)
+        near = d <= radius
+        owner, cand = owner[near], cand[near]
+        best = np.lexsort((cand, d[near], owner))       # by owner, distance, index
+        owner, cand = owner[best], cand[best]
+        head = np.ones(len(owner), dtype=bool)          # each owner's first pair
+        np.not_equal(owner[1:], owner[:-1], out=head[1:])
+        gain = np.zeros(len(first), dtype=out.layers.dtype)
+        gain[owner[head]] = mesh.layers[unmoved][cand[head]]
+        out.layers[moved] += gain
     return out

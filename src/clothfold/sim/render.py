@@ -101,6 +101,11 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     whether some particle covers it, and its depth is the least quantized
     depth among those. ``np.rint`` rounds half to even like ``round``.
 
+    The image bounds are checked once per particle: a particle whose centre
+    pixel is at least ``r_px`` from every edge has its whole disk inside the
+    image, so its pixels are its flat centre index plus the disk's flat
+    offsets ``dv * w + du``. Only particles nearer an edge clip each pixel.
+
     Only depth and mask are built here. The RGB frame is built on the first
     read of ``obs.rgb`` and then kept: one gather of the (background, cloth)
     color pair by the mask as rendered, a new float64 [H, W, 3] array,
@@ -123,11 +128,17 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     z_w = mesh.layers[mesh.active] * LAYER_THICKNESS
     z_c = np.rint((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
     u, v = camera.world_to_pixel(x, y, z_w)
-    rows = np.rint(v).astype(np.int64)[:, None] + dv[None, :]
-    cols = np.rint(u).astype(np.int64)[:, None] + du[None, :]
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    flat = (rows * w + cols)[inside]
-    z_px = np.broadcast_to(z_c[:, None], rows.shape)[inside]
+    vi = np.rint(v).astype(np.int64)
+    ui = np.rint(u).astype(np.int64)
+    edge = (vi < r_px) | (vi >= h - r_px) | (ui < r_px) | (ui >= w - r_px)
+    flat = ((vi * w + ui)[~edge, None] + (dv * w + du)).ravel()
+    z_px = np.repeat(z_c[~edge], dv.size)
+    if edge.any():
+        rows = vi[edge, None] + dv
+        cols = ui[edge, None] + du
+        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        flat = np.concatenate([flat, (rows * w + cols)[inside]])
+        z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
 
     np.minimum.at(depth.reshape(-1), flat, z_px)
     mask.reshape(-1)[flat[z_px <= camera.table_depth]] = True

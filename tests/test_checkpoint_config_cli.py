@@ -85,6 +85,15 @@ class TestCheckpoint:
         with pytest.raises(ck.CheckpointError):
             ck.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, model, value):
+        path = tmp_path / "m.cfck"
+        ck.save_checkpoint(path, model)
+        last = sorted(model.named_parameters())[-1]   # its payload comes last
+        path.write_bytes(path.read_bytes()[:-8] + np.array([value], "<f8").tobytes())
+        with pytest.raises(ck.CheckpointError, match=f"tensor {last!r} holds NaN or infinity"):
+            ck.load_checkpoint(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         p = tmp_path / "x.cfck"
         p.write_bytes(b"JUNKJUNKJUNK")
@@ -359,6 +368,7 @@ def _forged_checkpoints(model, tmp_path):
         "shape_disagrees_with_nbytes": forged(lambda h, t: t["shape"].append(2)),
         "tensor_without_offset": forged(lambda h, t: t.pop("offset")),
         "model_config_invalid": forged(lambda h, t: h["model_config"].update(embed_dim=-3)),
+        "tensor_not_finite": blob[:-8] + np.array([np.nan], "<f8").tobytes(),
     }
 
 
@@ -507,7 +517,8 @@ _BAD_INPUTS = [(case, 2) for case in _BAD_CONFIGS] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
-                           "tensor_without_offset", "model_config_invalid")] + [
+                           "tensor_without_offset", "model_config_invalid",
+                           "tensor_not_finite")] + [
     (case, 5) for case in _BAD_DATASETS] + [
     (case, 3) for case in _BAD_COMPLETIONS]
 

@@ -2,6 +2,7 @@
 oracles: rgb, depth and mask bit for bit, fold positions and layers exactly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from clothfold import sim
 from clothfold.geometry import CameraIntrinsics
-from clothfold.sim.mesh import (EPS_GRASP, LAYER_THICKNESS, MIN_FOLD_SPAN,
-                                WORKSPACE_HALF, FoldError, GraspMissError,
-                                cloth_color, nearest_particle)
+from clothfold.sim.mesh import (_CELL_WIDTH, EPS_GRASP, LAYER_THICKNESS,
+                                MIN_FOLD_SPAN, WORKSPACE_HALF, FoldError,
+                                GraspMissError, cloth_color, nearest_particle)
 from clothfold.sim.render import (BACKGROUND_RGB, DEPTH_QUANTUM, Observation,
                                   SimCamera)
 
@@ -206,3 +207,139 @@ class TestVectorizedAgainstLoops:
         mesh.active[:] = False
         obs = assert_same_render(mesh, sim.default_camera())
         assert not obs.cloth_mask.any()
+
+
+def dyadic_towel():
+    """An 8x8 towel on an exact lattice: spacing 1/32 m, so the landing
+    radius 0.75 * spacing and every axis-aligned reflection are exact. Its
+    layer counts differ between neighbours, so the particle a landing picks
+    shows in the result."""
+    mesh = sim.init_cloth("towel", (8, 8), 7 / 32)
+    assert mesh.spacing == 1 / 32 and mesh.active.all()
+    half = (np.arange(8) - 3.5) * mesh.spacing
+    mesh.positions[..., 0] = half[None, :]
+    mesh.positions[..., 1] = -half[:, None]
+    mesh.layers[:] = 1 + np.arange(64).reshape(8, 8) % 5
+    return mesh
+
+
+class TestFoldLandingCases:
+    """Layer landings where an approximate neighbour search would go wrong."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2])
+    def test_ties_take_the_first_unmoved_particle(self, axis, k):
+        # Folding an edge to a whole multiple of the spacing lands each moved
+        # row or column exactly midway between two unmoved ones.
+        mesh = dyadic_towel()
+        s = mesh.spacing
+        edge = mesh.positions[4, 0] if axis == 0 else mesh.positions[0, 4]
+        place = np.zeros(2)
+        place[axis] = k * s if axis == 0 else -k * s
+        place[1 - axis] = edge[1 - axis]
+        got = assert_same_fold(mesh, edge, place)
+        # The grasped particle is 0.5 * s from the particles at k -/+ 0.5;
+        # the one first in row-major order is the one at the lower index.
+        j = int(k + 3)
+        r, c = ((4, 0), (4, j)) if axis == 0 else ((0, 4), (j, 4))
+        assert got.layers[r] == mesh.layers[r] + mesh.layers[c]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_landing_exactly_at_the_radius(self, axis):
+        # The grasped edge lands 0.75 * spacing beyond the far edge: exactly at
+        # the radius lands, one ulp farther does not.
+        mesh = dyadic_towel()
+        s = mesh.spacing
+        edge = mesh.positions[4, 0] if axis == 0 else mesh.positions[0, 4]
+        far = mesh.positions[4, 7] if axis == 0 else mesh.positions[7, 4]
+        sign = 1.0 if axis == 0 else -1.0
+        r, c = ((4, 0), (4, 7)) if axis == 0 else ((0, 4), (7, 4))
+        for one_ulp_farther in (False, True):
+            place = far.copy()
+            place[axis] += sign * 0.75 * s
+            if one_ulp_farther:
+                place[axis] = np.nextafter(place[axis], sign)
+            got = assert_same_fold(mesh, edge, place)
+            dx, dy = got.positions[r] - mesh.positions[c]
+            lands = not one_ulp_farther
+            assert (np.sqrt(dx * dx + dy * dy) == 0.75 * s) == lands
+            assert got.layers[r] == mesh.layers[r] + (mesh.layers[c] if lands else 0)
+
+    @pytest.mark.parametrize("quarter", range(2, 14))
+    def test_particles_on_cell_boundaries(self, quarter):
+        # A lattice whose pitch is the landing-cell width puts the unmoved
+        # particles on cell boundaries, to rounding either way, and the
+        # folds land moved ones at every quarter cell around them.
+        mesh = sim.init_cloth("towel", (12, 12), 0.3)
+        width = _CELL_WIDTH * 0.75 * mesh.spacing
+        mesh.positions[..., 0] = np.arange(12)[None, :] * width - 0.15
+        mesh.positions[..., 1] = 0.15 - np.arange(12)[:, None] * width
+        mesh.layers[:] = 1 + np.arange(144).reshape(12, 12) % 7
+        edge = mesh.positions[5, 0]
+        place = edge + [quarter * width / 4 + 3 * width, 0.3 * width]
+        got = assert_same_fold(mesh, edge, place)
+        assert (got.layers > mesh.layers).any()
+
+    def test_four_stacked_folds(self):
+        mesh = sim.init_cloth("towel")
+        camera = sim.default_camera()
+        for pick, place in (("left edge", "right edge"), ("top edge", "bottom edge"),
+                            ("bottom-right corner", "center"),
+                            ("left edge", "bottom edge")):
+            mesh = assert_same_fold(mesh, mesh.landmark_point(pick),
+                                    mesh.landmark_point(place))
+            assert_same_render(mesh, camera)
+        assert mesh.layers.max() == 16
+
+    def test_landing_memory_stays_small(self):
+        # The landing compares neighbouring cells, not every moved particle
+        # with every unmoved one (two [moved, unmoved] buffers, ~1.7 MB).
+        mesh = sim.init_cloth("towel")
+        pick, place = mesh.landmark_point("left edge"), mesh.landmark_point("right edge")
+        tracemalloc.start()
+        try:
+            sim.fold(mesh, pick, place)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
+class TestRenderAtImageEdges:
+    """Splats of particles near an image edge are clipped per pixel, the
+    others are not; both kinds in one frame."""
+
+    # 400 px/m: the 224-pixel frame shows 0.56 m, splats are 11 px wide.
+    NARROW = SimCamera(CameraIntrinsics(400.0, 400.0, 112.0, 112.0, 224, 224), 1.0)
+
+    @pytest.mark.parametrize("center,edge", [((-0.15, 0.0), "left"),
+                                             ((0.15, 0.0), "right"),
+                                             ((0.0, 0.15), "top"),
+                                             ((0.0, -0.15), "bottom")])
+    def test_cloth_across_one_edge(self, center, edge):
+        mesh = sim.init_cloth("towel", (12, 12), 0.4, center=center, rotation_rad=0.2)
+        mesh = sim.fold(mesh, mesh.landmark_point("bottom-left corner"),
+                        mesh.landmark_point("center"))
+        mask = assert_same_render(mesh, self.NARROW).cloth_mask
+        sides = {"left": mask[:, 0], "right": mask[:, -1],
+                 "top": mask[0, :], "bottom": mask[-1, :]}
+        assert [name for name, side in sides.items() if side.any()] == [edge]
+
+    @pytest.mark.parametrize("edge", ["left", "right", "top", "bottom"])
+    def test_centres_at_every_distance_from_an_edge(self, edge):
+        # One row of particles, from one pixel outside the frame to two splat
+        # radii in, spread along one edge; the rest of the frame stays empty,
+        # so a splat that wrapped round a row or the frame would show.
+        camera = sim.default_camera(64)
+        mesh = sim.init_cloth("towel", (8, 8), 0.3)
+        mesh.active[1:] = False
+        r_px = math.ceil(0.75 * mesh.spacing * camera.intrinsics.fx / camera.height)
+        inward = np.arange(-1, 2 * r_px + 1)
+        assert len(inward) == 8
+        across = 4 + 8 * np.arange(8)
+        u, v = {"left": (inward, across), "right": (63 - inward, across),
+                "top": (across, inward), "bottom": (across, 63 - inward)}[edge]
+        z_c = camera.height - LAYER_THICKNESS
+        mesh.positions[0, :, 0] = (u - camera.intrinsics.cx) * z_c / camera.intrinsics.fx
+        mesh.positions[0, :, 1] = (camera.intrinsics.cy - v) * z_c / camera.intrinsics.fy
+        assert_same_render(mesh, camera)
