@@ -24,7 +24,10 @@ Gradient lifetime: leaves (``requires_grad`` tensors no recorded node
 produced, such as parameters) keep ``.grad`` after backward, and so does
 the loss; an intermediate's gradient is freed as soon as its node has run.
 A first write takes the contribution as is; later writes add out of place,
-so a gradient array shared between tensors is never modified.
+so a gradient array shared between tensors is never modified. A leaf held
+by an :class:`Adam` writes into its slice of the optimizer's flat gradient
+instead: the first write copies the contribution in, later writes add in
+place, and the step clears ``.grad`` to ``None``.
 """
 
 from __future__ import annotations
@@ -46,21 +49,29 @@ class GradientError(RuntimeError):
 
 class GradCell:
     """The gradient of one tensor, held apart from its data so that a tape
-    can keep it without keeping the data alive."""
+    can keep it without keeping the data alive. A cell with a ``target``
+    (a leaf's slice of an optimizer's flat gradient) writes into it."""
 
-    __slots__ = ("grad", "shape")
+    __slots__ = ("grad", "shape", "target")
 
     def __init__(self, shape: tuple):
         self.grad: Optional[np.ndarray] = None
         self.shape = shape
+        self.target: Optional[np.ndarray] = None
 
     def add(self, delta: np.ndarray) -> None:
         # A non-contiguous first delta (a transposed view) is copied: as an
         # output gradient it would select a different BLAS kernel downstream.
         if self.grad is None:
-            self.grad = np.ascontiguousarray(delta)
-        else:
+            if self.target is None:
+                self.grad = np.ascontiguousarray(delta)
+            else:
+                self.target[...] = delta
+                self.grad = self.target
+        elif self.target is None:
             self.grad = self.grad + delta
+        else:
+            self.grad += delta
 
 
 class Tensor:
@@ -109,7 +120,8 @@ class Tensor:
         arr = np.asarray(value, dtype=np.float64)
         if arr.shape != self.data.shape:
             raise ShapeError(f"grad shape {arr.shape} != data shape {self.data.shape}")
-        self.cell.grad = arr
+        self.cell.grad = None
+        self.cell.add(arr)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -181,7 +193,7 @@ class Tape:
         for _, inputs, _ in self.nodes:
             for cell in inputs:
                 if cell.grad is None and id(cell) not in produced:
-                    cell.grad = np.zeros(cell.shape)
+                    cell.add(np.zeros(cell.shape))
 
 
 def _op(name: str, data: np.ndarray, inputs: Sequence[Tensor],
@@ -520,22 +532,14 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
 # optimizer
 # ---------------------------------------------------------------------------
 
-class AdamState:
-    """One parameter's Adam moment buffers: views into the optimizer's flat
-    moment vectors. The step counter is shared."""
-
-    __slots__ = ("m", "v")
-
-    def __init__(self, m: np.ndarray, v: np.ndarray):
-        self.m = m
-        self.v = v
-
-
 class Adam:
     """Adam with bias correction. ``step`` applies the update and clears grads.
 
-    The moments of all parameters live in two flat vectors, so one step is
-    one set of elementwise ops over every parameter at once.
+    The optimizer owns its parameters' values and gradients: ``data`` and
+    ``grad`` are flat vectors, each parameter's ``data`` is a view of its
+    slice ``spans[i]`` of the one, and its gradient cell writes into the same
+    slice of the other. The moments ``m`` and ``v`` are flat too, so one step
+    is one set of elementwise ops over every parameter at once.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-4,
@@ -551,12 +555,15 @@ class Adam:
         self.epsilon = epsilon
         self.t = 0
         ends = list(accumulate(p.size for p in self.params))
-        self._spans = [(stop - p.size, stop) for p, stop in zip(self.params, ends)]
-        self._m = np.zeros(ends[-1])
-        self._v = np.zeros_like(self._m)
-        self.state = {id(p): AdamState(self._m[a:b].reshape(p.shape),
-                                       self._v[a:b].reshape(p.shape))
-                      for p, (a, b) in zip(self.params, self._spans)}
+        self.spans = [(stop - p.size, stop) for p, stop in zip(self.params, ends)]
+        self.data = np.concatenate([p.data.ravel() for p in self.params])
+        self.grad = np.zeros_like(self.data)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        for p, (a, b) in zip(self.params, self.spans):
+            p.data = self.data[a:b].reshape(p.shape)
+            p.cell.target = self.grad[a:b].reshape(p.shape)
+            p.grad = p.grad                 # a gradient already held moves in
 
     def step(self) -> None:
         missing = [p for p in self.params if p.grad is None]
@@ -568,9 +575,9 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.t
         # In place, but with the operations of m = b1*m + (1-b1)*g,
         # v = b2*v + (1-b2)*(g*g) and lr*(m/bc1) / (sqrt(v/bc2) + eps), so
-        # every element gets the bits a per-parameter update gives it.
-        g = np.concatenate([p.grad.ravel() for p in self.params])
-        m, v = self._m, self._v
+        # every element gets the bits a per-parameter update gives it. The
+        # gradients are spent: squared in place, then cleared below.
+        g, m, v = self.grad, self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         g *= g
@@ -583,8 +590,8 @@ class Adam:
         np.sqrt(den, out=den)
         den += self.epsilon
         u /= den
-        for p, (a, b) in zip(self.params, self._spans):
-            p.data -= u[a:b].reshape(p.shape)
+        self.data -= u
+        for p in self.params:
             p.grad = None
 
 

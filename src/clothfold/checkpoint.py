@@ -94,10 +94,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: malformed header: {e!r}") from e
 
 
-def load_into_model(ckpt: Checkpoint, model: PerceptionModel,
-                    require_config_match: bool = True) -> None:
+def load_into_model(ckpt: Checkpoint, model: PerceptionModel) -> None:
     """Copy checkpoint tensors into the model, by name, shape-checked."""
-    if require_config_match and ckpt.model_config != model.cfg.to_record():
+    if ckpt.model_config != model.cfg.to_record():
         raise CheckpointError("checkpoint model config does not match the model; "
                               f"checkpoint: {ckpt.model_config}")
     named = model.named_parameters()

@@ -103,25 +103,21 @@ class PrimitiveSequence:
         return [w.to_record() for w in self.waypoints]
 
 
-DEFAULT_TRANSPORT_HEIGHT = 0.15
+WORKSPACE_HALF = 0.5       # meters; the table, 1 m x 1 m, spans +/- this on x and y
+TRANSPORT_HEIGHT = 0.15    # meters above the table (z = 0) while carrying
 
 
-def action_to_primitives(pick_base: np.ndarray, place_base: np.ndarray,
-                         workspace_half: float = 0.5,
-                         table_z: float = 0.0,
-                         transport_height: float = DEFAULT_TRANSPORT_HEIGHT) -> PrimitiveSequence:
+def action_to_primitives(pick_base: np.ndarray, place_base: np.ndarray) -> PrimitiveSequence:
     """Expand a pick/place pair into the fixed grasp -> move -> place sequence."""
-    if transport_height <= 0:
-        raise ValueError("transport height must be positive")
     pick = np.asarray(pick_base, dtype=np.float64)
     place = np.asarray(place_base, dtype=np.float64)
     for name, p in (("pick", pick), ("place", place)):
-        if abs(p[0]) > workspace_half or abs(p[1]) > workspace_half:
-            raise WorkspaceError(f"{name} point {p[:2]} outside +/-{workspace_half} m workspace")
+        if abs(p[0]) > WORKSPACE_HALF or abs(p[1]) > WORKSPACE_HALF:
+            raise WorkspaceError(f"{name} point {p[:2]} outside +/-{WORKSPACE_HALF} m workspace")
     mid = 0.5 * (pick + place)
     return PrimitiveSequence([
-        Waypoint("grasp", np.array([pick[0], pick[1], table_z]), gripper_closed=True),
+        Waypoint("grasp", np.array([pick[0], pick[1], 0.0]), gripper_closed=True),
         Waypoint("move-to-position",
-                 np.array([mid[0], mid[1], table_z + transport_height]), gripper_closed=True),
-        Waypoint("place", np.array([place[0], place[1], table_z]), gripper_closed=False),
+                 np.array([mid[0], mid[1], TRANSPORT_HEIGHT]), gripper_closed=True),
+        Waypoint("place", np.array([place[0], place[1], 0.0]), gripper_closed=False),
     ])

@@ -45,11 +45,9 @@ def prepend_tokens(f_l1: ad.Tensor, f_l2: ad.Tensor, f_o: ad.Tensor,
 class FusionBlock:
     """Bidirectional cross-attention weights, shared by both branches."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
-                 tokens: LearnableTokens):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.embed_dim
         self.cfg = cfg
-        self.tokens = tokens
 
         def w(shape, fan_in, name):
             return ad.Tensor(ad.he_normal(rng, shape, fan_in),
@@ -105,12 +103,10 @@ def cross_attention_fuse(f_o: ad.Tensor, f_l: ad.Tensor,
 class TransformerFusion:
     """Ablation baseline: self-attention over [F_o || F_l], image rows out."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
-                 tokens: LearnableTokens, n_blocks: int = 2):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.tokens = tokens
         self.blocks = []
-        for i in range(n_blocks):
+        for i in range(2):
             block = EncoderBlock(
                 ModelConfig(**{**cfg.to_record(), "adapter": "none"}),
                 rng, f"fusion.block{i}")

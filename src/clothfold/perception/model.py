@@ -84,9 +84,9 @@ class PerceptionModel:
         self.encoder = FrozenEncoder(cfg, len(self.vocab), rng_frozen, rng_adapt)
         self.tokens = LearnableTokens(cfg.embed_dim, rng_fusion)
         if cfg.fusion == "cross-attention":
-            self.fusion = FusionBlock(cfg, rng_fusion, self.tokens)
+            self.fusion = FusionBlock(cfg, rng_fusion)
         else:
-            self.fusion = TransformerFusion(cfg, rng_fusion, self.tokens)
+            self.fusion = TransformerFusion(cfg, rng_fusion)
         self.decoder_pick = CunDecoder(cfg, rng_dec, "decoder.pick")
         self.decoder_place = CunDecoder(cfg, rng_dec, "decoder.place")
         census = self.parameter_census()

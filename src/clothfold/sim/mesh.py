@@ -14,7 +14,8 @@ from importlib import resources
 
 import numpy as np
 
-WORKSPACE_HALF = 0.5          # meters; 1 m x 1 m table
+from ..geometry import WORKSPACE_HALF
+
 EPS_GRASP = 0.02              # picker attach radius, meters
 LAYER_THICKNESS = 0.002       # meters of height per cloth layer
 MIN_FOLD_SPAN = 0.01          # grasp-to-place spans below this are no-ops
@@ -171,15 +172,14 @@ def nearest_particle(mesh: ClothMesh, point_w: np.ndarray) -> tuple[int, int, fl
     return r, c, float(d[r, c])
 
 
-def fold(mesh: ClothMesh, pick_w, place_w, eps_grasp: float = EPS_GRASP,
-         min_span: float = MIN_FOLD_SPAN) -> ClothMesh:
+def fold(mesh: ClothMesh, pick_w, place_w) -> ClothMesh:
     """Execute one pick-and-place fold; returns a new mesh.
 
-    The picker snaps to the nearest active particle within ``eps_grasp`` of
+    The picker snaps to the nearest active particle within ``EPS_GRASP`` of
     ``pick_w``; the fold line is the perpendicular bisector of the segment
     from that particle to ``place_w``, so the grasped particle lands exactly
     on the place point. Particles on the line stay on the unmoved side.
-    Spans below ``min_span`` (sub grid resolution) leave the mesh unchanged,
+    Spans below ``MIN_FOLD_SPAN`` (sub grid resolution) leave the mesh unchanged,
     covering both the degenerate pick == place case and already-satisfied
     steps reached through rounded pixel coordinates.
 
@@ -202,14 +202,14 @@ def fold(mesh: ClothMesh, pick_w, place_w, eps_grasp: float = EPS_GRASP,
         return mesh.copy()  # degenerate fold line: defined as a no-op
 
     r0, c0, dist = nearest_particle(mesh, pick)
-    if dist > eps_grasp:
+    if dist > EPS_GRASP:
         raise GraspMissError(
-            f"no particle within {eps_grasp * 100:.1f} cm of pick point {pick} "
+            f"no particle within {EPS_GRASP * 100:.1f} cm of pick point {pick} "
             f"(nearest at {dist * 100:.2f} cm)")
     snapped = mesh.positions[r0, c0].copy()
     delta = place - snapped
     span = np.linalg.norm(delta)
-    if span < min_span:
+    if span < MIN_FOLD_SPAN:
         return mesh.copy()  # grasped particle already at the place point
 
     out = mesh.copy()

@@ -40,12 +40,15 @@ class TrainConfig:
 
     def __post_init__(self):
         typed_fields(type(self), vars(self))
-        if self.epochs < 0 or self.batch_size <= 0 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch size and learning rate must be positive")
+        # NaN fails every test below: a JSON config may hold NaN and Infinity.
+        if self.epochs < 0 or self.batch_size <= 0 or not 0 < self.learning_rate < math.inf:
+            raise ValueError("epochs, batch size and a finite learning rate must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.sigma_hm <= 0:
-            raise ValueError("sigma_hm must be positive")
+        if not 0 < self.sigma_hm < math.inf:
+            raise ValueError("sigma_hm must be positive and finite")
+        if not 0 <= self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be finite and >= 0 (0 disables the clip)")
         if not (0 <= self.val_fraction < 1):
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -93,20 +96,18 @@ def sample_loss(model: PerceptionModel, sample: PreparedSample,
     return ad.scale(loss, weight) if weight != 1.0 else loss
 
 
-def clip_gradients(params: Sequence[ad.Tensor], max_norm: float) -> float:
-    """Scale the gradients down to a global norm of ``max_norm`` (0 disables
-    the clip) and return the norm before clipping. A non-finite norm raises
-    :class:`TrainingDivergedError`: scaling could not repair it, and the
-    step would write NaN into the parameters."""
-    total = math.sqrt(sum(float((p.grad ** 2).sum())
-                          for p in params if p.grad is not None))
+def clip_gradients(opt: ad.Adam, max_norm: float) -> float:
+    """Scale the optimizer's gradients down to a global norm of ``max_norm``
+    (0 disables the clip) and return the norm before clipping. A non-finite
+    norm raises :class:`TrainingDivergedError`: scaling could not repair it,
+    and the step would write NaN into the parameters. Each parameter's slice
+    is summed on its own, for the bits of a per-tensor ``(g ** 2).sum()``."""
+    sq = opt.grad * opt.grad
+    total = math.sqrt(sum(float(sq[a:b].sum()) for a, b in opt.spans))
     if not math.isfinite(total):
         raise TrainingDivergedError(f"gradient norm became {total}")
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
+        opt.grad *= max_norm / total
     return total
 
 
@@ -145,12 +146,9 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
     val_idx = order[:n_val]
     train_idx = order[n_val:]
 
-    params_by_name = model.trainable_parameters()
-    params = list(params_by_name.values())
-    opt = ad.Adam(params, lr=config.learning_rate)
-
+    opt = ad.Adam(model.trainable_parameters().values(), lr=config.learning_rate)
     result = TrainResult(n_train=len(train_idx), n_val=len(val_idx))
-    best_state: Optional[dict[str, np.ndarray]] = None
+    best_data: Optional[np.ndarray] = None
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -169,7 +167,7 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
                     raise TrainingDivergedError(
                         f"loss became {value} at epoch {epoch}")
                 epoch_total += value
-            grad_norm = clip_gradients(params, config.clip_norm)
+            grad_norm = clip_gradients(opt, config.clip_norm)
             max_grad_norm = max(max_grad_norm, grad_norm)
             clips += 0 < config.clip_norm < grad_norm
             opt.step()
@@ -183,7 +181,7 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
             if val_loss < result.best_val_loss:
                 result.best_val_loss = val_loss
                 result.best_epoch = epoch
-                best_state = {k: p.data.copy() for k, p in params_by_name.items()}
+                best_data = opt.data.copy()
         result.loss_curve.append({"epoch": epoch, "train_loss": train_loss,
                                   "val_loss": val_loss})
         result.final_train_loss = train_loss
@@ -193,9 +191,8 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
                  time.perf_counter() - t0, len(train_idx) / train_s,
                  max_grad_norm, clips, math.ceil(len(train_idx) / config.batch_size))
 
-    if best_state is not None:
-        for k, p in params_by_name.items():
-            p.data[:] = best_state[k]
+    if best_data is not None:
+        opt.data[:] = best_data
     return result
 
 

@@ -362,8 +362,8 @@ class TestAdam:
     def test_moment_shapes_and_counter(self, rng):
         p = ad.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         opt = ad.Adam([p], lr=0.01)
-        st_ = opt.state[id(p)]
-        assert st_.m.shape == (3, 2) and st_.v.shape == (3, 2)
+        assert opt.spans == [(0, 6)]
+        assert opt.m.shape == (6,) and opt.v.shape == (6,)
         for expected_t in (1, 2, 3):
             p.grad = np.ones((3, 2))
             opt.step()

@@ -130,8 +130,7 @@ class TestPrimitives:
 
     def test_transport_height(self):
         seq = geo.action_to_primitives(np.array([0.1, 0.0, 0.0]),
-                                       np.array([-0.1, 0.0, 0.0]),
-                                       table_z=0.0, transport_height=0.15)
+                                       np.array([-0.1, 0.0, 0.0]))
         assert seq.waypoints[1].position[2] == 0.15
 
     def test_out_of_workspace_rejected(self):

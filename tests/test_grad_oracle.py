@@ -2,8 +2,10 @@
 place, and every recorded gradient cell zero-filled after backward.
 
 ``autodiff`` takes a first gradient contribution as is, adds later ones out
-of place, frees intermediate gradients and zero-fills only unreached leaves.
-Every leaf gradient must be bit-equal to the reference's.
+of place, frees intermediate gradients and zero-fills only unreached leaves;
+a leaf in an optimizer's flat store copies its first contribution into its
+slice and adds later ones in place. Every leaf gradient must be bit-equal to
+the reference's.
 """
 
 import numpy as np
@@ -74,9 +76,10 @@ def test_model_gradients_bit_equal_reference(monkeypatch, adapter, fusion, num_h
                       adapter=adapter, fusion=fusion)
     samples = [_sample(PerceptionModel(cfg), seed) for seed in (0, 1)]
 
-    def run():
+    def run(store=False):
         model = PerceptionModel(cfg)
         params = model.trainable_parameters()
+        opt = ad.Adam(params.values()) if store else None
         if point == "generic":
             # Off the initial point, where several adapter factors are zero.
             rng = np.random.default_rng(3)
@@ -86,10 +89,15 @@ def test_model_gradients_bit_equal_reference(monkeypatch, adapter, fusion, num_h
         for s in samples:
             with ad.Tape() as tape:
                 tape.backward(sample_loss(model, s, 0.5))
+        # In the store, every gradient is read from the optimizer's vector.
+        assert opt is None or all(np.shares_memory(p.grad, opt.grad)
+                                  for p in params.values())
         return {k: p.grad for k, p in params.items()}
 
     want, got = _both(monkeypatch, run)
     _assert_bit_equal(want, got)
+    # Again with the trainables in an optimizer's flat store.
+    _assert_bit_equal(want, run(store=True))
 
 
 # -- aliasing rows ---------------------------------------------------------------

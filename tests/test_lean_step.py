@@ -1,7 +1,7 @@
 """The training step against its references: the one-pass ``sigmoid``,
 ``layer_norm`` and ``softmax`` kernels against the numpy expressions they
-replace, the flat-vector Adam against a per-parameter loop, and what a tape
-keeps alive after the forward."""
+replace, the flat-vector Adam against a per-parameter loop, the flat
+parameter store it owns, and what a tape keeps alive after the forward."""
 
 import gc
 import tracemalloc
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clothfold import autodiff as ad
+from clothfold import checkpoint as ck
 from clothfold.perception import ModelConfig, PerceptionModel
 from clothfold.trainer import action_to_heatmap
 from clothfold.trainer.train import PreparedSample, sample_loss
@@ -197,24 +198,87 @@ def test_flat_adam_matches_per_parameter_loop():
             p.grad = g
         opt.step()
         assert all(p.grad is None for p in params)
-    for i, p in enumerate(params):
+    for i, (p, (a, b)) in enumerate(zip(params, opt.spans)):
         assert p.data.tobytes() == want[i].tobytes(), i
-        st_ = opt.state[id(p)]
-        assert st_.m.shape == p.shape and st_.v.shape == p.shape
-        assert st_.m.tobytes() == want_m[i].tobytes(), i
-        assert st_.v.tobytes() == want_v[i].tobytes(), i
-    # The states are disjoint views of moments the step updates in place.
-    ms = [opt.state[id(p)].m for p in params]
-    assert not any(np.shares_memory(a, b) for i, a in enumerate(ms) for b in ms[i + 1:])
-    m0 = ms[0].copy()
+        assert b - a == p.size
+        assert opt.m[a:b].tobytes() == want_m[i].tobytes(), i
+        assert opt.v[a:b].tobytes() == want_v[i].tobytes(), i
+    # The spans tile the flat moments, which the step updates in place.
+    assert [a for a, _ in opt.spans[1:]] == [b for _, b in opt.spans[:-1]]
+    assert opt.spans[0][0] == 0 and opt.spans[-1][1] == opt.m.size
+    m = opt.m
+    m0 = m.copy()
     params[0].grad = np.ones(shapes[0])
     for p in params[1:]:
         p.grad = np.zeros(p.shape)
     opt.step()
-    assert opt.state[id(params[0])].m is ms[0]
-    assert not np.array_equal(ms[0], m0)
+    assert opt.m is m
+    a, b = opt.spans[0]
+    assert not np.array_equal(m[a:b], m0[a:b])
     with pytest.raises(ValueError):
         ad.Adam([])
+
+
+_SHAPES = st.lists(st.lists(st.integers(1, 24), min_size=1, max_size=3).map(tuple),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shapes=_SHAPES, seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-8, 8))
+def test_slice_sums_of_squares_equal_per_tensor_sums(shapes, seed, exponent):
+    """``clip_gradients`` sums each parameter's slice of the squared flat
+    gradient; each sum must have the bits of ``(g ** 2).sum()`` on the
+    parameter's own array."""
+    rng = np.random.default_rng(seed)
+    grads = [rng.normal(scale=10.0 ** exponent, size=s) for s in shapes]
+    params = [ad.Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+    opt = ad.Adam(params)
+    for p, g in zip(params, grads):
+        p.grad = g
+    sq = opt.grad * opt.grad
+    for (a, b), g in zip(opt.spans, grads):
+        assert sq[a:b].sum().tobytes() == (g ** 2).sum().tobytes()
+
+
+def test_store_aliases_values_gradients_loads_and_pokes(tmp_path):
+    cfg = ModelConfig(embed_dim=16, depth=1, image_size=32)
+    model = PerceptionModel(cfg)
+    params = list(model.trainable_parameters().values())
+    before = [p.data.copy() for p in params]
+    opt = ad.Adam(params, lr=1e-3)
+    assert opt.data.size == sum(p.size for p in params)
+    for p, (a, b), x in zip(params, opt.spans, before):
+        assert p.data.tobytes() == x.tobytes()
+        assert np.shares_memory(p.data, opt.data[a:b])
+        p.grad = np.full(p.shape, 2.0)                  # lands in the slice
+        assert np.shares_memory(p.grad, opt.grad[a:b])
+    assert (opt.grad == 2.0).all()
+    frozen = list(model.frozen_parameters().values())
+    assert not any(np.shares_memory(t.data, opt.data) for t in frozen)
+
+    # A checkpoint load writes into the store; the step moves what it loaded.
+    other = PerceptionModel(cfg)
+    rng = np.random.default_rng(2)
+    for t in other.trainable_parameters().values():
+        t.data += rng.normal(0.0, 0.1, t.shape)
+    path = tmp_path / "m.cfck"
+    ck.save_checkpoint(path, other)
+    ck.load_into_model(ck.load_checkpoint(path), model)
+    loaded = np.concatenate([t.data.ravel()
+                             for t in other.trainable_parameters().values()])
+    assert opt.data.tobytes() == loaded.tobytes()
+    opt.step()
+    assert all(p.grad is None for p in params)
+    assert (np.abs(opt.data - loaded) > 0).all()
+    with pytest.raises(ad.GradientError):
+        opt.step()
+
+    # grad_check's scalar pokes and restores reach the vector.
+    p, (a, b) = params[-1], opt.spans[-1]
+    p.data.flat[b - a - 1] = 7.0
+    assert opt.data[b - 1] == 7.0
+    p.data[:] = 0.5
+    assert (opt.data[a:b] == 0.5).all()
 
 
 # -- what the tape keeps -----------------------------------------------------------

@@ -211,8 +211,21 @@ class TestFusion:
                   small_model.tokens.t_o):
             assert t.grad is not None and np.abs(t.grad).max() > 0
 
-    def test_shared_visual_token_is_same_tensor(self, small_model):
-        assert small_model.fusion.tokens.t_o is small_model.tokens.t_o
+    def test_shared_visual_token_is_same_tensor(self, small_model, towel_seg):
+        # One visual token serves both passes: each heatmap alone sends it a
+        # gradient, and the model registers it once.
+        seg, _ = towel_seg
+        img = normalize_observation(seg)
+        ids = small_model.tokenize(SENTENCE)
+        t_o = small_model.tokens.t_o
+        for branch in (0, 1):
+            t_o.grad = None
+            with ad.Tape() as tape:
+                heatmap = small_model.forward_heatmaps(img, ids)[branch]
+                tape.backward(ad.sum_all(heatmap))
+            assert np.abs(t_o.grad).max() > 0, branch
+        assert [p for p in small_model.trainable_parameters().values()
+                if p is t_o] == [t_o]
 
 
 class TestSegmentTextFeatures:

@@ -341,24 +341,26 @@ class TestClipGradients:
     def test_scales_to_max_norm(self):
         p = ad.Tensor(np.zeros(2), requires_grad=True)
         q = ad.Tensor(np.zeros(1), requires_grad=True)
+        opt = ad.Adam([p, q])
         p.grad, q.grad = np.array([3.0, 0.0]), np.array([4.0])
-        assert clip_gradients([p, q], 1.0) == 5.0
+        assert clip_gradients(opt, 1.0) == 5.0
         np.testing.assert_allclose(np.concatenate([p.grad, q.grad]), [0.6, 0.0, 0.8])
 
     @pytest.mark.parametrize("max_norm", [100.0, 0.0])
     def test_non_finite_norm_raises(self, max_norm):
         p = ad.Tensor(np.array([0.0, 1.0]), requires_grad=True)
+        opt = ad.Adam([p])
         with ad.Tape() as tape, np.errstate(divide="ignore"):
             loss = ad.sum_all(ad.pow_const(p, 0.5))
             tape.backward(loss)
         assert loss.item() == 1.0
         assert p.grad.tolist() == [math.inf, 0.5]
         with pytest.raises(TrainingDivergedError):
-            clip_gradients([p], max_norm)
+            clip_gradients(opt, max_norm)
         assert p.grad.tolist() == [math.inf, 0.5]
         p.grad = np.array([math.nan, 0.0])
         with pytest.raises(TrainingDivergedError):
-            clip_gradients([p], max_norm)
+            clip_gradients(opt, max_norm)
 
 
 class TestGradCheck:
