@@ -16,7 +16,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import evaluation, images
 from .planner import (BackendError, LlmBackendConfig, PlanningError,
-                      decompose, llm_decompose, transcribe_text)
+                      decompose, llm_decompose)
 from .perception.model import PerceptionModel
 from .runconfig import ConfigError, RunConfig, load_config
 from .sim import default_camera, jittered_sim
@@ -47,10 +47,9 @@ def _backend_for(cfg: RunConfig) -> LlmBackendConfig | None:
 
 def _plan_subtasks(cfg: RunConfig, command: str):
     backend = _backend_for(cfg)
-    transcript = transcribe_text(command)
     if backend is not None:
-        return llm_decompose(transcript.text, backend)
-    return decompose(transcript.text)
+        return llm_decompose(command.strip(), backend)
+    return decompose(command.strip())
 
 
 def cmd_gen_data(args) -> int:

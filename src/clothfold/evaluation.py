@@ -101,7 +101,7 @@ def pixel_to_base(pixel: tuple[int, int], obs, camera: SimCamera) -> np.ndarray:
     row, col = pixel
     depth = float(obs.depth[row, col])
     p_cam = geometry.pixel_to_camera(col, row, depth, camera.intrinsics)
-    return geometry.camera_to_base(p_cam, camera.base_from_camera())
+    return camera.base_from_camera().apply(p_cam)
 
 
 def run_episode(command: str, model: Optional[PerceptionModel],

@@ -31,13 +31,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie within the image")
 
-    def project(self, point_cam: np.ndarray) -> tuple[float, float]:
-        """Camera-frame 3D point -> (u, v) pixel coordinates."""
-        x, y, z = point_cam
-        if z <= 0:
-            raise InvalidDepthError(f"point behind camera: z={z}")
-        return (self.cx + self.fx * x / z, self.cy + self.fy * y / z)
-
 
 def pixel_to_camera(u: float, v: float, depth: float, k: CameraIntrinsics) -> np.ndarray:
     """Back-project pixel (u, v) with measured depth to a camera-frame point.
@@ -77,10 +70,6 @@ class RigidTransform:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(p, dtype=np.float64) + self.translation
-
-
-def camera_to_base(point_cam: np.ndarray, base_from_camera: RigidTransform) -> np.ndarray:
-    return base_from_camera.apply(point_cam)
 
 
 @dataclass(frozen=True)

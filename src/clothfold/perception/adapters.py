@@ -26,15 +26,13 @@ class DoraAdapter:
                            requires_grad=True, name=f"{name}.a")
         m0 = np.sqrt((w0.data * w0.data).sum(axis=0))
         self.m = ad.Tensor(m0, requires_grad=True, name=f"{name}.m")
+        self.tensors = [self.b, self.a, self.m]
 
     def effective(self) -> ad.Tensor:
         direction = ad.add(self.w0, ad.matmul(self.b, self.a))
         col_sq = ad.column_sums(ad.mul(direction, direction))
         inv_norm = ad.pow_const(col_sq, -0.5)
         return ad.scale_columns(direction, ad.mul(inv_norm, self.m))
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {"b": self.b, "a": self.a, "m": self.m}
 
 
 class LoraAdapter:
@@ -47,12 +45,10 @@ class LoraAdapter:
         self.b = ad.Tensor(np.zeros((d_out, rank)), requires_grad=True, name=f"{name}.b")
         self.a = ad.Tensor(rng.normal(0.0, 0.01, size=(rank, d_in)),
                            requires_grad=True, name=f"{name}.a")
+        self.tensors = [self.b, self.a]
 
     def effective(self) -> ad.Tensor:
         return ad.add(self.w0, ad.matmul(self.b, self.a))
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {"b": self.b, "a": self.a}
 
 
 class Ia3Adapter:
@@ -61,15 +57,13 @@ class Ia3Adapter:
     def __init__(self, dim: int, name: str):
         self.lk = ad.Tensor(np.ones(dim), requires_grad=True, name=f"{name}.lk")
         self.lv = ad.Tensor(np.ones(dim), requires_grad=True, name=f"{name}.lv")
+        self.tensors = [self.lk, self.lv]
 
     def scale_k(self, k: ad.Tensor) -> ad.Tensor:
         return ad.scale_columns(k, self.lk)
 
     def scale_v(self, v: ad.Tensor) -> ad.Tensor:
         return ad.scale_columns(v, self.lv)
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {"lk": self.lk, "lv": self.lv}
 
 
 def adapter_param_count(adapter: str, embed_dim: int, rank: int,

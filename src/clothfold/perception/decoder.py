@@ -35,11 +35,13 @@ class CunDecoder:
         self.channels = channels
         self.weights: list[ad.Tensor] = []
         self.biases: list[ad.Tensor] = []
+        self.tensors: list[ad.Tensor] = []
         for i, (c_in, c_out) in enumerate(zip(channels[:-1], channels[1:])):
             self.weights.append(ad.Tensor(ad.he_normal(rng, (c_out, c_in), c_in),
                                           requires_grad=True, name=f"{name}.stage{i}.w"))
             self.biases.append(ad.Tensor(np.zeros(c_out),
                                          requires_grad=True, name=f"{name}.stage{i}.b"))
+            self.tensors += (self.weights[-1], self.biases[-1])
 
     def forward(self, fused_tokens: ad.Tensor) -> ad.Tensor:
         """(P+1) x D fused features (row 0 = prepended token) -> H x W logits
@@ -62,13 +64,6 @@ class CunDecoder:
         x = ad.bilinear_upsample(x, self.factors[-1])
         x = ad.reshape(x, (cfg.image_size, cfg.image_size))
         return ad.sigmoid(x)
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        out = {}
-        for w, b in zip(self.weights, self.biases):
-            out[w.name] = w
-            out[b.name] = b
-        return out
 
     def param_count(self) -> int:
         return sum(c_in * c_out + c_out

@@ -47,7 +47,6 @@ class EncoderBlock:
         hidden = cfg.mlp_ratio * d
         self.cfg = cfg
         self.name = name
-        self.adapters_enabled = True
         self.wq = _frozen(rng, (d, d), d, f"{name}.wq")
         self.wk = _frozen(rng, (d, d), d, f"{name}.wk")
         self.wv = _frozen(rng, (d, d), d, f"{name}.wv")
@@ -60,6 +59,9 @@ class EncoderBlock:
         self.mlp_b2 = ad.Tensor(np.zeros(d), name=f"{name}.mlp.b2")
         self.ln2_g = ad.Tensor(np.ones(d), name=f"{name}.ln2.g")
         self.ln2_b = ad.Tensor(np.zeros(d), name=f"{name}.ln2.b")
+        self.tensors = [self.wq, self.wk, self.wv, self.wo, self.ln1_g, self.ln1_b,
+                        self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2,
+                        self.ln2_g, self.ln2_b]
 
         self.q_adapter = self.v_adapter = self.ia3 = None
         rng_adapt = rng_adapt if rng_adapt is not None else rng
@@ -67,17 +69,18 @@ class EncoderBlock:
             cls = DoraAdapter if cfg.adapter == "dora" else LoraAdapter
             self.q_adapter = cls(self.wq, cfg.dora_rank, rng_adapt, f"adapter.{name}.q")
             self.v_adapter = cls(self.wv, cfg.dora_rank, rng_adapt, f"adapter.{name}.v")
+            self.tensors += self.q_adapter.tensors + self.v_adapter.tensors
         elif cfg.adapter == "ia3":
             self.ia3 = Ia3Adapter(cfg.embed_dim, f"adapter.{name}")
+            self.tensors += self.ia3.tensors
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
-        use = self.adapters_enabled
-        wq = self.q_adapter.effective() if (use and self.q_adapter) else self.wq
-        wv = self.v_adapter.effective() if (use and self.v_adapter) else self.wv
+        wq = self.q_adapter.effective() if self.q_adapter else self.wq
+        wv = self.v_adapter.effective() if self.v_adapter else self.wv
         q = ad.matmul(x, wq)
         k = ad.matmul(x, self.wk)
         v = ad.matmul(x, wv)
-        if use and self.ia3 is not None:
+        if self.ia3 is not None:
             k = self.ia3.scale_k(k)
             v = self.ia3.scale_v(v)
         att = scaled_attention(q, k, v, self.cfg.num_heads, self.cfg.head_dim)
@@ -85,27 +88,6 @@ class EncoderBlock:
         m = ad.tanh(ad.add_rowvec(ad.matmul(h, self.mlp_w1), self.mlp_b1))
         m = ad.add_rowvec(ad.matmul(m, self.mlp_w2), self.mlp_b2)
         return ad.layer_norm(ad.add(h, m), self.ln2_g, self.ln2_b)
-
-    def frozen_parameters(self) -> dict[str, ad.Tensor]:
-        return {
-            f"{self.name}.wq": self.wq, f"{self.name}.wk": self.wk,
-            f"{self.name}.wv": self.wv, f"{self.name}.wo": self.wo,
-            f"{self.name}.ln1.g": self.ln1_g, f"{self.name}.ln1.b": self.ln1_b,
-            f"{self.name}.mlp.w1": self.mlp_w1, f"{self.name}.mlp.b1": self.mlp_b1,
-            f"{self.name}.mlp.w2": self.mlp_w2, f"{self.name}.mlp.b2": self.mlp_b2,
-            f"{self.name}.ln2.g": self.ln2_g, f"{self.name}.ln2.b": self.ln2_b,
-        }
-
-    def adapter_parameters(self) -> dict[str, ad.Tensor]:
-        out = {}
-        for tag, adapter in (("q", self.q_adapter), ("v", self.v_adapter)):
-            if adapter is not None:
-                for k, t in adapter.parameters().items():
-                    out[f"adapter.{self.name}.{tag}.{k}"] = t
-        if self.ia3 is not None:
-            for k, t in self.ia3.parameters().items():
-                out[f"adapter.{self.name}.{k}"] = t
-        return out
 
 
 class FrozenEncoder:
@@ -129,10 +111,10 @@ class FrozenEncoder:
                             for i in range(cfg.depth)]
         self.image_blocks = [EncoderBlock(cfg, rng, f"image.block{i}", rng_adapt)
                              for i in range(cfg.depth)]
-
-    def set_adapters_enabled(self, enabled: bool) -> None:
+        self.tensors = [self.token_emb, self.text_pos, self.patch_w, self.patch_b,
+                        self.image_pos]
         for block in self.text_blocks + self.image_blocks:
-            block.adapters_enabled = enabled
+            self.tensors += block.tensors
 
     def patchify(self, image4: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -168,19 +150,3 @@ class FrozenEncoder:
         for block in self.image_blocks:
             f_o = block.forward(f_o)
         return f_l, f_o
-
-    def frozen_parameters(self) -> dict[str, ad.Tensor]:
-        out = {
-            "text.embed.token": self.token_emb, "text.embed.pos": self.text_pos,
-            "image.embed.patch_w": self.patch_w, "image.embed.patch_b": self.patch_b,
-            "image.embed.pos": self.image_pos,
-        }
-        for block in self.text_blocks + self.image_blocks:
-            out.update(block.frozen_parameters())
-        return out
-
-    def adapter_parameters(self) -> dict[str, ad.Tensor]:
-        out = {}
-        for block in self.text_blocks + self.image_blocks:
-            out.update(block.adapter_parameters())
-        return out

@@ -28,10 +28,7 @@ class LearnableTokens:
                               requires_grad=True, name="tokens.t_l2")
         self.t_o = ad.Tensor(rng.normal(0.0, 0.02, size=(1, dim)),
                              requires_grad=True, name="tokens.t_o")
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {"tokens.t_l1": self.t_l1, "tokens.t_l2": self.t_l2,
-                "tokens.t_o": self.t_o}
+        self.tensors = [self.t_l1, self.t_l2, self.t_o]
 
 
 def prepend_tokens(f_l1: ad.Tensor, f_l2: ad.Tensor, f_o: ad.Tensor,
@@ -62,14 +59,8 @@ class FusionBlock:
         self.w_p = w((2 * d, d), 2 * d, "fusion.w_p")
         self.ln_g = ad.Tensor(np.ones(d), requires_grad=True, name="fusion.ln.g")
         self.ln_b = ad.Tensor(np.zeros(d), requires_grad=True, name="fusion.ln.b")
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        return {t.name: t for t in (self.w_o_q, self.w_o_k, self.w_o_v,
-                                    self.w_l_q, self.w_l_k, self.w_l_v,
-                                    self.w_p, self.ln_g, self.ln_b)}
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+        self.tensors = [self.w_o_q, self.w_o_k, self.w_o_v, self.w_l_q, self.w_l_k,
+                        self.w_l_v, self.w_p, self.ln_g, self.ln_b]
 
     def fuse(self, f_o: ad.Tensor, f_l: ad.Tensor) -> ad.Tensor:
         return cross_attention_fuse(f_o, f_l, self)
@@ -105,23 +96,11 @@ class TransformerFusion:
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
-        self.blocks = []
-        for i in range(2):
-            block = EncoderBlock(
-                ModelConfig(**{**cfg.to_record(), "adapter": "none"}),
-                rng, f"fusion.block{i}")
-            for t in block.frozen_parameters().values():
-                t.requires_grad = True      # fusion is trainable, unlike the towers
-            self.blocks.append(block)
-
-    def parameters(self) -> dict[str, ad.Tensor]:
-        out = {}
-        for block in self.blocks:
-            out.update(block.frozen_parameters())
-        return out
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+        self.blocks = [EncoderBlock(ModelConfig(**{**cfg.to_record(), "adapter": "none"}),
+                                    rng, f"fusion.block{i}") for i in range(2)]
+        self.tensors = [t for block in self.blocks for t in block.tensors]
+        for t in self.tensors:
+            t.requires_grad = True      # fusion is trainable, unlike the towers
 
     def fuse(self, f_o: ad.Tensor, f_l: ad.Tensor) -> ad.Tensor:
         x = ad.concat_rows([f_o, f_l])

@@ -89,28 +89,26 @@ class PerceptionModel:
             self.fusion = TransformerFusion(cfg, rng_fusion)
         self.decoder_pick = CunDecoder(cfg, rng_dec, "decoder.pick")
         self.decoder_place = CunDecoder(cfg, rng_dec, "decoder.place")
+        self._params = {t.name: t for part in (self.encoder, self.fusion, self.tokens,
+                                               self.decoder_pick, self.decoder_place)
+                        for t in part.tensors}
         census = self.parameter_census()
         if census["trainable"] != census["trainable_formula"]:
             raise AssertionError(f"trainable census mismatch: {census}")
 
     # -- parameter registry -------------------------------------------------
-
-    def frozen_parameters(self) -> dict[str, ad.Tensor]:
-        return self.encoder.frozen_parameters()
-
-    def trainable_parameters(self) -> dict[str, ad.Tensor]:
-        out: dict[str, ad.Tensor] = {}
-        out.update(self.encoder.adapter_parameters())
-        out.update(self.fusion.parameters())
-        out.update(self.tokens.parameters())
-        out.update(self.decoder_pick.parameters())
-        out.update(self.decoder_place.parameters())
-        return out
+    # Each component lists its tensors in ``tensors`` as it makes them; the
+    # trainable order, and with it the optimizer's flat layout, is the order
+    # of those lists filtered by ``requires_grad``.
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
-        out = dict(self.frozen_parameters())
-        out.update(self.trainable_parameters())
-        return out
+        return dict(self._params)
+
+    def frozen_parameters(self) -> dict[str, ad.Tensor]:
+        return {k: t for k, t in self._params.items() if not t.requires_grad}
+
+    def trainable_parameters(self) -> dict[str, ad.Tensor]:
+        return {k: t for k, t in self._params.items() if t.requires_grad}
 
     def parameter_census(self) -> dict[str, int]:
         cfg = self.cfg
@@ -119,7 +117,7 @@ class PerceptionModel:
         n_attention_layers = 2 * cfg.depth
         formula = (adapter_param_count(cfg.adapter, cfg.embed_dim, cfg.dora_rank,
                                        n_attention_layers)
-                   + self.fusion.param_count()
+                   + sum(t.size for t in self.fusion.tensors)
                    + 3 * cfg.embed_dim
                    + self.decoder_pick.param_count()
                    + self.decoder_place.param_count())
@@ -165,7 +163,3 @@ class PerceptionModel:
         q_pick_t, q_place_t = self.forward_heatmaps(image4, token_ids)
         pair = HeatmapPair(q_pick_t.data.copy(), q_place_t.data.copy())
         return pair, select_action(pair.q_pick, pair.q_place)
-
-    def set_adapters_enabled(self, enabled: bool) -> None:
-        """Bypass the adapters (the pure-frozen-encoder oracle path)."""
-        self.encoder.set_adapters_enabled(enabled)

@@ -29,9 +29,6 @@ class Vocabulary:
         unk = self.unk_id
         return [self.word_to_id.get(w, unk) for w in words]
 
-    def to_record(self) -> dict:
-        return {"version": 1, "unk": self.unk_token, "words": dict(self.word_to_id)}
-
 
 _DEFAULT: Vocabulary | None = None
 

@@ -2,11 +2,9 @@ from .grammar import (
     GrammarError,
     PlanningError,
     SubTask,
-    Transcript,
     normalize_text,
     split_at_conjunction,
     tokenize_text,
-    transcribe_text,
     validate_subtask,
 )
 from .templates import (
@@ -24,7 +22,7 @@ from .llm import BackendError, LlmBackendConfig, PlanValidationError, llm_decomp
 __all__ = [
     "AUX_FAMILIES", "BackendError", "GrammarError", "HighLevelCommand",
     "LlmBackendConfig", "PlanTemplate", "PlanValidationError", "PlanningError",
-    "SubTask", "TASK_FAMILIES", "Transcript", "command_bank", "decompose",
-    "llm_decompose", "normalize_text", "parse_command", "plan_for",
-    "split_at_conjunction", "tokenize_text", "transcribe_text", "validate_subtask",
+    "SubTask", "TASK_FAMILIES", "command_bank", "decompose", "llm_decompose",
+    "normalize_text", "parse_command", "plan_for", "split_at_conjunction",
+    "tokenize_text", "validate_subtask",
 ]

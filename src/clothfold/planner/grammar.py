@@ -168,15 +168,3 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
     return SubTask(text=text.strip(), pick_phrase=pick_phrase, place_phrase=place_phrase,
                    pick_landmark=pick_landmark, place_landmark=place_landmark,
                    cloth_kind=kind)
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Stand-in for speech transcription: text input tagged as a transcript."""
-
-    text: str
-    source: str = "text-input"
-
-
-def transcribe_text(text: str) -> Transcript:
-    return Transcript(text=text.strip())

@@ -10,6 +10,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import urllib.error
@@ -54,12 +55,10 @@ class LlmBackendConfig:
     def __post_init__(self):
         if not re.match(r"^https?://", self.endpoint_url):
             raise ValueError(f"endpoint URL must be http(s), got {self.endpoint_url!r}")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-
-    def to_record(self) -> dict:
-        return {"endpoint_url": self.endpoint_url, "model": self.model,
-                "api_key_env": self.api_key_env, "timeout_s": self.timeout_s}
+        # A JSON config may hold NaN and Infinity, which sockets reject.
+        if type(self.timeout_s) not in (int, float) or not 0 < self.timeout_s < math.inf:
+            raise ValueError(f"timeout must be a positive finite number, "
+                             f"got {self.timeout_s!r}")
 
 
 def _http_transport(url: str, body: dict, headers: dict, timeout_s: float) -> dict:

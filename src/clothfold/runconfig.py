@@ -86,8 +86,8 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     model_rec = _merge_section("model", {**ModelConfig().to_record(), "head_dim": 0},
                                raw.get("model"))      # head_dim 0: derived unless pinned

@@ -91,6 +91,24 @@ class Observation:
         return self._rgb
 
 
+_DISK_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _splat_disk(r_px: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (dv, du) offsets of the pixels within ``r_px`` of a splat's
+    centre; read-only, as every render of that radius shares them."""
+    cached = _DISK_CACHE.get(r_px)
+    if cached is not None:
+        return cached
+    offs = np.arange(-r_px, r_px + 1)
+    dv, du = np.meshgrid(offs, offs, indexing="ij")
+    disk = (du * du + dv * dv) <= r_px * r_px
+    dv, du = dv[disk], du[disk]
+    dv.flags.writeable = du.flags.writeable = False
+    _DISK_CACHE[r_px] = dv, du
+    return dv, du
+
+
 def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     """Rasterize the mesh: each particle splats a disk at its projected pixel;
     the z-buffer keeps the top layer. Depth = mount height - layers * thickness.
@@ -119,10 +137,7 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     # Splat radius: ~3/4 cell spacing so neighboring disks overlap.
     scale_px = camera.intrinsics.fx / camera.height
     r_px = max(1, int(math.ceil(0.75 * mesh.spacing * scale_px)))
-    offs = np.arange(-r_px, r_px + 1)
-    dv, du = np.meshgrid(offs, offs, indexing="ij")
-    disk = (du * du + dv * dv) <= r_px * r_px
-    dv, du = dv[disk], du[disk]
+    dv, du = _splat_disk(r_px)
 
     x, y = mesh.positions[mesh.active].T
     z_w = mesh.layers[mesh.active] * LAYER_THICKNESS

@@ -484,6 +484,14 @@ _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command 
     "model_vocab_size_wrong": _train_on_cli_data("model", vocab_size=5),
     "model_patch_size_one": _train_on_cli_data("model", patch_size=1),
     "model_image_size_cuts_off_demos": _train_on_cli_data("model", image_size=16),
+    "seed_negative": ({"seed": -1}, ["gen-data"]),
+    "seed_bool": ({"seed": True}, ["eval", "--expert"]),
+    "planner_timeout_nan": ({"planner": {"backend": {
+        "endpoint_url": "http://127.0.0.1:9/v1", "timeout_s": math.nan}}},
+        ["plan", "--command", "Roll the scarf into a tube"]),
+    "planner_timeout_infinite": ({"planner": {"backend": {
+        "endpoint_url": "http://127.0.0.1:9/v1", "timeout_s": math.inf}}},
+        ["plan", "--command", "Roll the scarf into a tube"]),
 }
 
 
@@ -545,7 +553,9 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
     if case in _BAD_CONFIGS:
         section, command = _BAD_CONFIGS[case]
         cfg.write_bytes(section if isinstance(section, bytes) else json.dumps(section).encode())
-        argv = [*command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        argv = [*command, "--config", str(cfg)]
+        if command[0] != "plan":                  # the one command with no output dir
+            argv += ["--out", str(tmp_path / "o")]
         if command == ["train"]:
             argv += ["--dataset", str(cli_env[2])]
     elif case in _BAD_COMPLETIONS:

@@ -1,6 +1,10 @@
 """Perception model contracts: encoding shapes, adapters, fusion, decoding,
 action selection, workspace segmentation, and the trainable census."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,11 +74,6 @@ class TestTokenize:
                 for text in tpl.instantiate(v):
                     assert unk not in tokenize(text), text
 
-    def test_vocabulary_export_record(self):
-        rec = default_vocabulary().to_record()
-        assert rec["version"] == 1
-        assert rec["words"][rec["unk"]] == 0
-
 
 class TestEncode:
     def test_shape_arithmetic_224(self):
@@ -101,14 +100,15 @@ class TestEncode:
         with pytest.raises(ad.ShapeError):
             small_model.encode([1, 2], np.zeros((64, 64, 4)))
 
-    def test_adapters_disabled_equals_frozen_oracle(self, small_model, towel_seg):
+    def test_adapters_disabled_equals_frozen_oracle(self, small_cfg, small_model,
+                                                     towel_seg):
+        # Adapters start at W0, and an adapter-free model of the same config
+        # and seed has bit-equal towers: it is the frozen-encoder oracle.
         seg, _ = towel_seg
         img = normalize_observation(seg)
         ids = small_model.tokenize(SENTENCE)
         with_adapters = small_model.encode(ids, img)
-        small_model.set_adapters_enabled(False)
-        without = small_model.encode(ids, img)
-        small_model.set_adapters_enabled(True)
+        without = PerceptionModel(replace(small_cfg, adapter="none")).encode(ids, img)
         assert np.abs(with_adapters[0].data - without[0].data).max() < 1e-12
         assert np.abs(with_adapters[1].data - without[1].data).max() < 1e-12
 
@@ -371,7 +371,7 @@ class TestMultiHead:
             q_pick, _ = model.forward_heatmaps(img, ids)
             tape.backward(ad.sum_all(q_pick))
         assert q_pick.shape == (112, 112)
-        grads = [t.grad for t in model.fusion.parameters().values()]
+        grads = [t.grad for t in model.fusion.tensors]
         assert all(g is not None for g in grads)
 
     def test_indivisible_heads_rejected(self):
@@ -379,7 +379,66 @@ class TestMultiHead:
             ModelConfig(embed_dim=16, num_heads=3)
 
 
+def _per_block(prefix, names):
+    return [f"{prefix}{tower}.block{i}.{n}" for tower in ("text", "image")
+            for i in range(2) for n in names]
+
+
+# The trainable order of the parent of the one-registry change at D=16,
+# depth 2: it fixes ``Adam.spans``, the flat layout and the clip norm's
+# per-slice summation order. The span digests are
+# ``sha256(json.dumps(Adam(trainable).spans))[:16]`` at that commit.
+_BLOCK = ["wq", "wk", "wv", "wo", "ln1.g", "ln1.b", "mlp.w1", "mlp.b1", "mlp.w2",
+          "mlp.b2", "ln2.g", "ln2.b"]
+_PARENT_ADAPTER_ORDER = {
+    "dora": _per_block("adapter.", [f"{qv}.{f}" for qv in "qv" for f in "bam"]),
+    "lora": _per_block("adapter.", [f"{qv}.{f}" for qv in "qv" for f in "ba"]),
+    "ia3": _per_block("adapter.", ["lk", "lv"]),
+    "none": [],
+}
+_PARENT_FUSION_ORDER = {
+    "cross-attention": [f"fusion.{n}" for n in ("w_o_q", "w_o_k", "w_o_v", "w_l_q",
+                                                "w_l_k", "w_l_v", "w_p", "ln.g", "ln.b")],
+    "transformer": [f"fusion.block{i}.{n}" for i in range(2) for n in _BLOCK],
+}
+_PARENT_TAIL_ORDER = ["tokens.t_l1", "tokens.t_l2", "tokens.t_o"] + [
+    f"decoder.{head}.stage{i}.{wb}" for head in ("pick", "place")
+    for i in range(4) for wb in "wb"]
+_PARENT_SPANS_SHA = {
+    ("dora", "cross-attention"): "9faef1525671474f",
+    ("dora", "transformer"): "d1abea3dd3e29902",
+    ("lora", "cross-attention"): "b23a38bb08098172",
+    ("lora", "transformer"): "e77507c6084ff2ca",
+    ("ia3", "cross-attention"): "eb1b89717bcf509d",
+    ("ia3", "transformer"): "cbed6436272470e6",
+    ("none", "cross-attention"): "77c4ba3806742ba1",
+    ("none", "transformer"): "60aab81a6ac2b833",
+}
+
+
 class TestCensus:
+    @pytest.mark.parametrize("adapter", ["dora", "lora", "ia3", "none"])
+    @pytest.mark.parametrize("fusion", ["cross-attention", "transformer"])
+    def test_registry_names_split_and_order(self, adapter, fusion):
+        cfg = ModelConfig(embed_dim=16, depth=2, patch_size=16, image_size=112,
+                          seed=3, adapter=adapter, fusion=fusion)
+        model = PerceptionModel(cfg)
+        named = model.named_parameters()
+        assert all(k == t.name for k, t in named.items())
+        trainable, frozen = model.trainable_parameters(), model.frozen_parameters()
+        assert not trainable.keys() & frozen.keys()
+        assert {**trainable, **frozen} == named
+        assert all(t.requires_grad for t in trainable.values())
+        assert not any(t.requires_grad for t in frozen.values())
+        assert list(trainable) == (_PARENT_ADAPTER_ORDER[adapter]
+                                   + _PARENT_FUSION_ORDER[fusion] + _PARENT_TAIL_ORDER)
+        frozen_order = (["text.embed.token", "text.embed.pos", "image.embed.patch_w",
+                         "image.embed.patch_b", "image.embed.pos"] + _per_block("", _BLOCK))
+        assert list(frozen) == frozen_order
+        spans = ad.Adam(trainable.values()).spans
+        digest = hashlib.sha256(json.dumps(spans).encode()).hexdigest()[:16]
+        assert digest == _PARENT_SPANS_SHA[adapter, fusion]
+
     @pytest.mark.parametrize("adapter", ["dora", "lora", "ia3", "none"])
     @pytest.mark.parametrize("fusion", ["cross-attention", "transformer"])
     def test_census_matches_formula(self, adapter, fusion):
@@ -394,7 +453,7 @@ class TestCensus:
                             "lora": n_layers * 2 * (2 * d * r),
                             "ia3": n_layers * 2 * d,
                             "none": 0}[adapter]
-        others = (model.fusion.param_count() + 3 * d
+        others = (sum(t.size for t in model.fusion.tensors) + 3 * d
                   + model.decoder_pick.param_count()
                   + model.decoder_place.param_count())
         assert census["trainable"] == expected_adapter + others

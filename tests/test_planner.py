@@ -167,8 +167,3 @@ class TestParseCommand:
     def test_unknown_marked(self):
         cmd = planner.parse_command("Levitate the sock")
         assert not cmd.known
-
-    def test_transcript_stub(self):
-        tr = planner.transcribe_text(" Fold the T-Shirt ")
-        assert tr.text == "Fold the T-Shirt"
-        assert tr.source == "text-input"
