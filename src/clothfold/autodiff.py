@@ -166,9 +166,6 @@ class Tape:
         into the ``inputs`` cells."""
         self.nodes.append((out, tuple(inputs), backward_fn))
 
-    def clear(self) -> None:
-        self.nodes.clear()
-
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(t) into every leaf on the tape: each input
         cell that no recorded node produced.

@@ -6,7 +6,8 @@ little-endian float64 tensor payloads. The named tensor table covers the
 model's full parameter census (frozen towers included), so externally
 converted weights can be loaded by name. Header keys the loader does not read
 are ignored, so files from earlier writers, whose header had one more key,
-load the same.
+load the same; so are the derived ``head_dim`` and ``vocab_size`` that
+earlier writers put in the model config.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .perception.model import PerceptionModel
 
 MAGIC = b"CFCK"
 FORMAT_VERSION = 1
+_DERIVED_CONFIG_KEYS = ("head_dim", "vocab_size")    # validated when saved
 
 
 class CheckpointError(RuntimeError):
@@ -86,8 +88,9 @@ def load_checkpoint(path) -> Checkpoint:
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{path}: tensor {name!r} holds NaN or infinity")
             tensors[name] = arr.reshape(rec["shape"]).copy()
-        return Checkpoint(version, header["model_config"], tensors,
-                          header.get("metadata", {}))
+        model_config = {k: v for k, v in header["model_config"].items()
+                        if k not in _DERIVED_CONFIG_KEYS}
+        return Checkpoint(version, model_config, tensors, header.get("metadata", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         # A header record that is missing, mistyped, or a shape that does
         # not match its byte count.

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import evaluation, images
-from .planner import (BackendError, LlmBackendConfig, PlanningError,
-                      decompose, llm_decompose)
-from .perception.model import PerceptionModel
+from .planner import BackendError, PlanningError, decompose, llm_decompose
+from .perception import PerceptionModel, TokenizeError
 from .runconfig import ConfigError, RunConfig, load_config
 from .sim import default_camera, jittered_sim
 from .trainer import (CropError, DatasetFormatError, TrainingDivergedError,
@@ -32,23 +31,12 @@ EXIT_IO = 5
 
 
 def _camera_for(cfg: RunConfig):
-    return default_camera(cfg.sim["resolution"], cfg.sim["camera_height"])
-
-
-def _backend_for(cfg: RunConfig) -> LlmBackendConfig | None:
-    rec = cfg.planner.get("backend")
-    if rec is None:
-        return None
-    try:
-        return LlmBackendConfig(**rec)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid planner backend config: {e}") from e
+    return default_camera(cfg.sim["resolution"])
 
 
 def _plan_subtasks(cfg: RunConfig, command: str):
-    backend = _backend_for(cfg)
-    if backend is not None:
-        return llm_decompose(command.strip(), backend)
+    if cfg.backend is not None:
+        return llm_decompose(command.strip(), cfg.backend)
     return decompose(command.strip())
 
 
@@ -258,7 +246,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, CropError) as e:
+    except (ConfigError, CropError, TokenizeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (PlanningError, BackendError) as e:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -53,11 +53,11 @@ def miou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def success(mpd_value: float, threshold: float = SUCCESS_MPD_THRESHOLD) -> bool:
+def success(mpd_value: float) -> bool:
     """Strict inequality: exactly the threshold is a failure."""
     if mpd_value < 0:
         raise MetricError(f"negative distance {mpd_value}")
-    return mpd_value < threshold
+    return mpd_value < SUCCESS_MPD_THRESHOLD
 
 
 @dataclass
@@ -76,15 +76,7 @@ class EpisodeResult:
     artifact_files: list[str] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return {
-            "command": self.command, "condition": self.condition,
-            "family": self.family, "subtasks": self.subtasks,
-            "actions": self.actions, "mpd": self.mpd, "miou": self.miou,
-            "success": self.success, "steps": self.steps,
-            "failure_reason": self.failure_reason,
-            "wall_time_s": self.wall_time_s,
-            "artifact_files": self.artifact_files,
-        }
+        return asdict(self)
 
 
 def expert_rollout(env: ClothSim, plan) -> ClothMesh:

@@ -14,27 +14,6 @@ import numpy as np
 from .. import autodiff as ad
 
 
-class DoraAdapter:
-    """W_eff = m * column_normalize(W0 + B @ A); starts exactly at W0."""
-
-    def __init__(self, w0: ad.Tensor, rank: int, rng: np.random.Generator, name: str):
-        d_out, d_in = w0.shape
-        self.w0 = w0
-        self.rank = rank
-        self.b = ad.Tensor(np.zeros((d_out, rank)), requires_grad=True, name=f"{name}.b")
-        self.a = ad.Tensor(rng.normal(0.0, 0.01, size=(rank, d_in)),
-                           requires_grad=True, name=f"{name}.a")
-        m0 = np.sqrt((w0.data * w0.data).sum(axis=0))
-        self.m = ad.Tensor(m0, requires_grad=True, name=f"{name}.m")
-        self.tensors = [self.b, self.a, self.m]
-
-    def effective(self) -> ad.Tensor:
-        direction = ad.add(self.w0, ad.matmul(self.b, self.a))
-        col_sq = ad.column_sums(ad.mul(direction, direction))
-        inv_norm = ad.pow_const(col_sq, -0.5)
-        return ad.scale_columns(direction, ad.mul(inv_norm, self.m))
-
-
 class LoraAdapter:
     """W_eff = W0 + B @ A with zero-initialized B."""
 
@@ -49,6 +28,22 @@ class LoraAdapter:
 
     def effective(self) -> ad.Tensor:
         return ad.add(self.w0, ad.matmul(self.b, self.a))
+
+
+class DoraAdapter(LoraAdapter):
+    """W_eff = m * column_normalize(W0 + B @ A); starts exactly at W0."""
+
+    def __init__(self, w0: ad.Tensor, rank: int, rng: np.random.Generator, name: str):
+        super().__init__(w0, rank, rng, name)
+        m0 = np.sqrt((w0.data * w0.data).sum(axis=0))
+        self.m = ad.Tensor(m0, requires_grad=True, name=f"{name}.m")
+        self.tensors.append(self.m)
+
+    def effective(self) -> ad.Tensor:
+        direction = super().effective()
+        col_sq = ad.column_sums(ad.mul(direction, direction))
+        inv_norm = ad.pow_const(col_sq, -0.5)
+        return ad.scale_columns(direction, ad.mul(inv_norm, self.m))
 
 
 class Ia3Adapter:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 
-from .vocab import default_vocabulary
-
 
 # The JSON types a record may hold for each field annotation; a tuple field
 # is a two-item list of them. A bool is not a number here.
@@ -38,11 +36,9 @@ FUSION_TYPES = ("cross-attention", "transformer")
 class ModelConfig:
     embed_dim: int = 64            # D
     num_heads: int = 1
-    head_dim: int = 0              # d_h; 0 means embed_dim // num_heads
     depth: int = 2                 # self-attention blocks per tower
     patch_size: int = 8            # ps
     image_size: int = 112          # H = W (model input, after center crop)
-    vocab_size: int = 0            # 0 means "use the shipped vocabulary size"
     max_text_len: int = 24         # T
     dora_rank: int = 4             # r
     adapter: str = "dora"
@@ -60,18 +56,9 @@ class ModelConfig:
             raise ValueError(f"patch_size must be at least 2, got {self.patch_size}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        n_words = len(default_vocabulary())
-        if self.vocab_size not in (0, n_words):
-            raise ValueError(f"vocab_size must be 0 or the vocabulary size {n_words}, "
-                             f"got {self.vocab_size}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"num_heads {self.num_heads}")
-        hd = self.head_dim or self.embed_dim // self.num_heads
-        if hd * self.num_heads != self.embed_dim:
-            raise ValueError(f"head_dim {hd} x num_heads {self.num_heads} != "
-                             f"embed_dim {self.embed_dim}")
-        object.__setattr__(self, "head_dim", hd)
         if self.image_size % self.patch_size != 0:
             raise ValueError(f"image size {self.image_size} not divisible by "
                              f"patch size {self.patch_size}")
@@ -79,6 +66,10 @@ class ModelConfig:
             raise ValueError(f"adapter must be one of {ADAPTER_TYPES}")
         if self.fusion not in FUSION_TYPES:
             raise ValueError(f"fusion must be one of {FUSION_TYPES}")
+
+    @property
+    def head_dim(self) -> int:     # d_h
+        return self.embed_dim // self.num_heads
 
     @property
     def grid_side(self) -> int:

@@ -54,5 +54,6 @@ def tokenize(text: str, vocab: Vocabulary | None = None,
     if not words:
         raise TokenizeError(f"no tokens in text {text!r}")
     if max_len is not None and len(words) > max_len:
-        raise TokenizeError(f"{len(words)} tokens exceed the limit of {max_len}")
+        raise TokenizeError(f"{len(words)} tokens exceed the limit of {max_len} "
+                            f"(model.max_text_len) in {text!r}")
     return vocab.encode(words)

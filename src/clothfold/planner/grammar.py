@@ -5,7 +5,7 @@ cloth kind's landmark table so that every accepted sentence is executable."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from ..sim import mesh as _mesh
@@ -70,14 +70,7 @@ class SubTask:
     cloth_kind: Optional[str] = None
 
     def to_record(self) -> dict:
-        return {
-            "text": self.text,
-            "pick_phrase": self.pick_phrase,
-            "place_phrase": self.place_phrase,
-            "pick_landmark": self.pick_landmark,
-            "place_landmark": self.place_landmark,
-            "cloth_kind": self.cloth_kind,
-        }
+        return asdict(self)
 
 
 def _landmark_tables() -> dict[str, dict[str, str]]:

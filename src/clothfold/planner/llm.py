@@ -53,6 +53,9 @@ class LlmBackendConfig:
     timeout_s: float = 30.0
 
     def __post_init__(self):
+        for name in ("endpoint_url", "model", "api_key_env", "system_prompt"):
+            if type(getattr(self, name)) is not str:
+                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not re.match(r"^https?://", self.endpoint_url):
             raise ValueError(f"endpoint URL must be http(s), got {self.endpoint_url!r}")
         # A JSON config may hold NaN and Infinity, which sockets reject.

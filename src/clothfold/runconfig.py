@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
 from .perception.config import ModelConfig
+from .planner.llm import LlmBackendConfig
 from .planner.templates import TASK_FAMILIES
 from .trainer.train import TrainConfig
 
@@ -21,10 +21,7 @@ class ConfigError(ValueError):
     pass
 
 
-_SIM_DEFAULTS = {
-    "resolution": 224,
-    "camera_height": 1.0,
-}
+_SIM_DEFAULTS = {"resolution": 224}
 
 _DATA_DEFAULTS = {
     "episodes_per_family": 42,
@@ -61,6 +58,7 @@ class RunConfig:
     data: dict = field(default_factory=lambda: dict(_DATA_DEFAULTS))
     benchmark: dict = field(default_factory=lambda: dict(_BENCH_DEFAULTS))
     planner: dict = field(default_factory=lambda: dict(_PLANNER_DEFAULTS))
+    backend: Optional[LlmBackendConfig] = None     # built from planner["backend"]
 
     def to_record(self) -> dict:
         return {"seed": self.seed, "model": self.model.to_record(),
@@ -89,8 +87,7 @@ def parse_config(raw: dict) -> RunConfig:
     if type(seed) is not int or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
-    model_rec = _merge_section("model", {**ModelConfig().to_record(), "head_dim": 0},
-                               raw.get("model"))      # head_dim 0: derived unless pinned
+    model_rec = _merge_section("model", ModelConfig().to_record(), raw.get("model"))
     train_rec = _merge_section("train", TrainConfig().to_record(), raw.get("train"))
     try:
         model = ModelConfig.from_record(model_rec)
@@ -106,9 +103,6 @@ def parse_config(raw: dict) -> RunConfig:
                        ("benchmark.episodes_per_cell", benchmark["episodes_per_cell"])):
         if type(value) is not int or value <= 0:
             raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    height = sim["camera_height"]
-    if type(height) not in (int, float) or not 0 < height < math.inf:
-        raise ConfigError(f"sim.camera_height must be a positive number, got {height!r}")
     if model.image_size > sim["resolution"]:
         raise ConfigError(f"model.image_size {model.image_size} exceeds "
                           f"sim.resolution {sim['resolution']}")
@@ -118,9 +112,14 @@ def parse_config(raw: dict) -> RunConfig:
     if data["held_out_family"] not in (None, *TASK_FAMILIES):
         raise ConfigError(f"data.held_out_family {data['held_out_family']!r} "
                           f"is not null or one of {list(TASK_FAMILIES)}")
+    planner = _merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner"))
+    rec = planner["backend"]
+    try:
+        backend = None if rec is None else LlmBackendConfig(**rec)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid planner backend config: {e}") from e
     return RunConfig(seed=seed, model=model, train=train, sim=sim, data=data,
-                     benchmark=benchmark,
-                     planner=_merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner")))
+                     benchmark=benchmark, planner=planner, backend=backend)
 
 
 def load_config(path: Optional[str]) -> RunConfig:

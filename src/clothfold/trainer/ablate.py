@@ -40,8 +40,6 @@ class AblationReport:
 
 def run_ablation(demos: Sequence[LoadedDemo], model_cfg: ModelConfig,
                  train_cfg: TrainConfig, camera_record: dict,
-                 adapters: Sequence[str] = ADAPTER_TYPES,
-                 fusions: Sequence[str] = FUSION_TYPES,
                  episodes_per_cell: int = 1,
                  benchmark_seed: int = 0) -> AblationReport:
     """Train each combination from the same seed and data, then benchmark it
@@ -49,8 +47,8 @@ def run_ablation(demos: Sequence[LoadedDemo], model_cfg: ModelConfig,
     """
     camera = camera_from_record(camera_record)
     report = AblationReport()
-    for adapter in adapters:
-        for fusion in fusions:
+    for adapter in ADAPTER_TYPES:
+        for fusion in FUSION_TYPES:
             m_cfg = replace(model_cfg, adapter=adapter, fusion=fusion)
             model = PerceptionModel(m_cfg)
             result = train(demos, model, train_cfg)

@@ -116,7 +116,7 @@ class TrainResult:
     loss_curve: list[dict] = field(default_factory=list)   # epoch/train/val rows
     best_epoch: int = -1
     best_val_loss: float = math.inf
-    final_train_loss: float = math.inf
+    final_train_loss: Optional[float] = None    # None until an epoch has run
     n_train: int = 0
     n_val: int = 0
 

@@ -251,15 +251,6 @@ class TestBackward:
                 tape.backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 2)))
 
-    def test_clearing_tape_keeps_values(self, rng):
-        x = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        before = x.data.copy()
-        with ad.Tape() as tape:
-            ad.sum_all(ad.mul(x, x))
-            tape.clear()
-        np.testing.assert_array_equal(x.data, before)
-        assert tape.nodes == []
-
     def test_composite_chain_vs_finite_differences(self, rng, tape_grad):
         x = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
         w = ad.Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)

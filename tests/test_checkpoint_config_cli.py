@@ -84,6 +84,29 @@ class TestCheckpoint:
         for name, t in model.named_parameters().items():
             assert np.array_equal(loaded.tensors[name], t.data), name
 
+    def test_header_with_derived_config_keys_loads(self, tmp_path, model, rng):
+        """Earlier writers put the derived ``head_dim`` and ``vocab_size`` in
+        the model config; such files load bit-exact into the same model."""
+        for t in model.trainable_parameters().values():
+            t.data[:] = rng.normal(size=t.shape)
+        path = tmp_path / "m.cfck"
+        ck.save_checkpoint(path, model)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len])
+        assert not {"head_dim", "vocab_size"} & set(header["model_config"])
+        header["model_config"].update(head_dim=16, vocab_size=66)
+        text = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(blob[:8] + len(text).to_bytes(8, "little") + text
+                         + blob[16 + header_len:])
+        loaded = ck.load_checkpoint(path)
+        for name, t in model.named_parameters().items():
+            assert loaded.tensors[name].tobytes() == t.data.tobytes(), name
+        fresh = PerceptionModel(model.cfg)
+        ck.load_into_model(loaded, fresh)
+        for name, t in model.named_parameters().items():
+            assert fresh.named_parameters()[name].data.tobytes() == t.data.tobytes(), name
+
     def test_truncated_file_rejected(self, tmp_path, model):
         path = tmp_path / "m.cfck"
         ck.save_checkpoint(path, model)
@@ -140,6 +163,10 @@ class TestRunConfig:
             parse_config({"model": {"embedding": 64}})
         with pytest.raises(ConfigError):
             parse_config({"sim": {"reso": 224}})
+        for raw in ({"model": {"head_dim": 64}}, {"model": {"vocab_size": 66}},
+                    {"sim": {"camera_height": 1.0}}):     # each had one working value
+            with pytest.raises(ConfigError, match="unknown keys"):
+                parse_config(raw)
 
     def test_adapter_axis_owned_by_model(self):
         cfg = parse_config({"model": {"adapter": "lora"}})
@@ -157,6 +184,21 @@ class TestRunConfig:
         c = parse_config({"seed": 2})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+    def test_backend_built_on_load(self):
+        cfg = parse_config({"planner": {"backend": {"endpoint_url": "http://x/v1"}}})
+        assert cfg.backend.endpoint_url == "http://x/v1"
+        assert cfg.planner == {"backend": {"endpoint_url": "http://x/v1"}}
+        assert parse_config({}).backend is None
+
+    def test_readme_configs_parse(self):
+        """Every JSON block in README is a config ``parse_config`` accepts, so a
+        removed key cannot linger in the docs."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = readme.split("```json\n")[1:]
+        assert len(blocks) >= 2
+        for block in blocks:
+            parse_config(json.loads(block.split("```")[0]))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -304,6 +346,28 @@ class TestCli:
                        "--dataset", str(data_dir), "--out", str(tmp_path / "t"),
                        "--resume", str(root / "train" / "model.cfck")])
         assert rc == 4
+
+    def test_zero_epochs_writes_valid_json(self, cli_env, tmp_path, capsys):
+        """With no epoch run, the final train loss is JSON null, not Infinity."""
+        _, _, data_dir = cli_env
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({
+            "model": {"embed_dim": 16, "depth": 1, "patch_size": 16},
+            "train": {"epochs": 0}}))
+        out = tmp_path / "t"
+        rc = cli_main(["train", "--config", str(cfg), "--dataset", str(data_dir),
+                       "--out", str(out)])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+        for text in (capsys.readouterr().out, (out / "train_meta.json").read_text()):
+            meta = json.loads(text, parse_constant=reject)
+            assert meta["final_train_loss"] is None and meta["best_val_loss"] is None
+        blob = (out / "model.cfck").read_bytes()
+        header = json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")],
+                            parse_constant=reject)
+        assert header["metadata"]["final_train_loss"] is None
 
     def test_grad_check_command(self, tmp_path, capsys):
         cfg = tmp_path / "small.json"
@@ -482,6 +546,11 @@ _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command 
     "model_seed_negative": _train_on_cli_data("model", seed=-1),
     "train_seed_negative": _train_on_cli_data("train", seed=-1),
     "model_vocab_size_wrong": _train_on_cli_data("model", vocab_size=5),
+    "model_head_dim_key": _train_on_cli_data("model", head_dim=16),
+    "model_max_text_len_below_subtask": _train_on_cli_data("model", max_text_len=3),
+    "model_max_text_len_below_subtask_grad_check": (
+        {"model": {"embed_dim": 8, "depth": 1, "patch_size": 56, "max_text_len": 3}},
+        ["grad-check"]),
     "model_patch_size_one": _train_on_cli_data("model", patch_size=1),
     "model_image_size_cuts_off_demos": _train_on_cli_data("model", image_size=16),
     "seed_negative": ({"seed": -1}, ["gen-data"]),
@@ -492,6 +561,13 @@ _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command 
     "planner_timeout_infinite": ({"planner": {"backend": {
         "endpoint_url": "http://127.0.0.1:9/v1", "timeout_s": math.inf}}},
         ["plan", "--command", "Roll the scarf into a tube"]),
+    "planner_api_key_env_not_str": ({"planner": {"backend": {
+        "endpoint_url": "http://127.0.0.1:9/v1", "api_key_env": 5}}},
+        ["plan", "--command", "Roll the scarf into a tube"]),
+    "planner_backend_invalid_on_gen_data": ({"data": {"episodes_per_family": 1},
+                                             "planner": {"backend": {
+                                                 "endpoint_url": "ftp://x", "bogus": 1}}},
+                                            ["gen-data"]),
 }
 
 
@@ -554,7 +630,7 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         section, command = _BAD_CONFIGS[case]
         cfg.write_bytes(section if isinstance(section, bytes) else json.dumps(section).encode())
         argv = [*command, "--config", str(cfg)]
-        if command[0] != "plan":                  # the one command with no output dir
+        if command[0] not in ("plan", "grad-check"):   # the commands with no output dir
             argv += ["--out", str(tmp_path / "o")]
         if command == ["train"]:
             argv += ["--dataset", str(cli_env[2])]

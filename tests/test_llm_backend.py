@@ -39,6 +39,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             LlmBackendConfig(endpoint_url="http://x", timeout_s=0)
 
+    @pytest.mark.parametrize("name", ["endpoint_url", "model", "api_key_env",
+                                      "system_prompt"])
+    def test_text_field_must_be_a_string(self, name):
+        fields = {"endpoint_url": "http://x", name: 5}
+        with pytest.raises(TypeError, match=name):
+            LlmBackendConfig(**fields)
+
     def test_prompt_asset_loads(self, backend):
         assert "Grasp the" in backend.system_prompt
         assert "Trousers" in backend.system_prompt
