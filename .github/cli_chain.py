@@ -4,7 +4,10 @@ the output files whose bytes differ.
     python .github/cli_chain.py BASE_REF
 
 The chain is ``gen-data`` (1 episode per family), ``train`` (D=16, 2
-epochs), ``eval`` and ``eval --expert`` (1 episode per cell) and ``run``.
+epochs), ``eval`` and ``eval --expert`` (1 episode per cell), ``run`` with
+the model and with the scripted expert (before/after PNGs), and ``ablate``
+(every adapter x fusion pair, trained and scored on that dataset).
+``grad-check`` is left out: at D=16 it takes about 20 s per side.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. JSON files are compared with every
 ``wall_time_s`` key removed; all other files byte for byte. The comparison is
@@ -37,6 +40,9 @@ CHAIN = [
     ["eval", "--expert", "--out", "out/eval_expert"],
     ["run", "--checkpoint", "out/train/model.cfck",
      "--command", "Fold the Towel in half diagonally", "--out", "out/run"],
+    ["run", "--expert", "--command", "Fold the Towel in half diagonally",
+     "--out", "out/run_expert"],
+    ["ablate", "--dataset", "out/dataset", "--out", "out/ablate"],
 ]
 
 

@@ -91,8 +91,7 @@ def expert_rollout(env: ClothSim, plan) -> ClothMesh:
 def pixel_to_base(pixel: tuple[int, int], obs, camera: SimCamera) -> np.ndarray:
     """Full-frame (row, col) -> base-frame point via the measured depth."""
     row, col = pixel
-    depth = float(obs.depth[row, col])
-    p_cam = geometry.pixel_to_camera(col, row, depth, camera.intrinsics)
+    p_cam = geometry.pixel_to_camera(col, row, obs.depth_at(row, col), camera.intrinsics)
     return camera.base_from_camera().apply(p_cam)
 
 
@@ -181,9 +180,7 @@ class BenchmarkConfig:
     mask_only: bool = False          # score by mask IoU > 0.8 instead of MPD
 
     def to_record(self) -> dict:
-        return {"episodes_per_cell": self.episodes_per_cell, "seed": self.seed,
-                "families": list(self.families), "conditions": list(self.conditions),
-                "held_out_family": self.held_out_family, "mask_only": self.mask_only}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def _condition_variant(condition: str, i: int) -> int:

@@ -10,6 +10,7 @@ shape or out-of-range depth. Failing to open, read or write stays OSError.
 
 from __future__ import annotations
 
+import mmap
 import re
 import struct
 import zlib
@@ -24,6 +25,16 @@ HEATMAP_SCALE = 65535
 
 class ImageFormatError(ValueError):
     pass
+
+
+def _mapped_frame(shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialized float64 array in an anonymous map of its own, populated at
+    once (on Linux) and unmapped when freed. From the malloc heap, a dataset
+    load's frames reused freed pages or faulted in new ones as the heap top had
+    or had not been trimmed, and the same load's time doubled between runs."""
+    count = int(np.prod(shape))
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, 8 * count or 8, flags=flags), count=count).reshape(shape)
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
@@ -86,7 +97,8 @@ def read_png_rgb(path) -> np.ndarray:
     filters = lines[:, 0]
     if filters.any():
         raise ImageFormatError(f"{path}: unsupported PNG filter {filters[filters != 0][0]}")
-    return np.divide(lines[:, 1:].reshape(height, width, 3), 255.0, dtype=np.float64)
+    return np.divide(lines[:, 1:].reshape(height, width, 3), 255.0,
+                     out=_mapped_frame((height, width, 3)))
 
 
 def write_pgm16(path, values: np.ndarray) -> None:
@@ -121,7 +133,8 @@ def write_depth_pgm(path, depth_m: np.ndarray) -> None:
 
 
 def read_depth_pgm(path) -> np.ndarray:
-    return np.multiply(read_pgm16(path), DEPTH_UNIT, dtype=np.float64)
+    counts = read_pgm16(path)
+    return np.multiply(counts, DEPTH_UNIT, out=_mapped_frame(counts.shape))
 
 
 def write_heatmap_pgm(path, q: np.ndarray) -> None:

@@ -60,18 +60,3 @@ class Ia3Adapter:
     def scale_v(self, v: ad.Tensor) -> ad.Tensor:
         return ad.scale_columns(v, self.lv)
 
-
-def adapter_param_count(adapter: str, embed_dim: int, rank: int,
-                        n_attention_layers: int) -> int:
-    """Closed-form trainable count over all adapted attention layers."""
-    d = embed_dim
-    if adapter == "dora":
-        per_matrix = 2 * d * rank + d
-        return n_attention_layers * 2 * per_matrix       # q and v per layer
-    if adapter == "lora":
-        return n_attention_layers * 2 * (2 * d * rank)
-    if adapter == "ia3":
-        return n_attention_layers * 2 * d                # lk and lv per layer
-    if adapter == "none":
-        return 0
-    raise ValueError(f"unknown adapter type {adapter!r}")

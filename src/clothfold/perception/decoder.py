@@ -32,7 +32,6 @@ class CunDecoder:
         for i in range(len(self.factors) - 1):
             channels.append(max(channels[-1] // 2, 1))
         channels.append(1)
-        self.channels = channels
         self.weights: list[ad.Tensor] = []
         self.biases: list[ad.Tensor] = []
         self.tensors: list[ad.Tensor] = []
@@ -64,7 +63,3 @@ class CunDecoder:
         x = ad.bilinear_upsample(x, self.factors[-1])
         x = ad.reshape(x, (cfg.image_size, cfg.image_size))
         return ad.sigmoid(x)
-
-    def param_count(self) -> int:
-        return sum(c_in * c_out + c_out
-                   for c_in, c_out in zip(self.channels[:-1], self.channels[1:]))

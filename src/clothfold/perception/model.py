@@ -11,7 +11,6 @@ import numpy as np
 from .. import autodiff as ad
 from ..sim.expert import PickPlaceAction
 from ..sim.render import Observation, cloth_mask_from_rgb
-from .adapters import adapter_param_count
 from .config import ModelConfig
 from .decoder import CunDecoder
 from .encoder import FrozenEncoder
@@ -92,9 +91,6 @@ class PerceptionModel:
         self._params = {t.name: t for part in (self.encoder, self.fusion, self.tokens,
                                                self.decoder_pick, self.decoder_place)
                         for t in part.tensors}
-        census = self.parameter_census()
-        if census["trainable"] != census["trainable_formula"]:
-            raise AssertionError(f"trainable census mismatch: {census}")
 
     # -- parameter registry -------------------------------------------------
     # Each component lists its tensors in ``tensors`` as it makes them; the
@@ -111,18 +107,9 @@ class PerceptionModel:
         return {k: t for k, t in self._params.items() if t.requires_grad}
 
     def parameter_census(self) -> dict[str, int]:
-        cfg = self.cfg
         trainable = sum(t.size for t in self.trainable_parameters().values())
         frozen = sum(t.size for t in self.frozen_parameters().values())
-        n_attention_layers = 2 * cfg.depth
-        formula = (adapter_param_count(cfg.adapter, cfg.embed_dim, cfg.dora_rank,
-                                       n_attention_layers)
-                   + sum(t.size for t in self.fusion.tensors)
-                   + 3 * cfg.embed_dim
-                   + self.decoder_pick.param_count()
-                   + self.decoder_place.param_count())
-        return {"trainable": trainable, "trainable_formula": formula,
-                "frozen": frozen, "total": trainable + frozen}
+        return {"trainable": trainable, "frozen": frozen, "total": trainable + frozen}
 
     # -- forward pieces -----------------------------------------------------
 

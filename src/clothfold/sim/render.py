@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,100 +65,126 @@ def default_camera(resolution: int = 224, height: float = 1.0) -> SimCamera:
     return SimCamera(CameraIntrinsics(f, f, c, c, resolution, resolution), height)
 
 
+class Splats(NamedTuple):
+    """What ``render`` takes from the mesh: one disk per active particle."""
+
+    vi: np.ndarray         # centre rows, int64
+    ui: np.ndarray         # centre columns, int64
+    z_c: np.ndarray        # depths, quantized to DEPTH_QUANTUM
+    r_px: int              # disk radius in pixels
+    colors: np.ndarray     # [2, 3] (background, cloth)
+
+
 class Observation:
     """RGB-D image: rgb in [0,1] (quantized to the uint8 grid), depth in
     meters, cloth_mask the renderer's ground truth.
 
     ``Observation(rgb, depth, cloth_mask, camera)`` holds the frame it is
-    given. ``render`` passes no frame but ``colors``, the (background, cloth)
-    color pair: the frame is then built on the first read of ``rgb``, one
-    gather of that pair by ``cloth_mask``, and kept, so every later read
-    returns the same array. ``render`` returns the mask read-only, so the
-    frame is the one of the mask as rendered.
+    given. ``render`` gives it only ``splats``: the mask, depth and RGB frame
+    are then each built on first read and kept. The mask is read-only; depth
+    and RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing.
     """
 
-    def __init__(self, rgb: np.ndarray | None, depth: np.ndarray,
-                 cloth_mask: np.ndarray, camera: SimCamera,
-                 colors: np.ndarray | None = None):
-        self._rgb = rgb              # [H, W, 3], or None until first read
-        self.colors = colors         # [2, 3] (background, cloth), or None
-        self.depth = depth           # [H, W]
-        self.cloth_mask = cloth_mask  # [H, W] bool
+    def __init__(self, rgb: np.ndarray | None, depth: np.ndarray | None,
+                 cloth_mask: np.ndarray | None, camera: SimCamera,
+                 splats: Splats | None = None):
+        self._rgb, self._depth, self._mask = rgb, depth, cloth_mask  # None until built
         self.camera = camera
+        self._shape = camera.intrinsics.height, camera.intrinsics.width  # a rendered frame's
+        self._splats = splats
+        self._index = None       # the splat index, between the mask's build and the depth's
+
+    @property
+    def cloth_mask(self) -> np.ndarray:
+        """[H, W] bool: pixels a splat covers at a depth not behind the table."""
+        if self._mask is None:
+            flat, z_px = self._take_index()
+            self._mask = mask = np.zeros(self._shape, dtype=bool)
+            mask.reshape(-1)[flat[z_px <= self.camera.table_depth]] = True
+            mask.flags.writeable = False
+        return self._mask
+
+    @property
+    def depth(self) -> np.ndarray:
+        """[H, W]: the least depth of the splats covering a pixel, else the table's."""
+        if self._depth is None:
+            flat, z_px = self._take_index()
+            self._depth = depth = np.full(self._shape, self.camera.table_depth)
+            np.minimum.at(depth.reshape(-1), flat, z_px)
+        return self._depth
 
     @property
     def rgb(self) -> np.ndarray:
+        """[H, W, 3]: the (background, cloth) color pair gathered by the mask."""
         if self._rgb is None:
-            self._rgb = self.colors.take(self.cloth_mask.view(np.uint8), axis=0)
+            self._rgb = self._splats.colors.take(self.cloth_mask.view(np.uint8), axis=0)
         return self._rgb
 
+    def depth_at(self, row: int, col: int) -> float:
+        """``float(self.depth[row, col])``. Before the depth is built, the same
+        rule at one pixel: the least ``z_c`` of the splats with
+        ``(row - vi)**2 + (col - ui)**2 <= r_px**2``, else the table depth."""
+        if self._depth is not None:
+            return float(self._depth[row, col])
+        h, w = self._shape
+        if not (-h <= row < h and -w <= col < w):
+            raise IndexError(f"pixel ({row}, {col}) is outside the {h}x{w} frame")
+        s = self._splats
+        dv, du = row % h - s.vi, col % w - s.ui
+        covering = s.z_c[dv * dv + du * du <= s.r_px * s.r_px]
+        return float(covering.min(initial=self.camera.table_depth))
 
-_DISK_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def _take_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index and depth of every in-image pixel of every splat's disk,
+        built for the first of mask and depth, handed to the second, dropped.
+        ``np.minimum.at`` over it is exactly a per-particle z-buffer in any
+        order, as all particles share one color. A particle whose centre is at
+        least ``r_px`` from every edge has its whole disk inside the image: its
+        pixels are its flat centre plus the disk's flat offsets ``dv * w + du``.
+        Only particles nearer an edge clip each pixel."""
+        if self._index is not None:
+            index, self._index = self._index, None
+            return index
+        (h, w), (vi, ui, z_c, r_px, _) = self._shape, self._splats
+        dv, du = _splat_disk(r_px)
+        edge = (vi < r_px) | (vi >= h - r_px) | (ui < r_px) | (ui >= w - r_px)
+        flat = ((vi * w + ui)[~edge, None] + (dv * w + du)).ravel()
+        z_px = np.repeat(z_c[~edge], dv.size)
+        if edge.any():
+            rows = vi[edge, None] + dv
+            cols = ui[edge, None] + du
+            inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+            flat = np.concatenate([flat, (rows * w + cols)[inside]])
+            z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
+        self._index = flat, z_px
+        return self._index
 
 
+@functools.cache
 def _splat_disk(r_px: int) -> tuple[np.ndarray, np.ndarray]:
     """Row-major (dv, du) offsets of the pixels within ``r_px`` of a splat's
     centre; read-only, as every render of that radius shares them."""
-    cached = _DISK_CACHE.get(r_px)
-    if cached is not None:
-        return cached
     offs = np.arange(-r_px, r_px + 1)
     dv, du = np.meshgrid(offs, offs, indexing="ij")
     disk = (du * du + dv * dv) <= r_px * r_px
     dv, du = dv[disk], du[disk]
     dv.flags.writeable = du.flags.writeable = False
-    _DISK_CACHE[r_px] = dv, du
     return dv, du
 
 
 def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
-    """Rasterize the mesh: each particle splats a disk at its projected pixel;
-    the z-buffer keeps the top layer. Depth = mount height - layers * thickness.
-
-    The disk footprints of all particles go into the depth buffer in one
-    ``np.minimum.at``. That is exactly a per-particle z-buffer in any order:
-    all particles share one color, so a pixel's color and mask only say
-    whether some particle covers it, and its depth is the least quantized
-    depth among those. ``np.rint`` rounds half to even like ``round``.
-
-    The image bounds are checked once per particle: a particle whose centre
-    pixel is at least ``r_px`` from every edge has its whole disk inside the
-    image, so its pixels are its flat centre index plus the disk's flat
-    offsets ``dv * w + du``. Only particles nearer an edge clip each pixel.
-
-    Only depth and mask are built here. The RGB frame is built on the first
-    read of ``obs.rgb`` and then kept: one gather of the (background, cloth)
-    color pair by the mask as rendered, a new float64 [H, W, 3] array,
-    C-contiguous and writable, that shares no memory with another frame.
-    """
-    h = camera.intrinsics.height
-    w = camera.intrinsics.width
-    depth = np.full((h, w), camera.table_depth)
-    mask = np.zeros((h, w), dtype=bool)
-
-    # Splat radius: ~3/4 cell spacing so neighboring disks overlap.
+    """Top-down RGB-D frame: each active particle splats a disk (radius ~3/4
+    cell spacing, so neighbors overlap) at its projected pixel; the z-buffer
+    keeps the top layer. Depth = mount height - layers * thickness, quantized
+    (``np.rint`` rounds half to even like ``round``). Only this projection
+    runs now, into new arrays, so the frame shows the mesh as it is at this
+    call; the Observation rasterizes on read."""
     scale_px = camera.intrinsics.fx / camera.height
     r_px = max(1, int(math.ceil(0.75 * mesh.spacing * scale_px)))
-    dv, du = _splat_disk(r_px)
-
     x, y = mesh.positions[mesh.active].T
     z_w = mesh.layers[mesh.active] * LAYER_THICKNESS
     z_c = np.rint((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
     u, v = camera.world_to_pixel(x, y, z_w)
-    vi = np.rint(v).astype(np.int64)
-    ui = np.rint(u).astype(np.int64)
-    edge = (vi < r_px) | (vi >= h - r_px) | (ui < r_px) | (ui >= w - r_px)
-    flat = ((vi * w + ui)[~edge, None] + (dv * w + du)).ravel()
-    z_px = np.repeat(z_c[~edge], dv.size)
-    if edge.any():
-        rows = vi[edge, None] + dv
-        cols = ui[edge, None] + du
-        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-        flat = np.concatenate([flat, (rows * w + cols)[inside]])
-        z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
-
-    np.minimum.at(depth.reshape(-1), flat, z_px)
-    mask.reshape(-1)[flat[z_px <= camera.table_depth]] = True
-    mask.flags.writeable = False
-    return Observation(None, depth, mask, camera,
-                       colors=np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]))
+    splats = Splats(np.rint(v).astype(np.int64), np.rint(u).astype(np.int64), z_c, r_px,
+                    np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]))
+    return Observation(None, None, None, camera, splats=splats)

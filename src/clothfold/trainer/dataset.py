@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import images
 from ..perception.config import typed_fields
-from ..planner import decompose
+from ..planner import GrammarError, decompose, split_at_conjunction, tokenize_text
 from ..planner.templates import (FAMILY_KIND, SEEN_VARIANTS, TASK_FAMILIES,
                                  UNSEEN_VARIANTS, command_bank)
 from ..sim import (ClothSim, ExpertError, GraspMissError, Observation,
@@ -39,7 +39,8 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 
 class DatasetFormatError(RuntimeError):
     """A manifest that is not UTF-8 JSON, misses a key, whose demos are not a
-    list of records, or whose demo fields have the wrong JSON type."""
+    list of records, whose demo fields have the wrong JSON type, or whose
+    sub-task the model cannot split at its conjunction."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +66,15 @@ class Demonstration:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Demonstration":
-        """Raises KeyError for a missing field and TypeError for a mistyped one."""
-        return cls(*typed_fields(cls, rec))
+        """Raises KeyError for a missing field, TypeError for a mistyped one and
+        DatasetFormatError for a sub-task the model cannot split at its 'and'."""
+        demo = cls(*typed_fields(cls, rec))
+        try:
+            split_at_conjunction(tokenize_text(demo.subtask))
+        except GrammarError as e:
+            raise DatasetFormatError(f"demo of episode {demo.episode_id} step "
+                                     f"{demo.step_index}: sub-task {demo.subtask!r}: {e}") from e
+        return demo
 
 
 @dataclass

@@ -487,6 +487,10 @@ _BAD_DEMO_FIELDS = {          # first demo record's field -> a mistyped value
     "demo_pick_pixel_one_item": ("pick_pixel", [1]),
     "demo_subtask_null": ("subtask", None),
     "demo_split_a_number": ("split", 3),
+    # a sub-task the model cannot split at its conjunction
+    "subtask_without_words": ("subtask", "!!"),
+    "subtask_without_conjunction": ("subtask", "fold the towel"),
+    "subtask_ending_in_and": ("subtask", "grasp the left edge and"),
 }
 
 _PNG_FLIPS = {                # PNG bytes -> the offset of the byte to flip

@@ -36,6 +36,24 @@ class TestPng:
             images.read_png_rgb(p)
 
 
+def test_decoded_frames_are_fresh_writable_float64(tmp_path, rng):
+    """Each read returns its own C-contiguous, writable float64 frame, equal
+    to the decoded values, whatever memory backs it."""
+    rgb = np.round(rng.random((5, 7, 3)) * 255) / 255.0
+    depth = np.round(rng.random((5, 7)) * 1e4) * images.DEPTH_UNIT
+    images.write_png_rgb(tmp_path / "x.png", rgb)
+    images.write_depth_pgm(tmp_path / "x.pgm", depth)
+    for read, want in ((images.read_png_rgb, rgb), (images.read_depth_pgm, depth)):
+        path = tmp_path / ("x.png" if want is rgb else "x.pgm")
+        a, b = read(path), read(path)
+        for frame in (a, b):
+            assert frame.dtype == np.float64 and frame.shape == want.shape
+            assert frame.flags.c_contiguous and frame.flags.writeable
+        assert not np.shares_memory(a, b)
+        a[...] = -1.0
+        np.testing.assert_array_equal(b, want)
+
+
 class TestPgm:
     def test_depth_roundtrip_exact_at_unit_grid(self, tmp_path):
         depth = np.array([[1.0, 0.998], [0.996, 0.5]])

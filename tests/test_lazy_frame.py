@@ -1,7 +1,9 @@
-"""The RGB frame that ``render`` builds on first read: byte-equal to an eager
-``np.where`` oracle, kept once built, never shared between renders, and never
-built by a scripted-expert episode, which reads only depth and mask."""
+"""The frame that ``render`` rasterizes on read: mask, depth and RGB built in
+any order are byte-equal to the eager renderer they replaced, ``depth_at``
+equals the eager depth at any pixel, and a scripted-expert episode builds
+only the two masks its score reads."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,12 +14,55 @@ from hypothesis import strategies as st
 from clothfold import evaluation, sim
 from clothfold.geometry import CameraIntrinsics
 from clothfold.sim import env as sim_env
-from clothfold.sim.mesh import cloth_color
-from clothfold.sim.render import BACKGROUND_RGB, Observation, SimCamera
+from clothfold.sim.mesh import LAYER_THICKNESS, cloth_color
+from clothfold.sim.render import (BACKGROUND_RGB, DEPTH_QUANTUM, Observation,
+                                  SimCamera)
 
 
-def eager_frame(obs, kind):
-    return np.where(obs.cloth_mask[..., None], cloth_color(kind), BACKGROUND_RGB)
+def eager_render(mesh, camera):
+    """The renderer before rasterizing on read: the disks of all particles
+    go into the depth buffer in one ``np.minimum.at``, and the mask, depth
+    and RGB frame are built at once. Returns them with the splat centres
+    (rows, columns) and radius."""
+    h = camera.intrinsics.height
+    w = camera.intrinsics.width
+    depth = np.full((h, w), camera.table_depth)
+    mask = np.zeros((h, w), dtype=bool)
+    r_px = max(1, int(math.ceil(0.75 * mesh.spacing * camera.intrinsics.fx / camera.height)))
+    offs = np.arange(-r_px, r_px + 1)
+    dv, du = np.meshgrid(offs, offs, indexing="ij")
+    disk = (du * du + dv * dv) <= r_px * r_px
+    dv, du = dv[disk], du[disk]
+
+    x, y = mesh.positions[mesh.active].T
+    z_w = mesh.layers[mesh.active] * LAYER_THICKNESS
+    z_c = np.rint((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
+    u, v = camera.world_to_pixel(x, y, z_w)
+    vi = np.rint(v).astype(np.int64)
+    ui = np.rint(u).astype(np.int64)
+    rows = vi[:, None] + dv
+    cols = ui[:, None] + du
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    flat = (rows * w + cols)[inside]
+    z_px = np.broadcast_to(z_c[:, None], rows.shape)[inside]
+    np.minimum.at(depth.reshape(-1), flat, z_px)
+    mask.reshape(-1)[flat[z_px <= camera.table_depth]] = True
+    rgb = np.where(mask[..., None], cloth_color(mesh.kind), BACKGROUND_RGB)
+    return rgb, depth, mask, (vi, ui, r_px)
+
+
+def probe_pixels(h, w, centres):
+    """In-image pixels where ``depth_at`` could go wrong: splat centres, the
+    pixels on and just beyond each disk's rim, the image's corners and edge
+    midpoints, and a band of pixels that is mostly bare table."""
+    vi, ui, r = centres
+    steps = [(0, 0), (r, 0), (-r, 0), (0, r), (0, -r), (r + 1, 0), (0, -r - 1),
+             (r - 1, r - 1), (1 - r, r - 1)]
+    pixels = {(int(a + dr), int(b + dc)) for a, b in zip(vi, ui) for dr, dc in steps}
+    pixels |= {(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1), (0, w // 2), (h // 2, 0),
+               (h - 1, w // 2), (h // 2, w - 1)}
+    pixels |= {(1, c) for c in range(0, w, 7)}
+    return sorted((a, b) for a, b in pixels if 0 <= a < h and 0 <= b < w)
 
 
 @st.composite
@@ -41,21 +86,58 @@ def rendered_cases(draw):
     return mesh, camera
 
 
+READ_ORDERS = {
+    "mask first": ("cloth_mask", "depth", "rgb", "depth_at"),
+    "depth first": ("depth", "cloth_mask", "depth_at", "rgb"),
+    "depth_at first": ("depth_at", "rgb", "depth", "cloth_mask"),
+}
+
+
 class TestLazyFrame:
     @given(rendered_cases())
     @settings(max_examples=40, deadline=None)
-    def test_frame_matches_eager_oracle(self, case):
+    def test_every_read_order_matches_the_eager_oracle(self, case):
         mesh, camera = case
+        rgb, depth, mask, centres = eager_render(mesh, camera)
+        pixels = probe_pixels(*depth.shape, centres)
+        want = {"rgb": rgb, "depth": depth, "cloth_mask": mask}
+        for order in READ_ORDERS.values():
+            obs = sim.render(mesh, camera)
+            for read in order:
+                if read == "depth_at":
+                    got = [obs.depth_at(r, c) for r, c in pixels]
+                    assert got == [float(depth[r, c]) for r, c in pixels]
+                    continue
+                a = getattr(obs, read)
+                assert a.dtype == want[read].dtype and a.shape == want[read].shape, read
+                assert a.tobytes() == want[read].tobytes(), read
+                assert getattr(obs, read) is a, read
+            assert not obs.cloth_mask.flags.writeable
+            assert obs.depth.flags.writeable and obs.rgb.flags.writeable
+            assert obs._index is None            # let go once mask and depth exist
+
+    @given(rendered_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_frames_are_fresh_and_show_the_mesh_as_rendered(self, case):
+        mesh, camera = case
+        rgb, depth, _, _ = eager_render(mesh, camera)
         a = sim.render(mesh, camera)
         b = sim.render(mesh, camera)
-        want = eager_frame(a, mesh.kind)
-        assert a.rgb.dtype == want.dtype and a.rgb.shape == want.shape
-        assert a.rgb.tobytes() == want.tobytes()
-        assert a.rgb is a.rgb
-        a.rgb[...] = 0.5                     # before b's frame exists
-        assert b.rgb.tobytes() == want.tobytes()
-        b.rgb[..., 0] = 0.25                 # after it exists
-        assert sim.render(mesh, camera).rgb.tobytes() == want.tobytes()
+        mesh.positions += 0.01               # after render: no frame sees it
+        mesh.layers += 1
+        a.rgb[...] = 0.5                     # before b's frames exist
+        a.depth[...] = 0.5
+        assert b.rgb.tobytes() == rgb.tobytes()
+        assert b.depth.tobytes() == depth.tobytes()
+        assert not np.shares_memory(a.depth, b.depth)
+
+    def test_depth_at_raises_outside_the_frame_and_wraps_like_indexing(self):
+        obs = sim.render(sim.init_cloth("towel"), sim.default_camera())
+        _, depth, _, _ = eager_render(sim.init_cloth("towel"), sim.default_camera())
+        for pixel in [(224, 0), (0, 224), (-225, 0), (0, -225)]:
+            with pytest.raises(IndexError):
+                obs.depth_at(*pixel)
+        assert obs.depth_at(-112, -112) == float(depth[-112, -112])
 
     def test_rendered_mask_is_read_only(self):
         obs = sim.render(sim.init_cloth("towel"), sim.default_camera())
@@ -64,9 +146,11 @@ class TestLazyFrame:
 
     def test_given_frame_is_held_as_is(self):
         obs = sim.render(sim.init_cloth("trousers"), sim.default_camera())
-        rgb = obs.rgb.copy()
-        held = Observation(rgb, obs.depth, obs.cloth_mask, obs.camera)
-        assert held.rgb is rgb
+        rgb, depth = obs.rgb.copy(), obs.depth.copy()
+        held = Observation(rgb, depth, obs.cloth_mask, obs.camera)
+        assert held.rgb is rgb and held.depth is depth
+        depth[100, 100] = 0.125
+        assert held.depth_at(100, 100) == 0.125
 
 
 def traced(fn):
@@ -85,17 +169,20 @@ def traced(fn):
 
 class TestFrameMemory:
     CAMERA = sim.default_camera()
-    FRAME_BYTES = CAMERA.intrinsics.height * CAMERA.intrinsics.width * 3 * 8
+    DEPTH_BYTES = CAMERA.intrinsics.height * CAMERA.intrinsics.width * 8
+    FRAME_BYTES = 3 * DEPTH_BYTES
 
-    def test_unread_frame_is_not_held(self):
+    def test_unread_render_holds_less_than_one_depth_frame(self):
         mesh = sim.init_cloth("t-shirt")
         sim.render(mesh, self.CAMERA)
         obs, held = traced(lambda: sim.render(mesh, self.CAMERA))
-        assert obs.depth.nbytes <= held < self.FRAME_BYTES
+        assert held < self.DEPTH_BYTES
+        _, added = traced(lambda: obs.depth_at(112, 112))
+        assert added < self.DEPTH_BYTES
         _, added = traced(lambda: obs.rgb)
-        assert added >= self.FRAME_BYTES
+        assert added >= self.FRAME_BYTES + obs.cloth_mask.nbytes
 
-    def test_expert_episode_builds_no_frame(self, monkeypatch):
+    def test_expert_episode_builds_no_depth_frame_and_two_masks(self, monkeypatch):
         kept = []
 
         def keeping_render(mesh, camera):
@@ -104,15 +191,9 @@ class TestFrameMemory:
 
         monkeypatch.setattr(evaluation, "render", keeping_render)
         monkeypatch.setattr(sim_env, "render", keeping_render)
-        command = "Fold the Towel in half twice to make a rectangle"
-
-        def episode():
-            env = sim.jittered_sim("towel", np.random.default_rng(0), self.CAMERA)
-            return evaluation.run_episode(command, None, env)
-
-        assert episode().success
-        kept.clear()
-        result, held = traced(episode)
-        assert result.success and len(kept) == 4
-        images = sum(o.depth.nbytes + o.cloth_mask.nbytes for o in kept)
-        assert images <= held < images + self.FRAME_BYTES
+        env = sim.jittered_sim("towel", np.random.default_rng(0), self.CAMERA)
+        result = evaluation.run_episode("Fold the Towel in half twice to make a rectangle",
+                                        None, env)
+        assert result.success and len(kept) == 4       # target, initial, two steps
+        assert [o._mask is not None for o in kept] == [True, False, False, True]
+        assert all(o._depth is None and o._rgb is None for o in kept)

@@ -445,18 +445,19 @@ class TestCensus:
         cfg = ModelConfig(embed_dim=16, depth=2, patch_size=16, image_size=112,
                           seed=3, adapter=adapter, fusion=fusion)
         model = PerceptionModel(cfg)
-        census = model.parameter_census()
-        assert census["trainable"] == census["trainable_formula"]
-        n_layers = 2 * cfg.depth
+        n_layers = 2 * cfg.depth                 # text and image blocks
         d, r = cfg.embed_dim, cfg.dora_rank
-        expected_adapter = {"dora": n_layers * 2 * (2 * d * r + d),
+        expected_adapter = {"dora": n_layers * 2 * (2 * d * r + d),    # q and v
                             "lora": n_layers * 2 * (2 * d * r),
-                            "ia3": n_layers * 2 * d,
+                            "ia3": n_layers * 2 * d,                   # lk and lv
                             "none": 0}[adapter]
-        others = (sum(t.size for t in model.fusion.tensors) + 3 * d
-                  + model.decoder_pick.param_count()
-                  + model.decoder_place.param_count())
-        assert census["trainable"] == expected_adapter + others
+        channels = [d]                           # halved per stage, then 1
+        for _ in cfg.upsample_factors()[1:]:
+            channels.append(max(channels[-1] // 2, 1))
+        channels.append(1)
+        decoder = sum(c_in * c_out + c_out for c_in, c_out in zip(channels, channels[1:]))
+        others = sum(t.size for t in model.fusion.tensors) + 3 * d + 2 * decoder
+        assert model.parameter_census()["trainable"] == expected_adapter + others
 
     def test_checkpoint_names_cover_census(self, small_model):
         named = small_model.named_parameters()
