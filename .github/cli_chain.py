@@ -10,9 +10,15 @@ the model and with the scripted expert (before/after PNGs), and ``ablate``
 ``grad-check`` is left out: at D=16 it takes about 20 s per side.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. JSON files are compared with every
-``wall_time_s`` key removed; all other files byte for byte. The comparison is
-informational: it exits 0 whatever differs, and 1 only when a command fails
-or the base commit cannot be exported.
+``wall_time_s`` key removed; all other files byte for byte.
+
+The working tree's ``train`` then runs once more, on a copy of the base
+side's dataset directory, and the files of its output that differ from the
+working tree's own ``train`` output are listed too, a file that only the run
+on the base side's dataset wrote as ``(base only)``: an older dataset must
+load and train the same way. Both comparisons are informational: the script
+exits 0 whatever differs, and 1 only when a command fails or the base commit
+cannot be exported.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -33,9 +40,10 @@ CONFIG = {
     "data": {"episodes_per_family": 1},
     "benchmark": {"episodes_per_cell": 1},
 }
+TRAIN = ["train", "--dataset", "out/dataset", "--out", "out/train"]
 CHAIN = [
     ["gen-data", "--out", "out/dataset"],
-    ["train", "--dataset", "out/dataset", "--out", "out/train"],
+    TRAIN,
     ["eval", "--checkpoint", "out/train/model.cfck", "--out", "out/eval"],
     ["eval", "--expert", "--out", "out/eval_expert"],
     ["run", "--checkpoint", "out/train/model.cfck",
@@ -46,11 +54,11 @@ CHAIN = [
 ]
 
 
-def run_chain(src: Path, cwd: Path) -> None:
-    cwd.mkdir(parents=True)
+def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN) -> None:
+    cwd.mkdir(parents=True, exist_ok=True)
     (cwd / "config.json").write_text(json.dumps(CONFIG))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    for argv in CHAIN:
+    for argv in chain:
         cmd = [sys.executable, "-m", "clothfold", argv[0], "--config", "config.json",
                *argv[1:]]
         subprocess.run(cmd, cwd=cwd, env=env, check=True, stdout=subprocess.DEVNULL)
@@ -99,6 +107,8 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", str(base_src)], input=archive, check=True)
             run_chain(base_src / "src", work / "base")
             run_chain(REPO / "src", work / "head")
+            shutil.copytree(work / "base" / "out" / "dataset", work / "cross" / "out" / "dataset")
+            run_chain(REPO / "src", work / "cross", [TRAIN])
         except subprocess.CalledProcessError as e:
             print(f"cli chain failed: {e}", file=sys.stderr)
             return 1
@@ -107,6 +117,13 @@ def main(argv=None) -> int:
         print(f"{len(diff)} of {n_files} output files differ from {args.base} "
               f"(wall_time_s stripped)")
         for name in diff:
+            print(f"  {name}")
+        train_out = Path("out") / "train"
+        cross = differing_files(work / "cross" / train_out, work / "head" / train_out)
+        n_files = sum(1 for p in (work / "head" / train_out).rglob("*") if p.is_file())
+        print(f"{len(cross)} of {n_files} train output files differ when the working "
+              f"tree trains on {args.base}'s dataset instead of its own")
+        for name in cross:
             print(f"  {name}")
     return 0
 

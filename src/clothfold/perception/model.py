@@ -10,7 +10,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..sim.expert import PickPlaceAction
-from ..sim.render import Observation, cloth_mask_from_rgb
+from ..sim.render import Observation
 from .config import ModelConfig
 from .decoder import CunDecoder
 from .encoder import FrozenEncoder
@@ -35,7 +35,7 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[Observation, tu
     Returns the masked observation plus the (row, col) crop offset needed to
     map model pixels back into the full frame. Idempotent on its own output.
     """
-    mask = cloth_mask_from_rgb(obs.rgb)
+    mask = obs.cloth_mask
     if not mask.any():
         raise EmptyMaskError("no cloth pixels found in the observation")
     h, w = mask.shape
@@ -49,7 +49,7 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[Observation, tu
         raise EmptyMaskError("center crop removed all cloth pixels")
     rgb = np.where(mask[..., None], obs.rgb[window], 0.0)
     depth = np.where(mask, obs.depth[window], obs.camera.table_depth)
-    return Observation(rgb, depth, mask, obs.camera), (r0, c0)
+    return Observation(rgb, depth, obs.camera), (r0, c0)
 
 
 def normalize_observation(obs: Observation) -> np.ndarray:

@@ -77,18 +77,17 @@ class Splats(NamedTuple):
 
 class Observation:
     """RGB-D image: rgb in [0,1] (quantized to the uint8 grid), depth in
-    meters, cloth_mask the renderer's ground truth.
+    meters, and the cloth mask, built on first read and kept, read-only.
 
-    ``Observation(rgb, depth, cloth_mask, camera)`` holds the frame it is
-    given. ``render`` gives it only ``splats``: the mask, depth and RGB frame
-    are then each built on first read and kept. The mask is read-only; depth
-    and RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing.
+    ``Observation(rgb, depth, camera)`` holds the frame it is given; its mask
+    is ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``: the
+    mask, depth and RGB frame are then each built from them on first read;
+    depth and RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing.
     """
 
     def __init__(self, rgb: np.ndarray | None, depth: np.ndarray | None,
-                 cloth_mask: np.ndarray | None, camera: SimCamera,
-                 splats: Splats | None = None):
-        self._rgb, self._depth, self._mask = rgb, depth, cloth_mask  # None until built
+                 camera: SimCamera, splats: Splats | None = None):
+        self._rgb, self._depth, self._mask = rgb, depth, None  # None until built
         self.camera = camera
         self._shape = camera.intrinsics.height, camera.intrinsics.width  # a rendered frame's
         self._splats = splats
@@ -96,12 +95,15 @@ class Observation:
 
     @property
     def cloth_mask(self) -> np.ndarray:
-        """[H, W] bool: pixels a splat covers at a depth not behind the table."""
+        """[H, W] bool: cloth-coloured pixels, or those a splat covers not behind the table."""
         if self._mask is None:
-            flat, z_px = self._take_index()
-            self._mask = mask = np.zeros(self._shape, dtype=bool)
-            mask.reshape(-1)[flat[z_px <= self.camera.table_depth]] = True
-            mask.flags.writeable = False
+            if self._splats is None:
+                self._mask = cloth_mask_from_rgb(self._rgb)
+            else:
+                flat, z_px = self._take_index()
+                self._mask = np.zeros(self._shape, dtype=bool)
+                self._mask.reshape(-1)[flat[z_px <= self.camera.table_depth]] = True
+            self._mask.flags.writeable = False
         return self._mask
 
     @property
@@ -187,4 +189,4 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     u, v = camera.world_to_pixel(x, y, z_w)
     splats = Splats(np.rint(v).astype(np.int64), np.rint(u).astype(np.int64), z_c, r_px,
                     np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]))
-    return Observation(None, None, None, camera, splats=splats)
+    return Observation(None, None, camera, splats=splats)

@@ -2,8 +2,9 @@
 
 Each demonstration is one (observation, sub-task, pick pixel, place pixel)
 tuple recorded before the fold executes; pixels are in the full camera frame.
-The directory layout is a manifest.json plus per-demo PNG (RGB), PGM (depth)
-and JSON label sidecars. Generation is deterministic under the seed.
+The directory layout is a manifest.json, which holds every demo's labels,
+plus a PNG (RGB) and a PGM (depth) per demo. Generation is deterministic
+under the seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from ..planner.templates import (FAMILY_KIND, SEEN_VARIANTS, TASK_FAMILIES,
                                  UNSEEN_VARIANTS, command_bank)
 from ..sim import (ClothSim, ExpertError, GraspMissError, Observation,
                    SimCamera, default_camera, jittered_sim, scripted_expert)
-from ..sim.render import cloth_mask_from_rgb
 from ..geometry import CameraIntrinsics
 
 log = logging.getLogger(__name__)
@@ -40,7 +40,8 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 class DatasetFormatError(RuntimeError):
     """A manifest that is not UTF-8 JSON, misses a key, whose demos are not a
     list of records, whose demo fields have the wrong JSON type, or whose
-    sub-task the model cannot split at its conjunction."""
+    sub-task the model cannot split at its conjunction; a demo frame whose
+    size is not the camera's, or that holds no cloth."""
 
 
 @dataclass(frozen=True)
@@ -186,16 +187,13 @@ def generate_dataset(out_dir, seed: int = 0, episodes_per_family: int = 42,
                 depth_file = f"demos/{stem}.depth.pgm"
                 images.write_png_rgb(out / rgb_file, obs.rgb)
                 images.write_depth_pgm(out / depth_file, obs.depth)
-                demo = Demonstration(
+                demos.append(Demonstration(
                     episode_id, step, family, variant, condition, split, kind,
                     command, subtask.text,
                     action.pick_pixel, action.place_pixel,
                     tuple(float(v) for v in action.pick_world[:2]),
                     tuple(float(v) for v in action.place_world[:2]),
-                    rgb_file, depth_file)
-                with open(out / f"demos/{stem}.json", "w") as f:
-                    json.dump(demo.to_record(), f, indent=1, sort_keys=True)
-                demos.append(demo)
+                    rgb_file, depth_file))
             episode_id += 1
 
     counts = {
@@ -239,12 +237,18 @@ class LoadedDemo:
 
 
 def load_dataset(dataset_dir) -> tuple[DatasetManifest, list[LoadedDemo]]:
+    """The manifest and each demo's frames, which must be the camera's size."""
     root = Path(dataset_dir)
     manifest = DatasetManifest.from_json((root / "manifest.json").read_bytes())
     camera = camera_from_record(manifest.camera)
+    shape = camera.intrinsics.height, camera.intrinsics.width
     loaded = []
     for d in manifest.demos:
         rgb = images.read_png_rgb(root / d.rgb_file)
         depth = images.read_depth_pgm(root / d.depth_file)
-        loaded.append(LoadedDemo(d, Observation(rgb, depth, cloth_mask_from_rgb(rgb), camera)))
+        for name, frame in ((d.rgb_file, rgb), (d.depth_file, depth)):
+            if frame.shape[:2] != shape:
+                raise DatasetFormatError(f"{root / name}: a {frame.shape[0]}x{frame.shape[1]} "
+                                         f"frame, not the camera's {shape[0]}x{shape[1]}")
+        loaded.append(LoadedDemo(d, Observation(rgb, depth, camera)))
     return manifest, loaded

@@ -12,8 +12,9 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..perception.config import typed_fields
-from ..perception.model import PerceptionModel, normalize_observation, segment_workspace
-from .dataset import LoadedDemo
+from ..perception.model import (EmptyMaskError, PerceptionModel, normalize_observation,
+                                segment_workspace)
+from .dataset import DatasetFormatError, LoadedDemo
 from .heatmaps import action_to_heatmap, total_loss
 
 log = logging.getLogger(__name__)
@@ -73,7 +74,8 @@ class PreparedSample:
 def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
                    sigma_hm: float) -> PreparedSample:
     """Mask + crop the stored observation and build crop-frame targets. A pick
-    or place pixel the crop cuts off raises CropError before segmentation."""
+    or place pixel the crop cuts off raises CropError before segmentation; a
+    crop with no cloth then raises DatasetFormatError."""
     size = model.cfg.image_size
     r0, c0 = ((n - size) // 2 for n in demo.observation.depth.shape)
     d, crop, gt = demo.demo, [], []
@@ -85,7 +87,11 @@ def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
             raise CropError(f"demo of episode {d.episode_id} step {d.step_index}: {what} "
                             f"pixel {(r, c)} lies outside the {size}x{size} centre crop "
                             f"at {(r0, c0)}; raise model.image_size") from e
-    seg, _ = segment_workspace(demo.observation, size)
+    try:
+        seg, _ = segment_workspace(demo.observation, size)
+    except EmptyMaskError as e:
+        raise DatasetFormatError(f"demo of episode {d.episode_id} step {d.step_index}: "
+                                 f"{e}") from e
     return PreparedSample(normalize_observation(seg), model.tokenize(d.subtask), *gt, *crop)
 
 

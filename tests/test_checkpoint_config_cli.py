@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from clothfold import checkpoint as ck
+from clothfold import images
 from clothfold.perception import ModelConfig, PerceptionModel
 from clothfold.runconfig import ConfigError, load_config, parse_config
 from clothfold.cli import main as cli_main
@@ -470,6 +471,12 @@ def _bad_dataset(case, data_dir, tmp_path):
         pgm.write_bytes(b"P5\n224 224\n65535\n" + pgm_data[:101])
     elif case == "manifest_not_json":
         (bad / "manifest.json").write_text("{not json")
+    elif case == "png_resized":               # a valid PNG of the frame's centre
+        images.write_png_rgb(png, images.read_png_rgb(png)[62:162, 62:162])
+    elif case == "pgm_resized":               # a valid PGM 24 rows short
+        images.write_depth_pgm(pgm, images.read_depth_pgm(pgm)[12:212])
+    elif case == "png_all_background":        # a valid PNG with no cloth
+        images.write_png_rgb(png, np.zeros((224, 224, 3)))
     else:
         if case == "manifest_key_missing":
             del first["rgb_file"]
@@ -501,7 +508,8 @@ _PNG_FLIPS = {                # PNG bytes -> the offset of the byte to flip
 _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", *_PNG_FLIPS,
                  "pgm_size_not_numeric", "pgm_size_negative", "pgm_data_odd_length",
                  "manifest_not_json", "manifest_key_missing", "manifest_camera_key_missing",
-                 "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS)
+                 "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS,
+                 "png_resized", "pgm_resized", "png_all_background")
 
 
 def _train_on_cli_data(section, **values):

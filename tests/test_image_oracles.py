@@ -4,6 +4,7 @@ arrays, masks, crops, offsets and errors all equal."""
 
 import struct
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,7 +75,8 @@ def loop_read_png_rgb(path):
 
 
 def full_frame_segment_workspace(obs, crop_size):
-    """Mask and suppress the background on the whole frame, then crop."""
+    """Mask and suppress the background on the whole frame, then crop. The
+    crop keeps that mask; it is not derived again from the cropped RGB."""
     mask = obs.rgb.max(axis=-1) > CLOTH_COLOR_MARGIN
     if not mask.any():
         raise EmptyMaskError("no cloth pixels found in the observation")
@@ -85,10 +87,10 @@ def full_frame_segment_workspace(obs, crop_size):
         raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
     r0 = (h - crop_size) // 2
     c0 = (w - crop_size) // 2
-    cropped = Observation(rgb[r0:r0 + crop_size, c0:c0 + crop_size],
-                          depth[r0:r0 + crop_size, c0:c0 + crop_size],
-                          mask[r0:r0 + crop_size, c0:c0 + crop_size],
-                          obs.camera)
+    cropped = SimpleNamespace(rgb=rgb[r0:r0 + crop_size, c0:c0 + crop_size],
+                              depth=depth[r0:r0 + crop_size, c0:c0 + crop_size],
+                              cloth_mask=mask[r0:r0 + crop_size, c0:c0 + crop_size],
+                              camera=obs.camera)
     if not cropped.cloth_mask.any():
         raise EmptyMaskError("center crop removed all cloth pixels")
     return cropped, (r0, c0)
@@ -227,7 +229,7 @@ def observations(draw):
              [0.0, 0.0, np.nextafter(CLOTH_COLOR_MARGIN, 1.0)]]))
     depth = draw(hnp.arrays(np.float64, (h, w), elements=st.floats(0.9, 1.0)))
     crop = draw(st.integers(1, min(h, w) + 2))
-    return Observation(rgb, depth, cloth_mask_from_rgb(rgb), _CAMERA), crop
+    return Observation(rgb, depth, _CAMERA), crop
 
 
 class TestSegmentAgainstFullFrameOracle:
@@ -247,7 +249,7 @@ class TestSegmentAgainstFullFrameOracle:
     def test_cloth_only_outside_the_crop(self):
         rgb = np.zeros((32, 32, 3))
         rgb[0:4, 0:4] = cloth_color("towel")
-        obs = Observation(rgb, np.ones((32, 32)), cloth_mask_from_rgb(rgb), _CAMERA)
+        obs = Observation(rgb, np.ones((32, 32)), _CAMERA)
         for fn in (segment_workspace, full_frame_segment_workspace):
             with pytest.raises(EmptyMaskError, match="center crop removed"):
                 fn(obs, 16)
@@ -256,7 +258,7 @@ class TestSegmentAgainstFullFrameOracle:
     def test_odd_and_even_margins(self, crop):
         rgb = np.zeros((7, 10, 3))
         rgb[1:] = cloth_color("t-shirt")
-        obs = Observation(rgb, np.full((7, 10), 0.99), cloth_mask_from_rgb(rgb), _CAMERA)
+        obs = Observation(rgb, np.full((7, 10), 0.99), _CAMERA)
         seg, off = segment_workspace(obs, crop)
         oracle, oracle_off = full_frame_segment_workspace(obs, crop)
         assert off == oracle_off

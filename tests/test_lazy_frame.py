@@ -1,8 +1,11 @@
 """The frame that ``render`` rasterizes on read: mask, depth and RGB built in
 any order are byte-equal to the eager renderer they replaced, ``depth_at``
 equals the eager depth at any pixel, and a scripted-expert episode builds
-only the two masks its score reads."""
+only the two masks its score reads. A frame given as arrays derives its mask
+from its RGB, the same bytes as a rendered frame's splat mask, and builds it
+once, when first read."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -13,10 +16,15 @@ from hypothesis import strategies as st
 
 from clothfold import evaluation, sim
 from clothfold.geometry import CameraIntrinsics
+from clothfold.perception import segment_workspace
 from clothfold.sim import env as sim_env
 from clothfold.sim.mesh import LAYER_THICKNESS, cloth_color
 from clothfold.sim.render import (BACKGROUND_RGB, DEPTH_QUANTUM, Observation,
-                                  SimCamera)
+                                  SimCamera, cloth_mask_from_rgb)
+from clothfold.trainer import generate_dataset, load_dataset
+
+# The module; ``clothfold.sim.render`` as an attribute is the function.
+render_module = importlib.import_module("clothfold.sim.render")
 
 
 def eager_render(mesh, camera):
@@ -147,10 +155,61 @@ class TestLazyFrame:
     def test_given_frame_is_held_as_is(self):
         obs = sim.render(sim.init_cloth("trousers"), sim.default_camera())
         rgb, depth = obs.rgb.copy(), obs.depth.copy()
-        held = Observation(rgb, depth, obs.cloth_mask, obs.camera)
+        held = Observation(rgb, depth, obs.camera)
         assert held.rgb is rgb and held.depth is depth
         depth[100, 100] = 0.125
         assert held.depth_at(100, 100) == 0.125
+        assert held.cloth_mask is held.cloth_mask and not held.cloth_mask.flags.writeable
+
+
+# A fold per cloth kind that lays one side on the other.
+LAYERED_FOLDS = {"towel": ("left edge", "right edge"),
+                 "t-shirt": ("left sleeve", "right sleeve"),
+                 "trousers": ("left leg", "right leg")}
+
+
+class TestOneMaskSource:
+    """The frame alone decides its cloth mask: from the splats when rendered,
+    from the RGB when given as arrays. Both rules give the same pixels, so no
+    caller needs a mask of its own."""
+
+    @pytest.mark.parametrize("folded", [False, True], ids=["flat", "folded"])
+    @pytest.mark.parametrize("kind", sorted(LAYERED_FOLDS))
+    def test_rgb_mask_equals_splat_mask(self, kind, folded):
+        assert sorted(LAYERED_FOLDS) == sorted(sim.cloth_kinds())
+        mesh = sim.init_cloth(kind)
+        if folded:
+            a, b = LAYERED_FOLDS[kind]
+            mesh = sim.fold(mesh, mesh.landmark_point(a), mesh.landmark_point(b))
+            assert mesh.layers.max() > 1
+        obs = sim.render(mesh, sim.default_camera())
+        splat_mask = obs.cloth_mask
+        assert splat_mask.any() and not splat_mask.all()
+        from_rgb = cloth_mask_from_rgb(obs.rgb)
+        assert from_rgb.dtype == splat_mask.dtype
+        assert from_rgb.tobytes() == splat_mask.tobytes()
+        given = Observation(obs.rgb, obs.depth, obs.camera)
+        assert given.cloth_mask.tobytes() == splat_mask.tobytes()
+
+    def test_mask_is_derived_once_and_only_for_given_frames(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(rgb):
+            calls.append(rgb.shape)
+            return cloth_mask_from_rgb(rgb)
+
+        monkeypatch.setattr(render_module, "cloth_mask_from_rgb", counting)
+        generate_dataset(tmp_path, seed=0, episodes_per_family=1)
+        _, demos = load_dataset(tmp_path)
+        assert calls == []
+        loaded = demos[0].observation
+        first, _ = segment_workspace(loaded, 112)
+        assert calls == [(224, 224, 3)]
+        again, _ = segment_workspace(loaded, 112)
+        assert len(calls) == 1
+        assert again.rgb.tobytes() == first.rgb.tobytes()
+        segment_workspace(sim.render(sim.init_cloth("towel"), sim.default_camera()), 112)
+        assert len(calls) == 1
 
 
 def traced(fn):

@@ -3,6 +3,7 @@ oracles: rgb, depth and mask bit for bit, fold positions and layers exactly."""
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,15 +15,15 @@ from clothfold.geometry import CameraIntrinsics
 from clothfold.sim.mesh import (_CELL_WIDTH, EPS_GRASP, LAYER_THICKNESS,
                                 MIN_FOLD_SPAN, WORKSPACE_HALF, FoldError,
                                 GraspMissError, cloth_color, nearest_particle)
-from clothfold.sim.render import (BACKGROUND_RGB, DEPTH_QUANTUM, Observation,
-                                  SimCamera)
+from clothfold.sim.render import BACKGROUND_RGB, DEPTH_QUANTUM, SimCamera
 
 _ON_LINE_TOL = 1e-12
 
 
 def loop_render(mesh, camera):
     """Per-particle z-buffer splat: particles in stable layer order, each
-    paints its disk where its quantized depth is not behind the buffer."""
+    paints its disk where its quantized depth is not behind the buffer. The
+    mask is painted with the RGB, not derived from it."""
     h = camera.intrinsics.height
     w = camera.intrinsics.width
     rgb = np.broadcast_to(BACKGROUND_RGB, (h, w, 3)).copy()
@@ -58,7 +59,7 @@ def loop_render(mesh, camera):
             rgb[v0:v1, u0:u1][hit] = color
             mask[v0:v1, u0:u1][hit] = True
 
-    return Observation(rgb, depth, mask, camera)
+    return SimpleNamespace(rgb=rgb, depth=depth, cloth_mask=mask)
 
 
 def loop_fold(mesh, pick_w, place_w, eps_grasp=EPS_GRASP, min_span=MIN_FOLD_SPAN):

@@ -2,21 +2,23 @@
 
 import hashlib
 import importlib
+import json
 import logging
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clothfold import autodiff as ad
-from clothfold import sim
+from clothfold import images, sim
 from clothfold.perception import ModelConfig, PerceptionModel
 from clothfold.planner import decompose
-from clothfold.trainer import (CropError, TrainConfig, TrainingDivergedError,
-                               action_to_heatmap, bce, generate_dataset,
-                               load_dataset, total_loss, train)
+from clothfold.trainer import (CropError, DatasetFormatError, TrainConfig,
+                               TrainingDivergedError, action_to_heatmap, bce,
+                               generate_dataset, load_dataset, total_loss, train)
 from clothfold.trainer.heatmaps import BCE_CLAMP
 from clothfold.trainer.train import clip_gradients
 from conftest import finite_difference, rel_err
@@ -148,6 +150,46 @@ class TestDatasetGeneration:
         test = sum(2 * n for n in plan_lengths.values())
         assert total == 504 and test == 24
         assert test * 21 == total
+
+    def test_layout_is_the_manifest_and_two_frames_per_demo(self, tmp_path):
+        manifest = generate_dataset(tmp_path, seed=1, episodes_per_family=1)
+        files = sorted(p.relative_to(tmp_path).as_posix()
+                       for p in tmp_path.rglob("*") if p.is_file())
+        frames = [(d.rgb_file, d.depth_file) for d in manifest.demos]
+        assert files == sorted(["manifest.json", *(f for pair in frames for f in pair)])
+        assert all(rgb.endswith(".rgb.png") and depth.endswith(".depth.pgm")
+                   and rgb.removesuffix(".rgb.png") == depth.removesuffix(".depth.pgm")
+                   for rgb, depth in frames)
+
+    def test_dataset_with_label_sidecars_loads_unchanged(self, tmp_path):
+        """Datasets written with a JSON copy of each demo's manifest record
+        next to its frames load as if the copies were not there."""
+        generate_dataset(tmp_path / "d", seed=1, episodes_per_family=1)
+        shutil.copytree(tmp_path / "d", tmp_path / "old")
+        manifest, demos = load_dataset(tmp_path / "d")
+        for d in manifest.demos:
+            stem = d.rgb_file.removesuffix(".rgb.png")
+            with open(tmp_path / "old" / f"{stem}.json", "w") as f:
+                json.dump(d.to_record(), f, indent=1, sort_keys=True)
+        old_manifest, old_demos = load_dataset(tmp_path / "old")
+        assert old_manifest == manifest and len(old_demos) == len(demos) > 0
+        for a, b in zip(demos, old_demos):
+            assert a.demo == b.demo
+            assert a.observation.rgb.tobytes() == b.observation.rgb.tobytes()
+            assert a.observation.depth.tobytes() == b.observation.depth.tobytes()
+
+    @pytest.mark.parametrize("which", ["rgb_file", "depth_file"])
+    def test_frame_of_another_size_is_a_format_error(self, tmp_path, which):
+        manifest = generate_dataset(tmp_path, seed=1, episodes_per_family=1)
+        name = getattr(manifest.demos[-1], which)
+        if which == "rgb_file":
+            images.write_png_rgb(tmp_path / name, images.read_png_rgb(tmp_path / name)[:100])
+        else:
+            images.write_depth_pgm(tmp_path / name, images.read_depth_pgm(tmp_path / name)[:, 8:])
+        size = "100x224" if which == "rgb_file" else "224x216"
+        with pytest.raises(DatasetFormatError,
+                           match=rf"{re.escape(name)}: a {size} frame, not the camera's 224x224"):
+            load_dataset(tmp_path)
 
     def test_full_scale_protocol_documented(self, tmp_path):
         manifest = generate_dataset(tmp_path / "d", seed=1, episodes_per_family=1)
@@ -299,6 +341,17 @@ class TestTrain:
         with pytest.raises(CropError, match=r"episode 3 step 1: pick pixel \(153, 129\) "
                                             r"lies outside the 8x8 centre crop at \(108, 108\)"):
             train([demo], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
+
+    def test_frame_without_cloth_names_the_demo(self, tmp_path):
+        manifest = generate_dataset(tmp_path, seed=5, episodes_per_family=1)
+        d = manifest.demos[2]
+        images.write_png_rgb(tmp_path / d.rgb_file, np.zeros((224, 224, 3)))
+        _, demos = load_dataset(tmp_path)
+        cfg = ModelConfig(embed_dim=8, depth=1, patch_size=16, image_size=112, seed=1)
+        with pytest.raises(DatasetFormatError,
+                           match=rf"episode {d.episode_id} step {d.step_index}: "
+                                 r"no cloth pixels found"):
+            train(demos[2:3], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
