@@ -16,9 +16,10 @@ The working tree's ``train`` then runs once more, on a copy of the base
 side's dataset directory, and the files of its output that differ from the
 working tree's own ``train`` output are listed too, a file that only the run
 on the base side's dataset wrote as ``(base only)``: an older dataset must
-load and train the same way. Both comparisons are informational: the script
-exits 0 whatever differs, and 1 only when a command fails or the base commit
-cannot be exported.
+load and train the same way. Last comes each command's peak RSS on both
+sides, read from its own rusage when it is reaped. All of it is
+informational: the script exits 0 whatever differs, and 1 only when a
+command fails or the base commit cannot be exported.
 """
 
 from __future__ import annotations
@@ -54,14 +55,22 @@ CHAIN = [
 ]
 
 
-def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN) -> None:
+def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN) -> list[float]:
+    """Run each command of ``chain``; returns their peak RSS in MB."""
     cwd.mkdir(parents=True, exist_ok=True)
     (cwd / "config.json").write_text(json.dumps(CONFIG))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    peaks = []
     for argv in chain:
         cmd = [sys.executable, "-m", "clothfold", argv[0], "--config", "config.json",
                *argv[1:]]
-        subprocess.run(cmd, cwd=cwd, env=env, check=True, stdout=subprocess.DEVNULL)
+        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, cmd)
+        peaks.append(usage.ru_maxrss / 1024)        # KiB on Linux
+    return peaks
 
 
 def _strip_wall_time(value):
@@ -105,8 +114,8 @@ def main(argv=None) -> int:
             archive = subprocess.run(["git", "archive", args.base, "src"], cwd=REPO,
                                      check=True, capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", str(base_src)], input=archive, check=True)
-            run_chain(base_src / "src", work / "base")
-            run_chain(REPO / "src", work / "head")
+            base_rss = run_chain(base_src / "src", work / "base")
+            head_rss = run_chain(REPO / "src", work / "head")
             shutil.copytree(work / "base" / "out" / "dataset", work / "cross" / "out" / "dataset")
             run_chain(REPO / "src", work / "cross", [TRAIN])
         except subprocess.CalledProcessError as e:
@@ -125,6 +134,10 @@ def main(argv=None) -> int:
               f"tree trains on {args.base}'s dataset instead of its own")
         for name in cross:
             print(f"  {name}")
+    print(f"peak RSS per command, MB ({args.base} -> working tree):")
+    for argv, base, head in zip(CHAIN, base_rss, head_rss):
+        name = " ".join([argv[0], *(a for a in argv if a == "--expert")])
+        print(f"  {name:<14} {base:7.1f} -> {head:7.1f}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Only the subset this project produces is supported: truecolor PNGs written
 with filter type 0 on every scanline, and binary P5 PGMs with maxval 65535.
-Depth images store 0.1 mm units; heatmaps store round(q * 65535).
+Readers return what the file stores, uint8 levels and uint16 counts. Depth
+images store 0.1 mm units (DEPTH_UNIT); heatmaps store round(q * 65535).
 Readers raise ImageFormatError for a file they cannot decode (cut off, a bad
 PNG chunk CRC, corrupt, or outside that subset); writers raise it for a wrong
 shape or out-of-range depth. Failing to open, read or write stays OSError.
@@ -10,7 +11,6 @@ shape or out-of-range depth. Failing to open, read or write stays OSError.
 
 from __future__ import annotations
 
-import mmap
 import re
 import struct
 import zlib
@@ -25,16 +25,6 @@ HEATMAP_SCALE = 65535
 
 class ImageFormatError(ValueError):
     pass
-
-
-def _mapped_frame(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized float64 array in an anonymous map of its own, populated at
-    once (on Linux) and unmapped when freed. From the malloc heap, a dataset
-    load's frames reused freed pages or faulted in new ones as the heap top had
-    or had not been trimmed, and the same load's time doubled between runs."""
-    count = int(np.prod(shape))
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    return np.frombuffer(mmap.mmap(-1, 8 * count or 8, flags=flags), count=count).reshape(shape)
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
@@ -60,7 +50,7 @@ def write_png_rgb(path, rgb01: np.ndarray) -> None:
 
 
 def read_png_rgb(path) -> np.ndarray:
-    """Read a PNG written by :func:`write_png_rgb`; returns floats in [0, 1]."""
+    """Read a PNG written by :func:`write_png_rgb`; returns its uint8 levels."""
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(_PNG_MAGIC):
@@ -97,8 +87,7 @@ def read_png_rgb(path) -> np.ndarray:
     filters = lines[:, 0]
     if filters.any():
         raise ImageFormatError(f"{path}: unsupported PNG filter {filters[filters != 0][0]}")
-    return np.divide(lines[:, 1:].reshape(height, width, 3), 255.0,
-                     out=_mapped_frame((height, width, 3)))
+    return lines[:, 1:].reshape(height, width, 3).copy()
 
 
 def write_pgm16(path, values: np.ndarray) -> None:
@@ -130,11 +119,6 @@ def write_depth_pgm(path, depth_m: np.ndarray) -> None:
     if counts.min() < 0 or counts.max() > 65535:
         raise ImageFormatError("depth outside the 0 .. 6.5535 m PGM range")
     write_pgm16(path, counts.astype(np.uint16))
-
-
-def read_depth_pgm(path) -> np.ndarray:
-    counts = read_pgm16(path)
-    return np.multiply(counts, DEPTH_UNIT, out=_mapped_frame(counts.shape))
 
 
 def write_heatmap_pgm(path, q: np.ndarray) -> None:

@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geometry import CameraIntrinsics, RigidTransform
+from ..images import DEPTH_UNIT
 from .mesh import LAYER_THICKNESS, WORKSPACE_HALF, ClothMesh, cloth_color
 
 BACKGROUND_RGB = np.zeros(3)          # black table; cloth colors are far from it
@@ -79,10 +80,12 @@ class Observation:
     """RGB-D image: rgb in [0,1] (quantized to the uint8 grid), depth in
     meters, and the cloth mask, built on first read and kept, read-only.
 
-    ``Observation(rgb, depth, camera)`` holds the frame it is given; its mask
-    is ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``: the
-    mask, depth and RGB frame are then each built from them on first read;
-    depth and RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing.
+    ``Observation(rgb, depth, camera)`` holds the frame it is given: floats, or
+    the files' uint8 levels and uint16 depth counts, which each read of ``rgb``
+    or ``depth`` scales to a new float64 frame, kept by nobody. Its mask is
+    ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``: the mask,
+    depth and RGB frame are then each built from them on first read; depth and
+    RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing.
     """
 
     def __init__(self, rgb: np.ndarray | None, depth: np.ndarray | None,
@@ -98,7 +101,7 @@ class Observation:
         """[H, W] bool: cloth-coloured pixels, or those a splat covers not behind the table."""
         if self._mask is None:
             if self._splats is None:
-                self._mask = cloth_mask_from_rgb(self._rgb)
+                self._mask = cloth_mask_from_rgb(self.rgb)
             else:
                 flat, z_px = self._take_index()
                 self._mask = np.zeros(self._shape, dtype=bool)
@@ -113,21 +116,21 @@ class Observation:
             flat, z_px = self._take_index()
             self._depth = depth = np.full(self._shape, self.camera.table_depth)
             np.minimum.at(depth.reshape(-1), flat, z_px)
-        return self._depth
+        return _as_float(self._depth)
 
     @property
     def rgb(self) -> np.ndarray:
         """[H, W, 3]: the (background, cloth) color pair gathered by the mask."""
         if self._rgb is None:
             self._rgb = self._splats.colors.take(self.cloth_mask.view(np.uint8), axis=0)
-        return self._rgb
+        return _as_float(self._rgb)
 
     def depth_at(self, row: int, col: int) -> float:
         """``float(self.depth[row, col])``. Before the depth is built, the same
         rule at one pixel: the least ``z_c`` of the splats with
         ``(row - vi)**2 + (col - ui)**2 <= r_px**2``, else the table depth."""
         if self._depth is not None:
-            return float(self._depth[row, col])
+            return float(_as_float(self._depth[row, col]))
         h, w = self._shape
         if not (-h <= row < h and -w <= col < w):
             raise IndexError(f"pixel ({row}, {col}) is outside the {h}x{w} frame")
@@ -160,6 +163,16 @@ class Observation:
             z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
         self._index = flat, z_px
         return self._index
+
+
+def _as_float(stored):
+    """Stored uint8 levels or uint16 depth counts (an array or one pixel's)
+    scaled afresh to float64, as the image files define them; floats as is."""
+    if stored.dtype == np.uint8:
+        return stored / 255.0
+    if stored.dtype == np.uint16:
+        return stored * DEPTH_UNIT
+    return stored
 
 
 @functools.cache

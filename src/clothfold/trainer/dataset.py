@@ -237,18 +237,19 @@ class LoadedDemo:
 
 
 def load_dataset(dataset_dir) -> tuple[DatasetManifest, list[LoadedDemo]]:
-    """The manifest and each demo's frames, which must be the camera's size."""
+    """The manifest and each demo's frames, which must be the camera's size,
+    kept as the files store them: uint8 levels and uint16 depth counts."""
     root = Path(dataset_dir)
     manifest = DatasetManifest.from_json((root / "manifest.json").read_bytes())
     camera = camera_from_record(manifest.camera)
     shape = camera.intrinsics.height, camera.intrinsics.width
     loaded = []
     for d in manifest.demos:
-        rgb = images.read_png_rgb(root / d.rgb_file)
-        depth = images.read_depth_pgm(root / d.depth_file)
-        for name, frame in ((d.rgb_file, rgb), (d.depth_file, depth)):
+        levels = images.read_png_rgb(root / d.rgb_file)
+        counts = images.read_pgm16(root / d.depth_file)
+        for name, frame in ((d.rgb_file, levels), (d.depth_file, counts)):
             if frame.shape[:2] != shape:
                 raise DatasetFormatError(f"{root / name}: a {frame.shape[0]}x{frame.shape[1]} "
                                          f"frame, not the camera's {shape[0]}x{shape[1]}")
-        loaded.append(LoadedDemo(d, Observation(rgb, depth, camera)))
+        loaded.append(LoadedDemo(d, Observation(levels, counts, camera)))
     return manifest, loaded

@@ -77,7 +77,8 @@ def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
     or place pixel the crop cuts off raises CropError before segmentation; a
     crop with no cloth then raises DatasetFormatError."""
     size = model.cfg.image_size
-    r0, c0 = ((n - size) // 2 for n in demo.observation.depth.shape)
+    # Sized by the kept mask, which segmentation reads too; depth builds a frame per read
+    r0, c0 = ((n - size) // 2 for n in demo.observation.cloth_mask.shape)
     d, crop, gt = demo.demo, [], []
     for what, (r, c) in (("pick", d.pick_pixel), ("place", d.place_pixel)):
         crop.append((r - r0, c - c0))

@@ -472,9 +472,9 @@ def _bad_dataset(case, data_dir, tmp_path):
     elif case == "manifest_not_json":
         (bad / "manifest.json").write_text("{not json")
     elif case == "png_resized":               # a valid PNG of the frame's centre
-        images.write_png_rgb(png, images.read_png_rgb(png)[62:162, 62:162])
+        images.write_png_rgb(png, images.read_png_rgb(png)[62:162, 62:162] / 255.0)
     elif case == "pgm_resized":               # a valid PGM 24 rows short
-        images.write_depth_pgm(pgm, images.read_depth_pgm(pgm)[12:212])
+        images.write_pgm16(pgm, images.read_pgm16(pgm)[12:212])
     elif case == "png_all_background":        # a valid PNG with no cloth
         images.write_png_rgb(png, np.zeros((224, 224, 3)))
     else:

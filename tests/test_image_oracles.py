@@ -137,8 +137,10 @@ class TestPngAgainstScanlineOracle:
         images.write_png_rgb(d / "new.png", rgb)
         loop_write_png_rgb(d / "old.png", rgb)
         assert (d / "new.png").read_bytes() == (d / "old.png").read_bytes()
-        back = images.read_png_rgb(d / "new.png")
+        levels = images.read_png_rgb(d / "new.png")
         oracle = loop_read_png_rgb(d / "new.png")
+        assert levels.dtype == np.uint8
+        back = levels / 255.0
         assert back.dtype == oracle.dtype == np.float64
         np.testing.assert_array_equal(back, oracle)
         np.testing.assert_array_equal(back, rgb)

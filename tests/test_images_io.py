@@ -13,14 +13,15 @@ class TestPng:
         rgb = np.round(rng.random((17, 23, 3)) * 255) / 255.0
         path = tmp_path / "x.png"
         images.write_png_rgb(path, rgb)
-        back = images.read_png_rgb(path)
-        np.testing.assert_array_equal(back, rgb)
+        levels = images.read_png_rgb(path)
+        assert levels.dtype == np.uint8
+        np.testing.assert_array_equal(levels / 255.0, rgb)
 
     def test_render_roundtrip_exact(self, tmp_path):
         obs = sim.render(sim.init_cloth("t-shirt"), sim.default_camera())
         path = tmp_path / "obs.png"
         images.write_png_rgb(path, obs.rgb)
-        np.testing.assert_array_equal(images.read_png_rgb(path), obs.rgb)
+        np.testing.assert_array_equal(images.read_png_rgb(path) / 255.0, obs.rgb)
 
     def test_deterministic_bytes(self, tmp_path, rng):
         rgb = rng.random((8, 8, 3))
@@ -36,22 +37,28 @@ class TestPng:
             images.read_png_rgb(p)
 
 
-def test_decoded_frames_are_fresh_writable_float64(tmp_path, rng):
-    """Each read returns its own C-contiguous, writable float64 frame, equal
-    to the decoded values, whatever memory backs it."""
+def test_loaded_frames_are_fresh_writable_float64(tmp_path, rng):
+    """An observation of the stored levels and counts, as ``load_dataset``
+    builds it, returns on each read of ``rgb`` or ``depth`` its own
+    C-contiguous, writable float64 frame, equal to the written values."""
     rgb = np.round(rng.random((5, 7, 3)) * 255) / 255.0
     depth = np.round(rng.random((5, 7)) * 1e4) * images.DEPTH_UNIT
     images.write_png_rgb(tmp_path / "x.png", rgb)
     images.write_depth_pgm(tmp_path / "x.pgm", depth)
-    for read, want in ((images.read_png_rgb, rgb), (images.read_depth_pgm, depth)):
-        path = tmp_path / ("x.png" if want is rgb else "x.pgm")
-        a, b = read(path), read(path)
+    levels = images.read_png_rgb(tmp_path / "x.png")
+    counts = images.read_pgm16(tmp_path / "x.pgm")
+    assert levels.dtype == np.uint8 and counts.dtype == np.uint16
+    obs = sim.Observation(levels, counts, sim.default_camera(7))
+    for name, want in (("rgb", rgb), ("depth", depth)):
+        a, b = getattr(obs, name), getattr(obs, name)
         for frame in (a, b):
             assert frame.dtype == np.float64 and frame.shape == want.shape
             assert frame.flags.c_contiguous and frame.flags.writeable
+            assert not np.shares_memory(frame, levels) and not np.shares_memory(frame, counts)
         assert not np.shares_memory(a, b)
         a[...] = -1.0
         np.testing.assert_array_equal(b, want)
+        np.testing.assert_array_equal(getattr(obs, name), want)
 
 
 class TestPgm:
@@ -59,7 +66,7 @@ class TestPgm:
         depth = np.array([[1.0, 0.998], [0.996, 0.5]])
         path = tmp_path / "d.pgm"
         images.write_depth_pgm(path, depth)
-        np.testing.assert_array_equal(images.read_depth_pgm(path), depth)
+        np.testing.assert_array_equal(images.read_pgm16(path) * images.DEPTH_UNIT, depth)
 
     def test_depth_unit_is_tenth_millimeter(self, tmp_path):
         path = tmp_path / "d.pgm"

@@ -7,6 +7,7 @@ import logging
 import math
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from clothfold.trainer import (CropError, DatasetFormatError, TrainConfig,
                                TrainingDivergedError, action_to_heatmap, bce,
                                generate_dataset, load_dataset, total_loss, train)
 from clothfold.trainer.heatmaps import BCE_CLAMP
-from clothfold.trainer.train import clip_gradients
+from clothfold.trainer.train import clip_gradients, prepare_sample
 from conftest import finite_difference, rel_err
 
 # The module; ``clothfold.trainer.train`` as an attribute is the function.
@@ -183,9 +184,10 @@ class TestDatasetGeneration:
         manifest = generate_dataset(tmp_path, seed=1, episodes_per_family=1)
         name = getattr(manifest.demos[-1], which)
         if which == "rgb_file":
-            images.write_png_rgb(tmp_path / name, images.read_png_rgb(tmp_path / name)[:100])
+            levels = images.read_png_rgb(tmp_path / name)
+            images.write_png_rgb(tmp_path / name, levels[:100] / 255.0)
         else:
-            images.write_depth_pgm(tmp_path / name, images.read_depth_pgm(tmp_path / name)[:, 8:])
+            images.write_pgm16(tmp_path / name, images.read_pgm16(tmp_path / name)[:, 8:])
         size = "100x224" if which == "rgb_file" else "224x216"
         with pytest.raises(DatasetFormatError,
                            match=rf"{re.escape(name)}: a {size} frame, not the camera's 224x224"):
@@ -352,6 +354,27 @@ class TestTrain:
                            match=rf"episode {d.episode_id} step {d.step_index}: "
                                  r"no cloth pixels found"):
             train(demos[2:3], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
+
+    def test_prepare_sample_builds_one_depth_frame_in_segmentation(self, tiny_dataset,
+                                                                   monkeypatch):
+        """A loaded frame builds a float depth frame on each read, so
+        ``prepare_sample`` reads it once, where ``segment_workspace`` crops it."""
+        _, demos = tiny_dataset
+        depth = sim.Observation.depth
+        reads = []
+
+        def counting(obs):
+            reads.append((obs, sys._getframe(1).f_code.co_name))
+            return depth.fget(obs)
+
+        monkeypatch.setattr(sim.Observation, "depth", property(counting))
+        model = PerceptionModel(ModelConfig(embed_dim=8, depth=1, patch_size=16,
+                                            image_size=112, seed=1))
+        for demo in demos[:3]:
+            reads.clear()
+            prepare_sample(model, demo, 4.0)
+            assert [where for obs, where in reads
+                    if obs is demo.observation] == ["segment_workspace"]
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
