@@ -5,8 +5,9 @@ the output files whose bytes differ.
 
 The chain is ``gen-data`` (1 episode per family), ``train`` (D=16, 2
 epochs), ``eval`` and ``eval --expert`` (1 episode per cell), ``run`` with
-the model and with the scripted expert (before/after PNGs), and ``ablate``
-(every adapter x fusion pair, trained and scored on that dataset).
+the model and with the scripted expert (before/after PNGs), ``ablate``
+(every adapter x fusion pair, trained and scored on that dataset) and
+``plan``, which writes no file and is almost all start-up.
 ``grad-check`` is left out: at D=16 it takes about 20 s per side.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. JSON files are compared with every
@@ -16,8 +17,9 @@ The working tree's ``train`` then runs once more, on a copy of the base
 side's dataset directory, and the files of its output that differ from the
 working tree's own ``train`` output are listed too, a file that only the run
 on the base side's dataset wrote as ``(base only)``: an older dataset must
-load and train the same way. Last comes each command's peak RSS on both
-sides, read from its own rusage when it is reaped. All of it is
+load and train the same way. Last come each command's wall seconds and
+peak RSS on both sides, the RSS read from its own rusage when it is
+reaped. All of it is
 informational: the script exits 0 whatever differs, and 1 only when a
 command fails or the base commit cannot be exported.
 """
@@ -31,6 +33,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -52,25 +55,29 @@ CHAIN = [
     ["run", "--expert", "--command", "Fold the Towel in half diagonally",
      "--out", "out/run_expert"],
     ["ablate", "--dataset", "out/dataset", "--out", "out/ablate"],
+    ["plan", "--command", "Fold the Towel in half diagonally"],
 ]
 
 
-def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN) -> list[float]:
-    """Run each command of ``chain``; returns their peak RSS in MB."""
+def run_chain(src: Path, cwd: Path,
+              chain: list[list[str]] = CHAIN) -> list[tuple[float, float]]:
+    """Run each command of ``chain``; returns their wall seconds and peak RSS in MB."""
     cwd.mkdir(parents=True, exist_ok=True)
     (cwd / "config.json").write_text(json.dumps(CONFIG))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    peaks = []
+    costs = []
     for argv in chain:
         cmd = [sys.executable, "-m", "clothfold", argv[0], "--config", "config.json",
                *argv[1:]]
+        t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:
             raise subprocess.CalledProcessError(proc.returncode, cmd)
-        peaks.append(usage.ru_maxrss / 1024)        # KiB on Linux
-    return peaks
+        costs.append((seconds, usage.ru_maxrss / 1024))        # KiB on Linux
+    return costs
 
 
 def _strip_wall_time(value):
@@ -114,8 +121,8 @@ def main(argv=None) -> int:
             archive = subprocess.run(["git", "archive", args.base, "src"], cwd=REPO,
                                      check=True, capture_output=True).stdout
             subprocess.run(["tar", "-x", "-C", str(base_src)], input=archive, check=True)
-            base_rss = run_chain(base_src / "src", work / "base")
-            head_rss = run_chain(REPO / "src", work / "head")
+            base_costs = run_chain(base_src / "src", work / "base")
+            head_costs = run_chain(REPO / "src", work / "head")
             shutil.copytree(work / "base" / "out" / "dataset", work / "cross" / "out" / "dataset")
             run_chain(REPO / "src", work / "cross", [TRAIN])
         except subprocess.CalledProcessError as e:
@@ -134,10 +141,11 @@ def main(argv=None) -> int:
               f"tree trains on {args.base}'s dataset instead of its own")
         for name in cross:
             print(f"  {name}")
-    print(f"peak RSS per command, MB ({args.base} -> working tree):")
-    for argv, base, head in zip(CHAIN, base_rss, head_rss):
+    print(f"wall s and peak RSS MB per command ({args.base} -> working tree):")
+    for argv, (base_s, base_mb), (head_s, head_mb) in zip(CHAIN, base_costs, head_costs):
         name = " ".join([argv[0], *(a for a in argv if a == "--expert")])
-        print(f"  {name:<14} {base:7.1f} -> {head:7.1f}")
+        print(f"  {name:<14} {base_s:6.2f} s {base_mb:7.1f} MB -> "
+              f"{head_s:6.2f} s {head_mb:7.1f} MB")
     return 0
 
 

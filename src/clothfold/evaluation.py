@@ -76,7 +76,7 @@ class EpisodeResult:
     artifact_files: list[str] = field(default_factory=list)
 
     def to_record(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))        # every field, its lists shared, not deep-copied
 
 
 def expert_rollout(env: ClothSim, plan) -> ClothMesh:

@@ -47,8 +47,9 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[Observation, tu
     mask = mask[window]
     if not mask.any():
         raise EmptyMaskError("center crop removed all cloth pixels")
-    rgb = np.where(mask[..., None], obs.rgb[window], 0.0)
-    depth = np.where(mask, obs.depth[window], obs.camera.table_depth)
+    rgb, depth = obs.crop(window)
+    rgb = np.where(mask[..., None], rgb, 0.0)
+    depth = np.where(mask, depth, obs.camera.table_depth)
     return Observation(rgb, depth, obs.camera), (r0, c0)
 
 

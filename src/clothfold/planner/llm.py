@@ -7,14 +7,11 @@ command is template-decomposable.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Optional, Union
@@ -65,6 +62,13 @@ class LlmBackendConfig:
 
 
 def _http_transport(url: str, body: dict, headers: dict, timeout_s: float) -> dict:
+    # Imported here, on the first remote call: the HTTP stack (with ssl and
+    # email) would otherwise load into every process, most of which plan
+    # from the templates.
+    import http.client
+    import urllib.error
+    import urllib.request
+
     data = json.dumps(body).encode("utf-8")
     req = urllib.request.Request(url, data=data, method="POST",
                                  headers={"Content-Type": "application/json", **headers})

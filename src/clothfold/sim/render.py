@@ -85,7 +85,8 @@ class Observation:
     or ``depth`` scales to a new float64 frame, kept by nobody. Its mask is
     ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``: the mask,
     depth and RGB frame are then each built from them on first read; depth and
-    RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing.
+    RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing, and
+    ``crop`` scales only its window of a stored frame.
     """
 
     def __init__(self, rgb: np.ndarray | None, depth: np.ndarray | None,
@@ -124,6 +125,14 @@ class Observation:
         if self._rgb is None:
             self._rgb = self._splats.colors.take(self.cloth_mask.view(np.uint8), axis=0)
         return _as_float(self._rgb)
+
+    def crop(self, window: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray]:
+        """``(self.rgb[window], self.depth[window])``. Of stored levels and
+        counts only the window is scaled, to the same bits, as scaling is
+        elementwise; a rendered frame is built whole, as on any read."""
+        if self._splats is not None:
+            return self.rgb[window], self.depth[window]
+        return _as_float(self._rgb[window]), _as_float(self._depth[window])
 
     def depth_at(self, row: int, col: int) -> float:
         """``float(self.depth[row, col])``. Before the depth is built, the same

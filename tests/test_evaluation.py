@@ -1,5 +1,8 @@
 """Metric identities, the episode loop, and the benchmark harness."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +170,17 @@ class TestRunEpisode:
         result = run_episode("Fold the Towel in half diagonally", None, env)
         place_base = np.array(result.actions[0]["place_base"])
         assert np.linalg.norm(place_base[:2] - target) < 0.02
+
+    def test_record_equals_asdict(self, tmp_path):
+        env = sim.ClothSim.fresh("towel")
+        result = run_episode("Fold the Towel in half twice to make a rectangle", None,
+                             env, family="DSF", artifacts_dir=tmp_path, episode_tag="e0_")
+        assert result.steps == 2 and len(result.artifact_files) == 2
+        assert all(a["primitives"] for a in result.actions)
+        record = result.to_record()
+        assert record == asdict(result)
+        assert (json.dumps(record, indent=1, sort_keys=True)
+                == json.dumps(asdict(result), indent=1, sort_keys=True))
 
     def test_grasp_miss_marks_failure(self):
         # a model that always picks the image corner (background) misses

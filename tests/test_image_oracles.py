@@ -2,6 +2,7 @@
 against their per-scanline and full-frame oracles: file bytes, decoded
 arrays, masks, crops, offsets and errors all equal."""
 
+import importlib
 import struct
 import zlib
 from types import SimpleNamespace
@@ -19,6 +20,10 @@ from clothfold.perception.model import (EmptyMaskError, SegmentationError,
 from clothfold.sim.mesh import cloth_color
 from clothfold.sim.render import (CLOTH_COLOR_MARGIN, Observation,
                                   cloth_mask_from_rgb)
+from clothfold.trainer import generate_dataset, load_dataset
+
+# The module; ``clothfold.sim.render`` as an attribute is the function.
+render_module = importlib.import_module("clothfold.sim.render")
 
 
 def loop_write_png_rgb(path, rgb01):
@@ -265,6 +270,34 @@ class TestSegmentAgainstFullFrameOracle:
         oracle, oracle_off = full_frame_segment_workspace(obs, crop)
         assert off == oracle_off
         _assert_same_observation(seg, oracle)
+
+    def test_loaded_frames_scale_only_the_window(self, tmp_path, monkeypatch):
+        """A loaded demo's whole RGB is scaled once, for its mask; the crop
+        scales only the window of the stored levels and counts, to the bytes
+        of the full-frame oracle."""
+        as_float, full = render_module._as_float, []
+
+        def counting(stored):
+            if stored.shape[:2] == (224, 224):
+                full.append(stored.dtype)
+            return as_float(stored)
+
+        generate_dataset(tmp_path, seed=0, episodes_per_family=1)
+        _, demos = load_dataset(tmp_path)
+        for demo in demos:
+            obs = demo.observation
+            monkeypatch.setattr(render_module, "_as_float", counting)
+            full.clear()
+            seg, off = segment_workspace(obs, 112)
+            assert full == [np.uint8]
+            segment_workspace(obs, 112)
+            assert full == [np.uint8]
+            monkeypatch.undo()
+            oracle, oracle_off = full_frame_segment_workspace(obs, 112)
+            assert off == oracle_off
+            _assert_same_observation(seg, oracle)
+            assert seg.rgb.tobytes() == oracle.rgb.tobytes()
+            assert seg.depth.tobytes() == oracle.depth.tobytes()
 
     @pytest.mark.parametrize("kind", ["towel", "t-shirt", "trousers"])
     def test_rendered_frames_equal(self, kind):

@@ -4,7 +4,11 @@ one test drives the real HTTP path against a local server."""
 
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +165,33 @@ class TestHttpPath:
                                    timeout_s=0.5)
         with pytest.raises(BackendError):
             request_completion(backend, "x")
+
+
+HTTP_MODULES = ("http.client", "urllib.request", "urllib.error", "ssl", "email.parser")
+
+# Run in a fresh interpreter: pytest itself has loaded the HTTP stack here.
+IMPORT_PROBE = f"""
+import json, sys
+def loaded():
+    return [m for m in {HTTP_MODULES!r} if m in sys.modules]
+import clothfold.cli
+from clothfold.planner import LlmBackendConfig, llm_decompose
+seen = {{"import": loaded()}}
+assert clothfold.cli.main(["plan", "--command", "Fold the Towel in half diagonally"]) == 0
+def transport(url, body, headers, timeout):
+    return {{"choices": [{{"message": {{"content": {FIG2_PLAN!r}}}}}]}}
+backend = LlmBackendConfig(endpoint_url="http://localhost:1/v1/chat/completions")
+plan = llm_decompose("Fold the Trousers in half from left to right", backend,
+                     transport=transport)
+assert [s.pick_landmark for s in plan] == ["left waist", "left leg"]
+seen["plan"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_http_stack_loads_only_with_a_remote_call():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == {"import": [], "plan": []}

@@ -355,26 +355,32 @@ class TestTrain:
                                  r"no cloth pixels found"):
             train(demos[2:3], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
 
-    def test_prepare_sample_builds_one_depth_frame_in_segmentation(self, tiny_dataset,
-                                                                   monkeypatch):
-        """A loaded frame builds a float depth frame on each read, so
-        ``prepare_sample`` reads it once, where ``segment_workspace`` crops it."""
+    def test_prepare_sample_scales_one_depth_window_in_segmentation(self, tiny_dataset,
+                                                                    monkeypatch):
+        """A loaded frame builds a float depth frame on each read of ``depth``,
+        so ``prepare_sample`` reads none: ``segment_workspace`` scales only the
+        window of the stored counts it crops, once."""
         _, demos = tiny_dataset
-        depth = sim.Observation.depth
+        depth, crop = sim.Observation.depth, sim.Observation.crop
         reads = []
 
         def counting(obs):
-            reads.append((obs, sys._getframe(1).f_code.co_name))
+            reads.append((obs, "depth", sys._getframe(1).f_code.co_name))
             return depth.fget(obs)
 
+        def counting_crop(obs, window):
+            reads.append((obs, "crop", sys._getframe(1).f_code.co_name))
+            return crop(obs, window)
+
         monkeypatch.setattr(sim.Observation, "depth", property(counting))
+        monkeypatch.setattr(sim.Observation, "crop", counting_crop)
         model = PerceptionModel(ModelConfig(embed_dim=8, depth=1, patch_size=16,
                                             image_size=112, seed=1))
         for demo in demos[:3]:
             reads.clear()
             prepare_sample(model, demo, 4.0)
-            assert [where for obs, where in reads
-                    if obs is demo.observation] == ["segment_workspace"]
+            assert [(what, where) for obs, what, where in reads
+                    if obs is demo.observation] == [("crop", "segment_workspace")]
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
