@@ -22,7 +22,8 @@ forward drops it.
 
 Gradient lifetime: leaves (``requires_grad`` tensors no recorded node
 produced, such as parameters) keep ``.grad`` after backward, and so does
-the loss; an intermediate's gradient is freed as soon as its node has run.
+the loss; a leaf the loss does not reach gets no gradient; an
+intermediate's gradient is freed as soon as its node has run.
 A first write takes the contribution as is; later writes add out of place,
 so a gradient array shared between tensors is never modified. A leaf held
 by an :class:`Adam` writes into its slice of the optimizer's flat gradient
@@ -167,13 +168,13 @@ class Tape:
         self.nodes.append((out, tuple(inputs), backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(t) into every leaf on the tape: each input
-        cell that no recorded node produced.
+        """Accumulate d(loss)/d(t) into every leaf on the tape that the loss
+        reaches: each input cell that no recorded node produced.
 
         Gradient lifetime: the loss and the leaves keep ``.grad``; each
         intermediate's gradient is freed (``None``) once its node has run.
-        Leaves the loss does not reach end up with all-zero gradients rather
-        than stale or missing ones.
+        A leaf the loss does not reach gets no contribution, so one that
+        held no gradient still holds none (``Adam.step`` rejects it).
         """
         if loss.size != 1:
             raise GradientError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -186,11 +187,6 @@ class Tape:
             backward_fn(g)
             if out is not loss_cell:
                 out.grad = None
-        produced = {id(out) for out, _, _ in self.nodes}
-        for _, inputs, _ in self.nodes:
-            for cell in inputs:
-                if cell.grad is None and id(cell) not in produced:
-                    cell.add(np.zeros(cell.shape))
 
 
 def _op(name: str, data: np.ndarray, inputs: Sequence[Tensor],

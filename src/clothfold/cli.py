@@ -258,7 +258,3 @@ def main(argv=None) -> int:
     except (OSError, images.ImageFormatError, DatasetFormatError) as e:
         print(f"io error: {e}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -221,9 +221,6 @@ class BenchmarkReport:
 
 def aggregate(results: list[EpisodeResult], mask_only: bool = False) -> dict:
     n = len(results)
-    if n == 0:
-        return {"episodes": 0, "sr_percent": 0.0, "mean_mpd_m": 0.0,
-                "miou_percent": 0.0}
     if mask_only:
         wins = sum(r.miou > MASK_ONLY_MIOU_THRESHOLD and r.failure_reason is None
                    for r in results)
@@ -254,7 +251,7 @@ def run_benchmark(model: Optional[PerceptionModel], config: BenchmarkConfig,
             cell_key = f"{config.seed}/{condition}/{family}".encode()
             rng = np.random.default_rng(
                 int.from_bytes(hashlib.sha256(cell_key).digest()[:8], "big"))
-            bank = command_bank(family)[family]
+            bank = command_bank(family)
             cell_results = []
             for i in range(config.episodes_per_cell):
                 variant = _condition_variant(condition, i)

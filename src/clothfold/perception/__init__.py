@@ -6,10 +6,10 @@ from .model import (
     segment_workspace,
     select_action,
 )
-from .fusion import FusionBlock, cross_attention_fuse
+from .fusion import FusionBlock
 
 __all__ = [
     "EmptyMaskError", "FusionBlock", "ModelConfig", "PerceptionModel",
-    "TokenizeError", "Vocabulary", "cross_attention_fuse",
-    "default_vocabulary", "segment_workspace", "select_action", "tokenize",
+    "TokenizeError", "Vocabulary", "default_vocabulary", "segment_workspace",
+    "select_action", "tokenize",
 ]

@@ -63,32 +63,25 @@ class FusionBlock:
                         self.w_l_v, self.w_p, self.ln_g, self.ln_b]
 
     def fuse(self, f_o: ad.Tensor, f_l: ad.Tensor) -> ad.Tensor:
-        return cross_attention_fuse(f_o, f_l, self)
+        """Fuse one language segment into the image stream; output keeps the
+        image's (P+1) x D shape regardless of the segment length."""
+        cfg = self.cfg
+        q_o = ad.matmul(f_o, self.w_o_q)
+        k_o = ad.matmul(f_l, self.w_o_k)
+        v_o = ad.matmul(f_l, self.w_o_v)
+        s_vis = scaled_attention(q_o, k_o, v_o, cfg.num_heads, cfg.head_dim)
 
+        q_l = ad.matmul(f_l, self.w_l_q)
+        k_l = ad.matmul(f_o, self.w_l_k)
+        v_l = ad.matmul(f_o, self.w_l_v)
+        s_text = scaled_attention(q_l, k_l, v_l, cfg.num_heads, cfg.head_dim)
 
-def cross_attention_fuse(f_o: ad.Tensor, f_l: ad.Tensor,
-                         block: FusionBlock) -> ad.Tensor:
-    """Fuse one language segment into the image stream; output keeps the
-    image's (P+1) x D shape regardless of the segment length."""
-    cfg = block.cfg
-    n_img = f_o.shape[0]
-
-    q_o = ad.matmul(f_o, block.w_o_q)
-    k_o = ad.matmul(f_l, block.w_o_k)
-    v_o = ad.matmul(f_l, block.w_o_v)
-    s_vis = scaled_attention(q_o, k_o, v_o, cfg.num_heads, cfg.head_dim)
-
-    q_l = ad.matmul(f_l, block.w_l_q)
-    k_l = ad.matmul(f_o, block.w_l_k)
-    v_l = ad.matmul(f_o, block.w_l_v)
-    s_text = scaled_attention(q_l, k_l, v_l, cfg.num_heads, cfg.head_dim)
-
-    # The text-query output has one row per text token; pool and broadcast it
-    # so the feature-axis concatenation lines up with the image rows and the
-    # residual below stays exactly shape-compatible.
-    s_text_rows = ad.tile_rows(ad.mean_rows(s_text), n_img)
-    fused = ad.matmul(ad.concat_cols([s_vis, s_text_rows]), block.w_p)
-    return ad.layer_norm(ad.add(fused, f_o), block.ln_g, block.ln_b)
+        # The text-query output has one row per text token; pool and broadcast
+        # it so the feature-axis concatenation lines up with the image rows and
+        # the residual below stays exactly shape-compatible.
+        s_text_rows = ad.tile_rows(ad.mean_rows(s_text), f_o.shape[0])
+        fused = ad.matmul(ad.concat_cols([s_vis, s_text_rows]), self.w_p)
+        return ad.layer_norm(ad.add(fused, f_o), self.ln_g, self.ln_b)
 
 
 class TransformerFusion:

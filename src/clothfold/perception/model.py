@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import autodiff as ad
+from ..planner.grammar import SubTask
 from ..sim.expert import PickPlaceAction
 from ..sim.render import Observation
 from .config import ModelConfig
@@ -143,10 +144,10 @@ class PerceptionModel:
         return (self.decoder_pick.forward(fused_pick),
                 self.decoder_place.forward(fused_place))
 
-    def forward(self, obs: Observation, subtask) -> tuple[HeatmapPair, PickPlaceAction]:
+    def forward(self, obs: Observation,
+                subtask: SubTask) -> tuple[HeatmapPair, PickPlaceAction]:
         """Full inference on a masked, cropped observation."""
-        text = subtask.text if hasattr(subtask, "text") else str(subtask)
-        token_ids = self.tokenize(text)
+        token_ids = self.tokenize(subtask.text)
         image4 = normalize_observation(obs)
         q_pick_t, q_place_t = self.forward_heatmaps(image4, token_ids)
         pair = HeatmapPair(q_pick_t.data.copy(), q_place_t.data.copy())

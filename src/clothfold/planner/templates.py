@@ -116,10 +116,9 @@ _BANK_INDEX = {normalize_text(cmd): (family, variant)
                for variant, cmd in enumerate(cmds)}
 
 
-def command_bank(family: Optional[str] = None) -> dict[str, tuple[str, ...]]:
-    if family is not None:
-        return {family: _COMMAND_BANK[family]}
-    return dict(_COMMAND_BANK)
+def command_bank(family: str) -> tuple[str, ...]:
+    """The paraphrase commands of ``family``, canonical variant first."""
+    return _COMMAND_BANK[family]
 
 
 def plan_for(family: str) -> PlanTemplate:

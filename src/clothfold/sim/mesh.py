@@ -216,9 +216,8 @@ def fold(mesh: ClothMesh, pick_w, place_w) -> ClothMesh:
     u = delta / span
     mid = 0.5 * (snapped + place)
     signed = (out.positions - mid[None, None, :]) @ u  # [n, m]
+    # Never empty: the grasped particle is active, at signed = -span / 2.
     moved = out.active & (signed < -_ON_LINE_TOL)
-    if not moved.any():
-        return out
 
     reflected = out.positions[moved] - 2.0 * signed[moved][:, None] * u[None, :]
     if np.abs(reflected).max() > WORKSPACE_HALF:

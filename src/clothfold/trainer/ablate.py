@@ -22,8 +22,6 @@ class AblationReport:
         return json.dumps({"rows": self.rows}, indent=1, sort_keys=True)
 
     def to_csv(self) -> str:
-        if not self.rows:
-            return ""
         families = sorted(k.split("/", 1)[1] for k in self.rows[0]
                           if k.startswith("sr/"))
         header = ["adapter", "fusion", "trainable_params"]

@@ -167,7 +167,7 @@ def generate_dataset(out_dir, seed: int = 0, episodes_per_family: int = 42,
     episode_id = 0
     for family in TASK_FAMILIES:
         kind = FAMILY_KIND[family]
-        bank = command_bank(family)[family]
+        bank = command_bank(family)
         assignments = _episode_variants(episodes_per_family,
                                         family == held_out_family)
         for variant, condition, split in assignments:

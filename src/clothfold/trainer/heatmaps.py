@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from .. import autodiff as ad
@@ -29,11 +27,9 @@ def action_to_heatmap(pixel: tuple[int, int], sigma: float, h: int, w: int) -> n
     return np.exp(-d2 / (2.0 * sigma * sigma))
 
 
-def bce(q: Union[ad.Tensor, np.ndarray], q_gt: np.ndarray) -> ad.Tensor:
+def bce(q: ad.Tensor, q_gt: np.ndarray) -> ad.Tensor:
     """Binary cross-entropy summed over pixels, with the prediction clamped
     to [1e-7, 1 - 1e-7] before the logs."""
-    if not isinstance(q, ad.Tensor):
-        q = ad.Tensor(q)
     if q.shape != q_gt.shape:
         raise ad.ShapeError(f"bce shapes differ: {q.shape} vs {q_gt.shape}")
     gt = ad.constant(q_gt)
@@ -45,8 +41,7 @@ def bce(q: Union[ad.Tensor, np.ndarray], q_gt: np.ndarray) -> ad.Tensor:
     return ad.scale(ad.sum_all(ad.add(pos, neg)), -1.0)
 
 
-def total_loss(q_pick: Union[ad.Tensor, np.ndarray],
-               q_place: Union[ad.Tensor, np.ndarray],
+def total_loss(q_pick: ad.Tensor, q_place: ad.Tensor,
                q_pick_gt: np.ndarray, q_place_gt: np.ndarray) -> ad.Tensor:
     """Sum of the pick and place BCE terms."""
     return ad.add(bce(q_pick, q_pick_gt), bce(q_place, q_place_gt))

@@ -18,7 +18,6 @@ from clothfold import checkpoint as ck
 from clothfold import evaluation, planner, sim
 from clothfold.perception import (ModelConfig, PerceptionModel,
                                   segment_workspace)
-from clothfold.perception.fusion import cross_attention_fuse
 from clothfold.planner.llm import LlmBackendConfig, llm_decompose
 from clothfold.planner.templates import AUX_FAMILIES, TASK_FAMILIES
 from clothfold.trainer import (TrainConfig, generate_dataset, grad_check,
@@ -96,13 +95,13 @@ class TestAcceptance:
         for t_len in (1, 2, 4, 9, 15):
             f_o = ad.Tensor(rng.normal(size=(p1, cfg.embed_dim)))
             f_l = ad.Tensor(rng.normal(size=(t_len, cfg.embed_dim)))
-            shapes_ok &= cross_attention_fuse(f_o, f_l, block).shape == (p1, cfg.embed_dim)
+            shapes_ok &= block.fuse(f_o, f_l).shape == (p1, cfg.embed_dim)
 
         f_o = ad.Tensor(rng.normal(size=(p1, cfg.embed_dim)))
         f_l = ad.Tensor(rng.normal(size=(5, cfg.embed_dim)))
         saved = block.w_p.data.copy()
         block.w_p.data[:] = 0.0
-        reduced = cross_attention_fuse(f_o, f_l, block)
+        reduced = block.fuse(f_o, f_l)
         expected = ad.layer_norm(f_o, block.ln_g, block.ln_b)
         residual_exact = np.array_equal(reduced.data, expected.data)
         block.w_p.data[:] = saved
@@ -163,7 +162,7 @@ class TestAcceptance:
         bank_ok = True
         n_cmds = 0
         for family in TASK_FAMILIES + AUX_FAMILIES:
-            for cmd in planner.command_bank(family)[family]:
+            for cmd in planner.command_bank(family):
                 n_cmds += 1
                 try:
                     for s in planner.decompose(cmd):

@@ -200,6 +200,13 @@ class TestBilinearUpsample:
         out = ad.bilinear_upsample(x, 2).data
         np.testing.assert_allclose(out[0, 0], [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-12)
 
+    def test_one_pixel_wide_axis_repeats(self):
+        # A one-patch grid (model.image_size == model.patch_size) upsamples
+        # maps one pixel wide.
+        x = ad.Tensor(np.array([[[1.0, 3.0]]]))
+        out = ad.bilinear_upsample(x, 2).data
+        np.testing.assert_allclose(out[0], [[1.0, 5 / 3, 7 / 3, 3.0]] * 2, atol=1e-12)
+
     def test_extremes_bounded_by_input(self, rng):
         x = rng.normal(size=(2, 5, 4))
         out = ad.bilinear_upsample(ad.Tensor(x), 3).data
@@ -229,13 +236,16 @@ class TestBackward:
             tape.backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((3, 3)))
 
-    def test_unused_tensor_gets_zeros(self, rng):
-        x = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        y = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    def test_unreached_leaf_keeps_no_gradient(self, rng):
+        x = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True, name="x")
+        y = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True, name="y")
+        opt = ad.Adam([x, y])
         with ad.Tape() as tape:
             ad.mul(x, x)                 # recorded but not part of the loss
             tape.backward(ad.sum_all(y))
-        np.testing.assert_array_equal(x.grad, np.zeros((2, 2)))
+        assert x.grad is None
+        with pytest.raises(ad.GradientError, match="'x'"):
+            opt.step()
 
     def test_non_scalar_loss_rejected(self, rng):
         x = ad.Tensor(rng.normal(size=(2, 2)), requires_grad=True)

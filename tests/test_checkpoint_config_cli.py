@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,21 @@ class TestCli:
         # the scripted expert succeeds everywhere
         assert all(cell["sr_percent"] == 100.0 for cell in report["cells"].values())
 
+    def test_eval_expert_mask_only(self, cli_env, tmp_path, capsys):
+        _, cfg_path, _ = cli_env
+        cfg = json.loads(cfg_path.read_text())
+        cfg["benchmark"]["mask_only"] = True
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        rc = cli_main(["eval", "--config", str(tmp_path / "cfg.json"), "--expert",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["config"]["mask_only"] is True
+        for key, cell in report["cells"].items():
+            eps = [e for e in report["episodes"] if f"{e['condition']}/{e['family']}" == key]
+            wins = sum(e["miou"] > 0.8 and e["failure_reason"] is None for e in eps)
+            assert cell["sr_percent"] == 100.0 * wins / len(eps), key
+
     def test_run_expert_mode(self, cli_env, capsys):
         root, cfg_path, _ = cli_env
         out = root / "run_expert"
@@ -439,6 +455,8 @@ def _forged_checkpoints(model, tmp_path):
         "header_not_an_object": blob[:16] + b"[]".ljust(header_len) + body,
         "shape_disagrees_with_nbytes": forged(lambda h, t: t["shape"].append(2)),
         "tensor_reshaped": forged(lambda h, t: t["shape"].insert(0, 1)),
+        "tensor_renamed": forged(lambda h, t: h["tensors"].update(
+            {"renamed": h["tensors"].pop(sorted(h["tensors"])[0])})),
         "tensor_without_offset": forged(lambda h, t: t.pop("offset")),
         "model_config_invalid": forged(lambda h, t: h["model_config"].update(embed_dim=-3)),
         "tensor_not_finite": blob[:-8] + np.array([np.nan], "<f8").tobytes(),
@@ -463,6 +481,13 @@ def _bad_dataset(case, data_dir, tmp_path):
         blob = bytearray(png.read_bytes())
         blob[_PNG_FLIPS[case](blob)] ^= 0x01
         png.write_bytes(bytes(blob))
+    elif case in _PNG_IHDR_EDITS:             # CRC intact
+        blob = png.read_bytes()
+        at = blob.index(b"IHDR") + 4
+        offset, value = _PNG_IHDR_EDITS[case]
+        ihdr = blob[at:at + offset] + value + blob[at + offset + len(value):at + 13]
+        png.write_bytes(blob[:at] + ihdr + zlib.crc32(b"IHDR" + ihdr).to_bytes(4, "big")
+                        + blob[at + 17:])
     elif case == "pgm_size_not_numeric":
         pgm.write_bytes(b"P5\nwide tall\n65535\n" + pgm_data)
     elif case == "pgm_size_negative":
@@ -505,7 +530,13 @@ _PNG_FLIPS = {                # PNG bytes -> the offset of the byte to flip
     "png_idat_byte_flipped": lambda blob: blob.index(b"IDAT") + 4 + 50,
 }
 
+_PNG_IHDR_EDITS = {           # IHDR payload offset -> the bytes written there
+    "png_grey_colour_type": (9, b"\x00"),
+    "png_taller_than_its_data": (4, (225).to_bytes(4, "big")),
+}
+
 _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", *_PNG_FLIPS,
+                 *_PNG_IHDR_EDITS,
                  "pgm_size_not_numeric", "pgm_size_negative", "pgm_data_odd_length",
                  "manifest_not_json", "manifest_key_missing", "manifest_camera_key_missing",
                  "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS,
@@ -524,6 +555,8 @@ def _train_on_cli_data(section, **values):
 _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command that reads it
     "config_not_utf8": (b'{"x": "\xff"}', ["eval", "--expert"]),
     "config_nested_too_deep": (b"[" * 100_000, ["eval", "--expert"]),
+    "config_root_a_list": (b"[]", ["eval", "--expert"]),
+    "section_a_number": ({"benchmark": 5}, ["eval", "--expert"]),
     "held_out_family": ({"data": {"held_out_family": "XYZ"}}, ["gen-data"]),
     "sim_resolution_not_int": ({"sim": {"resolution": "abc"}}, ["eval", "--expert"]),
     "sim_resolution_zero": ({"sim": {"resolution": 0}}, ["eval", "--expert"]),
@@ -555,6 +588,10 @@ _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command 
                                                             patch_size=8),
     "model_max_text_len_zero": _train_on_cli_data("model", max_text_len=0),
     "model_mlp_ratio_zero": _train_on_cli_data("model", mlp_ratio=0),
+    "model_image_size_not_patch_multiple": _train_on_cli_data("model", image_size=100),
+    "model_adapter_unknown": _train_on_cli_data("model", adapter="qlora"),
+    "model_fusion_unknown": _train_on_cli_data("model", fusion="concat"),
+    "train_val_fraction_one": _train_on_cli_data("train", val_fraction=1.0),
     "model_seed_negative": _train_on_cli_data("model", seed=-1),
     "train_seed_negative": _train_on_cli_data("train", seed=-1),
     "model_vocab_size_wrong": _train_on_cli_data("model", vocab_size=5),
@@ -624,14 +661,27 @@ def llm_endpoint():
     server.server_close()
 
 
+_BAD_ARGS = {                 # command line -> its exit code and what stderr says
+    "plan_empty_command": (["plan", "--command", ""], 3, "empty command"),
+    "eval_without_checkpoint_or_expert": (["eval"], 2, "eval needs --checkpoint"),
+    "run_without_checkpoint_or_expert": (
+        ["run", "--command", "Fold the Towel in half diagonally"], 2,
+        "run needs --checkpoint"),
+    "run_expert_without_cloth_kind": (
+        ["run", "--expert", "--command",
+         "Grasp the left edge and place it to the right edge"], 3,
+        "could not infer the cloth kind"),
+}
+
 _BAD_INPUTS = [(case, 2) for case in _BAD_CONFIGS] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
-                           "tensor_without_offset", "model_config_invalid",
-                           "tensor_not_finite")] + [
+                           "tensor_without_offset", "tensor_renamed",
+                           "model_config_invalid", "tensor_not_finite")] + [
     (case, 5) for case in _BAD_DATASETS] + [
-    (case, 3) for case in _BAD_COMPLETIONS]
+    (case, 3) for case in _BAD_COMPLETIONS] + [
+    (case, exit_code) for case, (_, exit_code, _) in _BAD_ARGS.items()]
 
 
 @pytest.mark.parametrize("case,exit_code", _BAD_INPUTS)
@@ -650,6 +700,10 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         cfg.write_text(json.dumps({"planner": {"backend": {
             "endpoint_url": f"{llm_endpoint}/{case}", "timeout_s": 30.0}}}))
         argv = ["plan", "--config", str(cfg), "--command", "Roll the scarf into a tube"]
+    elif case in _BAD_ARGS:
+        argv = _BAD_ARGS[case][0]
+        if argv[0] != "plan":
+            argv = [*argv, "--out", str(tmp_path / "o")]
     elif case in _BAD_DATASETS:
         _, cfg_path, data_dir = cli_env
         argv = ["train", "--config", str(cfg_path),
@@ -669,3 +723,5 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
     assert proc.stderr.strip()
     if case in _BAD_CONFIGS:
         assert proc.stderr.startswith("config error:"), proc.stderr
+    if case in _BAD_ARGS:
+        assert _BAD_ARGS[case][2] in proc.stderr

@@ -236,6 +236,22 @@ class TestBenchmark:
             assert cell["mean_mpd_m"] == pytest.approx(
                 float(np.mean([e.mpd for e in eps])))
 
+    def test_mask_only_scores_by_iou_not_mpd(self):
+        def episode(mpd_m, iou, failure=None):
+            return evaluation.EpisodeResult(
+                "c", "SI", "DTF", [], [], mpd_m, iou,
+                evaluation.success(mpd_m) and failure is None, 1, failure, 0.0)
+
+        results = [episode(0.001, 0.8),           # MPD wins; IoU exactly 0.8 fails
+                   episode(0.05, 0.9),            # IoU wins; MPD fails
+                   episode(0.05, 0.95, "GraspMissError: missed"),   # no rule wins
+                   episode(0.02, 0.85)]           # IoU wins; MPD fails
+        by_mpd = evaluation.aggregate(results)
+        by_iou = evaluation.aggregate(results, mask_only=True)
+        assert (by_mpd["sr_percent"], by_iou["sr_percent"]) == (25.0, 50.0)
+        assert {k: v for k, v in by_mpd.items() if k != "sr_percent"} == {
+            k: v for k, v in by_iou.items() if k != "sr_percent"}
+
     def test_csv_schema(self):
         report = run_benchmark(None, BenchmarkConfig(episodes_per_cell=1, seed=0))
         lines = report.to_csv().strip().splitlines()
@@ -246,7 +262,7 @@ class TestBenchmark:
         report = run_benchmark(None, BenchmarkConfig(episodes_per_cell=2, seed=0))
         from clothfold.planner import command_bank
         for e in report.episodes:
-            bank = command_bank(e.family)[e.family]
+            bank = command_bank(e.family)
             variant = bank.index(e.command)
             if e.condition == "UI":
                 assert variant in (2, 3)

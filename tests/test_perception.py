@@ -13,7 +13,7 @@ from clothfold import sim
 from clothfold.perception import (ModelConfig, PerceptionModel, TokenizeError,
                                   default_vocabulary, segment_workspace,
                                   select_action, tokenize)
-from clothfold.perception.fusion import cross_attention_fuse, prepend_tokens
+from clothfold.perception.fusion import prepend_tokens
 from clothfold.perception.model import EmptyMaskError, normalize_observation
 from clothfold.planner import validate_subtask
 
@@ -157,7 +157,7 @@ class TestFusion:
         f_o = ad.Tensor(rng.normal(size=(p1, cfg.embed_dim)))
         for t_len in (1, 2, 5, 9):
             f_l = ad.Tensor(rng.normal(size=(t_len, cfg.embed_dim)))
-            fused = cross_attention_fuse(f_o, f_l, small_model.fusion)
+            fused = small_model.fusion.fuse(f_o, f_l)
             assert fused.shape == (p1, cfg.embed_dim)
 
     def test_zero_projection_reduces_to_layernorm(self, small_model, rng):
@@ -168,7 +168,7 @@ class TestFusion:
         f_l = ad.Tensor(rng.normal(size=(4, cfg.embed_dim)))
         saved = block.w_p.data.copy()
         block.w_p.data[:] = 0.0
-        fused = cross_attention_fuse(f_o, f_l, block)
+        fused = block.fuse(f_o, f_l)
         expect = ad.layer_norm(f_o, block.ln_g, block.ln_b)
         block.w_p.data[:] = saved
         np.testing.assert_array_equal(fused.data, expect.data)

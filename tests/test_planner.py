@@ -84,6 +84,18 @@ class TestValidateSubtask:
                 "Grasp the left leg and place it beneath the right leg")
         assert e.value.reason == "bad-preposition"
 
+    @pytest.mark.parametrize("text,reason", [
+        ("Grasp left leg and place it over the right leg", "empty-phrase"),
+        ("Grasp the left leg and put it over the right leg", "bad-verb"),
+        ("Grasp the left leg and place it over", "empty-phrase"),
+        ("Grasp the left leg and place it over a right leg", "empty-phrase"),
+        ("Grasp the left leg and place it over the", "empty-phrase"),
+    ])
+    def test_malformed_phrase_reason(self, text, reason):
+        with pytest.raises(planner.GrammarError) as e:
+            planner.validate_subtask(text)
+        assert e.value.reason == reason
+
     def test_tokens_split_never_errors_for_valid(self):
         st_ = planner.validate_subtask(
             "Grasp the top edge of the Towel and place it to the bottom edge")
@@ -114,12 +126,12 @@ class TestDecompose:
     def test_plan_lengths(self):
         expected = {"DSF": 2, "DTF": 1, "FCIF": 4, "TF": 2, "TSF": 3}
         for family, n in expected.items():
-            cmd = planner.command_bank(family)[family][0]
+            cmd = planner.command_bank(family)[0]
             assert len(planner.decompose(cmd)) == n, family
 
     def test_every_paraphrase_variant_decomposes_and_validates(self):
         for family in TASK_FAMILIES + AUX_FAMILIES:
-            for variant, cmd in enumerate(planner.command_bank(family)[family]):
+            for variant, cmd in enumerate(planner.command_bank(family)):
                 plan = planner.decompose(cmd)
                 assert plan, (family, variant)
                 for s in plan:
@@ -130,7 +142,7 @@ class TestDecompose:
 
     def test_paraphrase_bank_has_four_variants_per_family(self):
         for family in TASK_FAMILIES:
-            assert len(planner.command_bank(family)[family]) >= 4
+            assert len(planner.command_bank(family)) >= 4
 
     def test_unknown_family_raises(self):
         with pytest.raises(planner.PlanningError):
@@ -167,3 +179,21 @@ class TestParseCommand:
     def test_unknown_marked(self):
         cmd = planner.parse_command("Levitate the sock")
         assert not cmd.known
+
+    @pytest.mark.parametrize("text,family,kind", [
+        ("Please fold my towel along the diagonal", "DTF", "towel"),
+        ("Fold the towel's corners into the middle", "FCIF", "towel"),
+        ("Fold each sleeve of the shirt in", "SLEEVE_IN", "t-shirt"),
+        ("Fold this shirt for me", "TSF", "t-shirt"),
+        ("Fold up the pants", "TF", "trousers"),
+        ("Fold these trousers", "TF", "trousers"),
+        ("Fold the towel in half twice", "DSF", "towel"),
+        ("Fold the towel in half left to right, then top to bottom", "DSF", "towel"),
+        ("Fold the towel into a swan", None, "towel"),
+        ("Roll the shirt into a tube", None, "t-shirt"),
+        ("Fold the sock", None, None),
+    ])
+    def test_free_text_keyword_heuristics(self, text, family, kind):
+        cmd = planner.parse_command(f"  {text} ")
+        assert (cmd.text, cmd.task_family, cmd.cloth_kind, cmd.variant) == (
+            text, family, kind, 0)

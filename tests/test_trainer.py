@@ -63,24 +63,24 @@ class TestBce:
     def test_perfect_binary_prediction_near_zero(self):
         gt = np.zeros((16, 16))
         gt[4, 4] = 1.0
-        loss = bce(gt.copy(), gt).item()
+        loss = bce(ad.Tensor(gt), gt).item()
         assert loss <= 16 * 16 * 1.1e-7 * 16
 
     def test_uniform_half_closed_form(self):
         gt = (np.arange(64).reshape(8, 8) % 2).astype(float)
-        q = np.full((8, 8), 0.5)
+        q = ad.Tensor(np.full((8, 8), 0.5))
         assert bce(q, gt).item() == pytest.approx(64 * math.log(2), rel=1e-12)
 
     def test_clamp_prevents_infinities(self):
         gt = np.ones((4, 4))
-        q = np.zeros((4, 4))
+        q = ad.Tensor(np.zeros((4, 4)))
         loss = bce(q, gt).item()
         assert math.isfinite(loss)
         assert loss == pytest.approx(16 * -math.log(BCE_CLAMP), rel=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):
-            bce(np.zeros((4, 4)), np.zeros((4, 5)))
+            bce(ad.Tensor(np.zeros((4, 4))), np.zeros((4, 5)))
 
     def test_gradient_vs_finite_differences(self, rng):
         gt = rng.uniform(0, 1, size=(6, 6))
@@ -95,19 +95,19 @@ class TestTotalLoss:
     def test_perfect_predictions_near_zero(self):
         gt = np.zeros((8, 8))
         gt[2, 2] = 1.0
-        assert total_loss(gt.copy(), gt.copy(), gt, gt).item() < 1e-4
+        assert total_loss(ad.Tensor(gt), ad.Tensor(gt), gt, gt).item() < 1e-4
 
     def test_additivity(self, rng):
-        qp = rng.uniform(0.1, 0.9, (8, 8))
-        ql = rng.uniform(0.1, 0.9, (8, 8))
+        qp = ad.Tensor(rng.uniform(0.1, 0.9, (8, 8)))
+        ql = ad.Tensor(rng.uniform(0.1, 0.9, (8, 8)))
         gp = rng.uniform(0, 1, (8, 8))
         gl = rng.uniform(0, 1, (8, 8))
         assert total_loss(qp, ql, gp, gl).item() == pytest.approx(
             bce(qp, gp).item() + bce(ql, gl).item(), rel=1e-12)
 
     def test_swap_symmetry(self, rng):
-        qp = rng.uniform(0.1, 0.9, (8, 8))
-        ql = rng.uniform(0.1, 0.9, (8, 8))
+        qp = ad.Tensor(rng.uniform(0.1, 0.9, (8, 8)))
+        ql = ad.Tensor(rng.uniform(0.1, 0.9, (8, 8)))
         gp = rng.uniform(0, 1, (8, 8))
         gl = rng.uniform(0, 1, (8, 8))
         assert total_loss(qp, ql, gp, gl).item() == pytest.approx(
@@ -161,6 +161,27 @@ class TestDatasetGeneration:
         assert all(rgb.endswith(".rgb.png") and depth.endswith(".depth.pgm")
                    and rgb.removesuffix(".rgb.png") == depth.removesuffix(".depth.pgm")
                    for rgb, depth in frames)
+
+    def test_expert_failure_skips_the_episode(self, tmp_path, monkeypatch, caplog):
+        from clothfold.trainer import dataset
+        expert, calls = dataset.scripted_expert, []
+
+        def fail_first_call(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise sim.ExpertError("landmark not found")
+            return expert(*args)
+
+        monkeypatch.setattr(dataset, "scripted_expert", fail_first_call)
+        with caplog.at_level(logging.WARNING, logger="clothfold.trainer.dataset"):
+            manifest = generate_dataset(tmp_path, seed=1, episodes_per_family=1)
+        assert manifest.skipped_episodes == 1
+        assert "skipping episode 0 (DSF): landmark not found" in caplog.text
+        assert sorted({d.episode_id for d in manifest.demos}) == [1, 2, 3, 4]
+        assert not list((tmp_path / "demos").glob("ep00000_*"))
+        loaded, demos = load_dataset(tmp_path)
+        assert loaded.skipped_episodes == 1
+        assert [d.demo.rgb_file for d in demos] == [d.rgb_file for d in manifest.demos]
 
     def test_dataset_with_label_sidecars_loads_unchanged(self, tmp_path):
         """Datasets written with a JSON copy of each demo's manifest record
