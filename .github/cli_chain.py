@@ -8,7 +8,10 @@ epochs), ``eval`` and ``eval --expert`` (1 episode per cell), ``run`` with
 the model and with the scripted expert (before/after PNGs), ``ablate``
 (every adapter x fusion pair, trained and scored on that dataset) and
 ``plan``, which writes no file and is almost all start-up.
-``grad-check`` is left out: at D=16 it takes about 20 s per side.
+``grad-check`` is left out: at D=16 it takes about 20 s per side. A
+desk-scale pair follows: ``gen-data`` at the default 42 episodes per family
+(504 demos) and ``train`` with ``train.epochs: 0``, which only loads that
+dataset and prepares its samples, so its peak RSS is the data path's.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. JSON files are compared with every
 ``wall_time_s`` key removed; all other files byte for byte.
@@ -44,6 +47,8 @@ CONFIG = {
     "data": {"episodes_per_family": 1},
     "benchmark": {"episodes_per_cell": 1},
 }
+DESK_CONFIG = {**CONFIG, "train": {"epochs": 0}, "data": {"episodes_per_family": 42}}
+CONFIGS = {"config.json": CONFIG, "desk.json": DESK_CONFIG}
 TRAIN = ["train", "--dataset", "out/dataset", "--out", "out/train"]
 CHAIN = [
     ["gen-data", "--out", "out/dataset"],
@@ -57,18 +62,21 @@ CHAIN = [
     ["ablate", "--dataset", "out/dataset", "--out", "out/ablate"],
     ["plan", "--command", "Fold the Towel in half diagonally"],
 ]
+DESK_CHAIN = [["gen-data", "--out", "out/desk/dataset"],
+              ["train", "--dataset", "out/desk/dataset", "--out", "out/desk/train"]]
 
 
-def run_chain(src: Path, cwd: Path,
-              chain: list[list[str]] = CHAIN) -> list[tuple[float, float]]:
-    """Run each command of ``chain``; returns their wall seconds and peak RSS in MB."""
+def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN,
+              config: str = "config.json") -> list[tuple[float, float]]:
+    """Run each command of ``chain`` under ``config``, one of ``CONFIGS``;
+    returns their wall seconds and peak RSS in MB."""
     cwd.mkdir(parents=True, exist_ok=True)
-    (cwd / "config.json").write_text(json.dumps(CONFIG))
+    for name, values in CONFIGS.items():
+        (cwd / name).write_text(json.dumps(values))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     costs = []
     for argv in chain:
-        cmd = [sys.executable, "-m", "clothfold", argv[0], "--config", "config.json",
-               *argv[1:]]
+        cmd = [sys.executable, "-m", "clothfold", argv[0], "--config", config, *argv[1:]]
         t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -123,6 +131,8 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", str(base_src)], input=archive, check=True)
             base_costs = run_chain(base_src / "src", work / "base")
             head_costs = run_chain(REPO / "src", work / "head")
+            base_costs += run_chain(base_src / "src", work / "base", DESK_CHAIN, "desk.json")
+            head_costs += run_chain(REPO / "src", work / "head", DESK_CHAIN, "desk.json")
             shutil.copytree(work / "base" / "out" / "dataset", work / "cross" / "out" / "dataset")
             run_chain(REPO / "src", work / "cross", [TRAIN])
         except subprocess.CalledProcessError as e:
@@ -142,9 +152,10 @@ def main(argv=None) -> int:
         for name in cross:
             print(f"  {name}")
     print(f"wall s and peak RSS MB per command ({args.base} -> working tree):")
-    for argv, (base_s, base_mb), (head_s, head_mb) in zip(CHAIN, base_costs, head_costs):
-        name = " ".join([argv[0], *(a for a in argv if a == "--expert")])
-        print(f"  {name:<14} {base_s:6.2f} s {base_mb:7.1f} MB -> "
+    names = ([" ".join([argv[0], *(a for a in argv if a == "--expert")]) for argv in CHAIN]
+             + [f"{argv[0]} (desk)" for argv in DESK_CHAIN])
+    for name, (base_s, base_mb), (head_s, head_mb) in zip(names, base_costs, head_costs):
+        print(f"  {name:<16} {base_s:6.2f} s {base_mb:7.1f} MB -> "
               f"{head_s:6.2f} s {head_mb:7.1f} MB")
     return 0
 

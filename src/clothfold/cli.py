@@ -57,13 +57,13 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     manifest, demos = load_dataset(args.dataset)
-    train_demos = [d for d in demos if d.demo.split == "train"]
+    demos = [d for d in demos if d.demo.split == "train"]     # only the train split stays held
     model = PerceptionModel(cfg.model)
     if args.resume:
         ckpt = ckpt_io.load_checkpoint(args.resume)
         ckpt_io.load_into_model(ckpt, model)
     frozen_before = {k: t.data.copy() for k, t in model.frozen_parameters().items()}
-    result = train(train_demos, model, cfg.train)
+    result = train(demos, model, cfg.train)
     for k, t in model.frozen_parameters().items():
         if not np.array_equal(frozen_before[k], t.data):
             raise TrainingDivergedError(f"frozen weight {k!r} changed during training")
@@ -172,8 +172,8 @@ def cmd_grad_check(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     manifest, demos = load_dataset(args.dataset)
-    train_demos = [d for d in demos if d.demo.split == "train"]
-    report = run_ablation(train_demos, cfg.model, cfg.train, manifest.camera,
+    demos = [d for d in demos if d.demo.split == "train"]     # only the train split stays held
+    report = run_ablation(demos, cfg.model, cfg.train, manifest.camera,
                           episodes_per_cell=cfg.benchmark["episodes_per_cell"],
                           benchmark_seed=cfg.seed)
     out = Path(args.out)

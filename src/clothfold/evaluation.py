@@ -179,6 +179,20 @@ class BenchmarkConfig:
     held_out_family: Optional[str] = None
     mask_only: bool = False          # score by mask IoU > 0.8 instead of MPD
 
+    def __post_init__(self):
+        if type(self.episodes_per_cell) is not int or self.episodes_per_cell < 1:
+            raise ValueError(f"episodes_per_cell must be a positive integer, "
+                             f"got {self.episodes_per_cell!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, allowed in (("families", TASK_FAMILIES), ("conditions", CONDITIONS)):
+            value = getattr(self, name)
+            if not value or not set(value) <= set(allowed):
+                raise ValueError(f"{name} must be a non-empty subset of {allowed}, got {value!r}")
+        if self.held_out_family not in (None, *TASK_FAMILIES):
+            raise ValueError(f"held_out_family must be None or one of {TASK_FAMILIES}, "
+                             f"got {self.held_out_family!r}")
+
     def to_record(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 

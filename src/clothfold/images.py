@@ -2,8 +2,8 @@
 
 Only the subset this project produces is supported: truecolor PNGs written
 with filter type 0 on every scanline, and binary P5 PGMs with maxval 65535.
-Readers return what the file stores, uint8 levels and uint16 counts. Depth
-images store 0.1 mm units (DEPTH_UNIT); heatmaps store round(q * 65535).
+Readers return what the file stores, a PNG's checked bytes and a PGM's uint16
+counts. Depth images store 0.1 mm units (DEPTH_UNIT); heatmaps round(q * 65535).
 Readers raise ImageFormatError for a file they cannot decode (cut off, a bad
 PNG chunk CRC, corrupt, or outside that subset); writers raise it for a wrong
 shape or out-of-range depth. Failing to open, read or write stays OSError.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +50,25 @@ def write_png_rgb(path, rgb01: np.ndarray) -> None:
         f.write(data)
 
 
-def read_png_rgb(path) -> np.ndarray:
-    """Read a PNG written by :func:`write_png_rgb`; returns its uint8 levels."""
+class StoredPng(NamedTuple):
+    """A PNG file's bytes, which :func:`read_png_rgb` checked whole, and its
+    [H, W, 3] shape. ``levels()`` inflates them afresh on every call."""
+
+    data: bytes
+    shape: tuple[int, int, int]
+
+    def levels(self) -> np.ndarray:
+        return _png_levels(self.data, "a checked PNG")
+
+
+def read_png_rgb(path) -> StoredPng:
+    """Read a PNG written by :func:`write_png_rgb`, decoded once to check it."""
     with open(path, "rb") as f:
         blob = f.read()
+    return StoredPng(blob, _png_levels(blob, path).shape)
+
+
+def _png_levels(blob: bytes, path) -> np.ndarray:
     if not blob.startswith(_PNG_MAGIC):
         raise ImageFormatError(f"{path}: not a PNG file")
     pos = len(_PNG_MAGIC)

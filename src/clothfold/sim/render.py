@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..geometry import CameraIntrinsics, RigidTransform
-from ..images import DEPTH_UNIT
+from ..images import DEPTH_UNIT, StoredPng
 from .mesh import LAYER_THICKNESS, WORKSPACE_HALF, ClothMesh, cloth_color
 
 BACKGROUND_RGB = np.zeros(3)          # black table; cloth colors are far from it
@@ -81,12 +81,12 @@ class Observation:
     meters, and the cloth mask, built on first read and kept, read-only.
 
     ``Observation(rgb, depth, camera)`` holds the frame it is given: floats, or
-    the files' uint8 levels and uint16 depth counts, which each read of ``rgb``
-    or ``depth`` scales to a new float64 frame, kept by nobody. Its mask is
-    ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``: the mask,
-    depth and RGB frame are then each built from them on first read; depth and
-    RGB are fresh, writable float64 arrays. ``depth_at`` builds nothing, and
-    ``crop`` scales only its window of a stored frame.
+    the files' checked PNG and uint16 depth counts, which each read of ``rgb``
+    or ``depth`` inflates or scales to a new float64 frame, kept by nobody. Its
+    mask is ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``:
+    the mask, depth and RGB frame are then each built from them on first read;
+    depth and RGB are fresh, writable float64 arrays. ``depth_at`` builds
+    nothing, and ``crop`` scales only its window of a stored frame.
     """
 
     def __init__(self, rgb: np.ndarray | None, depth: np.ndarray | None,
@@ -127,19 +127,19 @@ class Observation:
         return _as_float(self._rgb)
 
     def crop(self, window: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray]:
-        """``(self.rgb[window], self.depth[window])``. Of stored levels and
+        """``(self.rgb[window], self.depth[window])``. Of a stored PNG and
         counts only the window is scaled, to the same bits, as scaling is
         elementwise; a rendered frame is built whole, as on any read."""
         if self._splats is not None:
             return self.rgb[window], self.depth[window]
-        return _as_float(self._rgb[window]), _as_float(self._depth[window])
+        return _as_float(self._rgb, window), _as_float(self._depth, window)
 
     def depth_at(self, row: int, col: int) -> float:
         """``float(self.depth[row, col])``. Before the depth is built, the same
         rule at one pixel: the least ``z_c`` of the splats with
         ``(row - vi)**2 + (col - ui)**2 <= r_px**2``, else the table depth."""
         if self._depth is not None:
-            return float(_as_float(self._depth[row, col]))
+            return float(_as_float(self._depth, (row, col)))
         h, w = self._shape
         if not (-h <= row < h and -w <= col < w):
             raise IndexError(f"pixel ({row}, {col}) is outside the {h}x{w} frame")
@@ -174,14 +174,14 @@ class Observation:
         return self._index
 
 
-def _as_float(stored):
-    """Stored uint8 levels or uint16 depth counts (an array or one pixel's)
-    scaled afresh to float64, as the image files define them; floats as is."""
-    if stored.dtype == np.uint8:
-        return stored / 255.0
+def _as_float(stored, window=...):
+    """``window`` of a stored PNG (inflated on each call) or uint16 depth counts
+    scaled afresh to float64 as the image files define them; floats as is."""
+    if isinstance(stored, StoredPng):
+        return stored.levels()[window] / 255.0
     if stored.dtype == np.uint16:
-        return stored * DEPTH_UNIT
-    return stored
+        return stored[window] * DEPTH_UNIT
+    return stored if window is ... else stored[window]
 
 
 @functools.cache

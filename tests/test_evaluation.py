@@ -252,6 +252,33 @@ class TestBenchmark:
         assert {k: v for k, v in by_mpd.items() if k != "sr_percent"} == {
             k: v for k, v in by_iou.items() if k != "sr_percent"}
 
+    @pytest.mark.parametrize("field,value", [
+        ("episodes_per_cell", 0),          # aggregate would divide by zero
+        ("episodes_per_cell", -2),
+        ("episodes_per_cell", 1.0),
+        ("episodes_per_cell", True),
+        ("seed", -1),                      # the scripted expert misses UT there
+        ("seed", 0.5),
+        ("families", ()),                  # aggregate would divide by zero
+        ("families", ("NOPE",)),           # was a bare KeyError
+        ("families", ("DTF", "NOPE")),
+        ("conditions", ()),
+        ("conditions", ("XX",)),           # ran 15 episodes under an unknown label
+        ("held_out_family", "NOPE"),
+        ("held_out_family", ""),
+    ])
+    def test_config_rejects_a_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            BenchmarkConfig(**{field: value})
+
+    def test_config_accepts_every_subset_and_family(self):
+        for family in (None, *evaluation.TASK_FAMILIES):
+            BenchmarkConfig(held_out_family=family)
+        cfg = BenchmarkConfig(episodes_per_cell=1, seed=0, families=("TF",),
+                              conditions=("UT", "SI"))
+        report = run_benchmark(None, cfg)
+        assert set(report.cells) == {"SI/TF", "UT/TF"}
+
     def test_csv_schema(self):
         report = run_benchmark(None, BenchmarkConfig(episodes_per_cell=1, seed=0))
         lines = report.to_csv().strip().splitlines()

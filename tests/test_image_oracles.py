@@ -142,13 +142,32 @@ class TestPngAgainstScanlineOracle:
         images.write_png_rgb(d / "new.png", rgb)
         loop_write_png_rgb(d / "old.png", rgb)
         assert (d / "new.png").read_bytes() == (d / "old.png").read_bytes()
-        levels = images.read_png_rgb(d / "new.png")
+        levels = images.read_png_rgb(d / "new.png").levels()
         oracle = loop_read_png_rgb(d / "new.png")
         assert levels.dtype == np.uint8
         back = levels / 255.0
         assert back.dtype == oracle.dtype == np.float64
         np.testing.assert_array_equal(back, oracle)
         np.testing.assert_array_equal(back, rgb)
+
+    @given(uint8_images())
+    @settings(max_examples=40, deadline=None)
+    def test_stored_png_inflates_to_the_oracle_on_every_read(self, tmp_path_factory, u8):
+        """``read_png_rgb`` keeps the file's bytes; each ``levels()`` is a
+        fresh, writable uint8 frame equal to the scanline oracle's."""
+        path = tmp_path_factory.mktemp("png") / "x.png"
+        images.write_png_rgb(path, u8 / 255.0)
+        stored = images.read_png_rgb(path)
+        assert stored.data == path.read_bytes() and stored.shape == u8.shape
+        oracle = loop_read_png_rgb(path)
+        reads = [stored.levels() for _ in range(3)]
+        for levels in reads:
+            assert levels.dtype == np.uint8 and levels.shape == u8.shape
+            assert levels.flags.c_contiguous and levels.flags.writeable
+            np.testing.assert_array_equal(levels / 255.0, oracle)
+        assert not np.shares_memory(reads[0], reads[1])
+        reads[0][...] = ~reads[0]
+        np.testing.assert_array_equal(stored.levels(), u8)
 
     @given(float_images())
     @settings(max_examples=40, deadline=None)
@@ -273,14 +292,15 @@ class TestSegmentAgainstFullFrameOracle:
 
     def test_loaded_frames_scale_only_the_window(self, tmp_path, monkeypatch):
         """A loaded demo's whole RGB is scaled once, for its mask; the crop
-        scales only the window of the stored levels and counts, to the bytes
+        scales only the window of the stored PNG and counts, to the bytes
         of the full-frame oracle."""
         as_float, full = render_module._as_float, []
 
-        def counting(stored):
-            if stored.shape[:2] == (224, 224):
-                full.append(stored.dtype)
-            return as_float(stored)
+        def counting(stored, window=...):
+            scaled = as_float(stored, window)
+            if scaled.shape[:2] == (224, 224):
+                full.append(type(stored))
+            return scaled
 
         generate_dataset(tmp_path, seed=0, episodes_per_family=1)
         _, demos = load_dataset(tmp_path)
@@ -289,9 +309,9 @@ class TestSegmentAgainstFullFrameOracle:
             monkeypatch.setattr(render_module, "_as_float", counting)
             full.clear()
             seg, off = segment_workspace(obs, 112)
-            assert full == [np.uint8]
+            assert full == [images.StoredPng]
             segment_workspace(obs, 112)
-            assert full == [np.uint8]
+            assert full == [images.StoredPng]
             monkeypatch.undo()
             oracle, oracle_off = full_frame_segment_workspace(obs, 112)
             assert off == oracle_off

@@ -13,7 +13,7 @@ class TestPng:
         rgb = np.round(rng.random((17, 23, 3)) * 255) / 255.0
         path = tmp_path / "x.png"
         images.write_png_rgb(path, rgb)
-        levels = images.read_png_rgb(path)
+        levels = images.read_png_rgb(path).levels()
         assert levels.dtype == np.uint8
         np.testing.assert_array_equal(levels / 255.0, rgb)
 
@@ -21,7 +21,7 @@ class TestPng:
         obs = sim.render(sim.init_cloth("t-shirt"), sim.default_camera())
         path = tmp_path / "obs.png"
         images.write_png_rgb(path, obs.rgb)
-        np.testing.assert_array_equal(images.read_png_rgb(path) / 255.0, obs.rgb)
+        np.testing.assert_array_equal(images.read_png_rgb(path).levels() / 255.0, obs.rgb)
 
     def test_deterministic_bytes(self, tmp_path, rng):
         rgb = rng.random((8, 8, 3))
@@ -38,23 +38,24 @@ class TestPng:
 
 
 def test_loaded_frames_are_fresh_writable_float64(tmp_path, rng):
-    """An observation of the stored levels and counts, as ``load_dataset``
+    """An observation of the stored PNG and counts, as ``load_dataset``
     builds it, returns on each read of ``rgb`` or ``depth`` its own
     C-contiguous, writable float64 frame, equal to the written values."""
     rgb = np.round(rng.random((5, 7, 3)) * 255) / 255.0
     depth = np.round(rng.random((5, 7)) * 1e4) * images.DEPTH_UNIT
     images.write_png_rgb(tmp_path / "x.png", rgb)
     images.write_depth_pgm(tmp_path / "x.pgm", depth)
-    levels = images.read_png_rgb(tmp_path / "x.png")
+    png = images.read_png_rgb(tmp_path / "x.png")
     counts = images.read_pgm16(tmp_path / "x.pgm")
-    assert levels.dtype == np.uint8 and counts.dtype == np.uint16
-    obs = sim.Observation(levels, counts, sim.default_camera(7))
+    assert png.levels().dtype == np.uint8 and counts.dtype == np.uint16
+    stored = np.frombuffer(png.data, dtype=np.uint8)
+    obs = sim.Observation(png, counts, sim.default_camera(7))
     for name, want in (("rgb", rgb), ("depth", depth)):
         a, b = getattr(obs, name), getattr(obs, name)
         for frame in (a, b):
             assert frame.dtype == np.float64 and frame.shape == want.shape
             assert frame.flags.c_contiguous and frame.flags.writeable
-            assert not np.shares_memory(frame, levels) and not np.shares_memory(frame, counts)
+            assert not np.shares_memory(frame, stored) and not np.shares_memory(frame, counts)
         assert not np.shares_memory(a, b)
         a[...] = -1.0
         np.testing.assert_array_equal(b, want)
@@ -98,7 +99,8 @@ class TestPgm:
 class TestCorruptFiles:
     """A cut or changed file decodes or raises ImageFormatError, nothing else;
     a cut file that still decodes (only IEND cut off) decodes unchanged, and
-    so does a changed PNG, since every chunk carries a CRC."""
+    so does a changed PNG, since every chunk carries a CRC. A PNG fails at
+    ``read_png_rgb`` or never: one that loads reads back equal every time."""
 
     @pytest.mark.parametrize("kind", ["png", "pgm"])
     def test_every_prefix(self, tmp_path, rng, kind):
@@ -147,7 +149,20 @@ def _small_file(directory, rng, kind):
     if kind == "png":
         path = directory / "x.png"
         images.write_png_rgb(path, rng.random((5, 7, 3)))
-        return path, images.read_png_rgb
+        return path, _read_png_levels
     path = directory / "x.pgm"
     images.write_pgm16(path, rng.integers(0, 65536, (5, 7)).astype(np.uint16))
     return path, images.read_pgm16
+
+
+def _read_png_levels(path):
+    """``read_png_rgb(path)``'s levels, read three times: a file that loads
+    must not fail a later read, and every read must be equal."""
+    stored = images.read_png_rgb(path)
+    try:
+        reads = [stored.levels() for _ in range(3)]
+    except images.ImageFormatError as e:
+        raise AssertionError(f"{path} loaded but failed a later read: {e}") from e
+    for later in reads[1:]:
+        np.testing.assert_array_equal(later, reads[0])
+    return reads[0]

@@ -242,13 +242,14 @@ class TestFrameMemory:
         assert added >= self.FRAME_BYTES + obs.cloth_mask.nbytes
 
     def test_loaded_demo_holds_its_stored_frame_only(self, tmp_path):
-        """Per demo, ``load_dataset`` keeps the 8-bit RGB and 16-bit depth its
-        files store, which tracemalloc must see, and no float frame: at most
-        0.26 MB, where float64 RGB and depth would hold 1.6 MB."""
+        """Per demo, ``load_dataset`` keeps the PNG file's bytes and the 16-bit
+        depth counts, which tracemalloc must see, and no decoded frame: at
+        most 0.11 MB, where uint8 RGB levels and depth would hold 0.25 MB and
+        float64 RGB and depth 1.6 MB."""
         generate_dataset(tmp_path, seed=0, episodes_per_family=1)
         (_, demos), held = traced(lambda: load_dataset(tmp_path))
-        stored = self.DEPTH_BYTES // 8 * (3 + 2)
-        assert stored <= held / len(demos) <= 0.26e6
+        counts = self.DEPTH_BYTES // 8 * 2
+        assert counts <= held / len(demos) <= 0.11e6
 
     def test_expert_episode_builds_no_depth_frame_and_two_masks(self, monkeypatch):
         kept = []

@@ -205,7 +205,7 @@ class TestDatasetGeneration:
         manifest = generate_dataset(tmp_path, seed=1, episodes_per_family=1)
         name = getattr(manifest.demos[-1], which)
         if which == "rgb_file":
-            levels = images.read_png_rgb(tmp_path / name)
+            levels = images.read_png_rgb(tmp_path / name).levels()
             images.write_png_rgb(tmp_path / name, levels[:100] / 255.0)
         else:
             images.write_pgm16(tmp_path / name, images.read_pgm16(tmp_path / name)[:, 8:])
