@@ -22,9 +22,15 @@ working tree's own ``train`` output are listed too, a file that only the run
 on the base side's dataset wrote as ``(base only)``: an older dataset must
 load and train the same way. Last come each command's wall seconds and
 peak RSS on both sides, the RSS read from its own rusage when it is
-reaped. All of it is
-informational: the script exits 0 whatever differs, and 1 only when a
-command fails or the base commit cannot be exported.
+reaped.
+
+A change declares the chain files whose bytes it changes in a line it adds
+to CHANGES.md: ``**Bytes changed: none.**``, or ``**Bytes changed: <paths
+or globs under out/, comma-separated>.**``. The script exits 1 when no such
+line was added since the base commit, when a chain file differs that no
+declared path or glob names, or when one names no differing file; it also
+exits 1 when a command fails or the base commit cannot be exported. The
+cross-read and the costs are informational.
 """
 
 from __future__ import annotations
@@ -32,11 +38,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
+from fnmatch import fnmatch
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -117,10 +126,46 @@ def differing_files(base: Path, head: Path) -> list[str]:
     return out
 
 
+DECLARATION = re.compile(r"\*\*Bytes changed: (.+?)\.\*\*")
+
+
+def declared_changes(base: str) -> list[str] | None:
+    """The paths and globs of the declarations CHANGES.md holds now and did
+    not hold at ``base`` (``none`` declares none), or None if it gained no
+    declaration. Counting them, not diff lines, keeps an old declaration on
+    a line edited since from counting as new."""
+    def declarations(text: str) -> Counter:
+        return Counter(m.group(1) for m in DECLARATION.finditer(text))
+
+    old = subprocess.run(["git", "show", f"{base}:CHANGES.md"], cwd=REPO, check=True,
+                         capture_output=True, text=True).stdout
+    added = declarations((REPO / "CHANGES.md").read_text()) - declarations(old)
+    if not added:
+        return None
+    return [path.strip().strip("`") for text in added if text.strip() != "none"
+            for path in text.split(",")]
+
+
+def declaration_mismatches(declared: list[str], diff: list[str]) -> list[str]:
+    """What breaks the declaration: each differing file that no declared
+    pattern names, then each pattern that names no differing file."""
+    changed = ["out/" + name.removesuffix(" (base only)").removesuffix(" (head only)")
+               for name in diff]
+    return ([f"{name} differs but is not declared" for name in changed
+             if not any(fnmatch(name, p) for p in declared)]
+            + [f"{p} is declared but no such file differs" for p in declared
+               if not any(fnmatch(name, p) for name in changed)])
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", help="git commit to compare the working tree against")
     args = p.parse_args(argv)
+    try:
+        declared = declared_changes(args.base)
+    except subprocess.CalledProcessError as e:
+        print(f"cannot read CHANGES.md at {args.base}: {e}", file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         base_src = work / "base_checkout"
@@ -157,7 +202,16 @@ def main(argv=None) -> int:
     for name, (base_s, base_mb), (head_s, head_mb) in zip(names, base_costs, head_costs):
         print(f"  {name:<16} {base_s:6.2f} s {base_mb:7.1f} MB -> "
               f"{head_s:6.2f} s {head_mb:7.1f} MB")
-    return 0
+    if declared is None:
+        print(f"CHANGES.md gained no '**Bytes changed: ...**' line since {args.base}",
+              file=sys.stderr)
+        return 1
+    problems = declaration_mismatches(declared, diff)
+    for problem in problems:
+        print(f"bytes changed: {problem}", file=sys.stderr)
+    print(f"bytes changed as declared ({', '.join(declared) or 'none'}): "
+          f"{'no' if problems else 'yes'}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

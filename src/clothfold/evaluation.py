@@ -127,8 +127,8 @@ def run_episode(command: str, model: Optional[PerceptionModel],
                 action = scripted_expert(env.mesh, subtask, env.camera)
                 pick_full, place_full = action.pick_pixel, action.place_pixel
             else:
-                seg, (r0, c0) = segment_workspace(obs, model.cfg.image_size)
-                heatmaps, action = model.forward(seg, subtask)
+                image4, (r0, c0) = segment_workspace(obs, model.cfg.image_size)
+                heatmaps, action = model.forward(image4, subtask)
                 pick_full = (action.pick_pixel[0] + r0, action.pick_pixel[1] + c0)
                 place_full = (action.place_pixel[0] + r0, action.place_pixel[1] + c0)
                 if artifacts_dir is not None:

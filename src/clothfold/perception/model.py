@@ -30,20 +30,22 @@ class SegmentationError(ad.ShapeError):
     pass
 
 
-def segment_workspace(obs: Observation, crop_size: int) -> tuple[Observation, tuple[int, int]]:
-    """Suppress background pixels and center-crop to the model resolution.
+def crop_origin(shape: tuple[int, int], crop_size: int) -> tuple[int, int]:
+    """(row, col) of the centred ``crop_size`` square in a frame of ``shape``."""
+    h, w = shape
+    if crop_size > min(h, w):
+        raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
+    return (h - crop_size) // 2, (w - crop_size) // 2
 
-    Returns the masked observation plus the (row, col) crop offset needed to
-    map model pixels back into the full frame. Idempotent on its own output.
-    """
+
+def segment_workspace(obs: Observation, crop_size: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """The model's [crop, crop, 4] float64 input, the frame's centre crop: RGB
+    and height above the table in [0, 1], all 0 off the cloth mask; and the
+    (row, col) crop origin, which maps model pixels back to the frame."""
     mask = obs.cloth_mask
     if not mask.any():
         raise EmptyMaskError("no cloth pixels found in the observation")
-    h, w = mask.shape
-    if crop_size > min(h, w):
-        raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
-    r0 = (h - crop_size) // 2
-    c0 = (w - crop_size) // 2
+    r0, c0 = crop_origin(mask.shape, crop_size)
     window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
     mask = mask[window]
     if not mask.any():
@@ -51,13 +53,8 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[Observation, tu
     rgb, depth = obs.crop(window)
     rgb = np.where(mask[..., None], rgb, 0.0)
     depth = np.where(mask, depth, obs.camera.table_depth)
-    return Observation(rgb, depth, obs.camera), (r0, c0)
-
-
-def normalize_observation(obs: Observation) -> np.ndarray:
-    """RGB stays in [0,1]; depth becomes height above the table in [0,1]."""
-    depth_norm = np.clip((obs.camera.table_depth - obs.depth) / DEPTH_RANGE, 0.0, 1.0)
-    return np.concatenate([obs.rgb, depth_norm[..., None]], axis=-1)
+    depth_norm = np.clip((obs.camera.table_depth - depth) / DEPTH_RANGE, 0.0, 1.0)
+    return np.concatenate([rgb, depth_norm[..., None]], axis=-1), (r0, c0)
 
 
 @dataclass
@@ -118,9 +115,6 @@ class PerceptionModel:
     def tokenize(self, text: str) -> list[int]:
         return tokenize(text, self.vocab, max_len=self.cfg.max_text_len)
 
-    def encode(self, token_ids: list[int], image4: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
-        return self.encoder.encode(token_ids, image4)
-
     def segment_text_features(self, f_l: ad.Tensor,
                               token_ids: list[int]) -> tuple[ad.Tensor, ad.Tensor]:
         """Split token features at the conjunction; its row is dropped."""
@@ -136,7 +130,7 @@ class PerceptionModel:
     def forward_heatmaps(self, image4: np.ndarray,
                          token_ids: list[int]) -> tuple[ad.Tensor, ad.Tensor]:
         """Differentiable core: masked RGB-D input + token ids -> two maps."""
-        f_l, f_o = self.encode(token_ids, image4)
+        f_l, f_o = self.encoder.encode(token_ids, image4)
         f_l1, f_l2 = self.segment_text_features(f_l, token_ids)
         cap_l1, cap_l2, cap_o = prepend_tokens(f_l1, f_l2, f_o, self.tokens)
         fused_pick = self.fusion.fuse(cap_o, cap_l1)
@@ -144,11 +138,9 @@ class PerceptionModel:
         return (self.decoder_pick.forward(fused_pick),
                 self.decoder_place.forward(fused_place))
 
-    def forward(self, obs: Observation,
+    def forward(self, image4: np.ndarray,
                 subtask: SubTask) -> tuple[HeatmapPair, PickPlaceAction]:
-        """Full inference on a masked, cropped observation."""
-        token_ids = self.tokenize(subtask.text)
-        image4 = normalize_observation(obs)
-        q_pick_t, q_place_t = self.forward_heatmaps(image4, token_ids)
+        """Full inference on ``segment_workspace``'s array."""
+        q_pick_t, q_place_t = self.forward_heatmaps(image4, self.tokenize(subtask.text))
         pair = HeatmapPair(q_pick_t.data.copy(), q_place_t.data.copy())
         return pair, select_action(pair.q_pick, pair.q_place)

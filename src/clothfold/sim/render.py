@@ -80,13 +80,13 @@ class Observation:
     """RGB-D image: rgb in [0,1] (quantized to the uint8 grid), depth in
     meters, and the cloth mask, built on first read and kept, read-only.
 
-    ``Observation(rgb, depth, camera)`` holds the frame it is given: floats, or
-    the files' checked PNG and uint16 depth counts, which each read of ``rgb``
-    or ``depth`` inflates or scales to a new float64 frame, kept by nobody. Its
-    mask is ``cloth_mask_from_rgb(rgb)``. ``render`` gives it only ``splats``:
-    the mask, depth and RGB frame are then each built from them on first read;
-    depth and RGB are fresh, writable float64 arrays. ``depth_at`` builds
-    nothing, and ``crop`` scales only its window of a stored frame.
+    ``render`` gives it only ``splats``: the mask, depth and RGB frame are
+    each built from them on first read; depth and RGB are fresh, writable
+    float64 arrays. ``load_dataset`` gives the files' checked PNG and uint16
+    depth counts, which each read of ``rgb`` or ``depth`` inflates or scales
+    to a new float64 frame, kept by nobody; the mask is then
+    ``cloth_mask_from_rgb(rgb)``. Float arrays, held as given, are for tests
+    only. ``depth_at`` builds nothing; ``crop`` scales only its window.
     """
 
     def __init__(self, rgb: np.ndarray | None, depth: np.ndarray | None,

@@ -39,9 +39,9 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 
 class DatasetFormatError(RuntimeError):
     """A manifest that is not UTF-8 JSON, misses a key, whose demos are not a
-    list of records, whose demo fields have the wrong JSON type, or whose
-    sub-task the model cannot split at its conjunction; a demo frame whose
-    size is not the camera's, or that holds no cloth."""
+    list of records, whose demo fields have the wrong JSON type or a pixel off
+    the camera's frame, or whose sub-task the model cannot split at its
+    conjunction; a demo frame not of the camera's size, or with no cloth."""
 
 
 @dataclass(frozen=True)
@@ -237,14 +237,19 @@ class LoadedDemo:
 
 
 def load_dataset(dataset_dir) -> tuple[DatasetManifest, list[LoadedDemo]]:
-    """The manifest and each demo's frames, which must be the camera's size,
-    kept as the files store them: the checked PNG and uint16 depth counts."""
+    """The manifest and each demo's frames, which must be the camera's size and
+    hold its labels, kept as the files store them: PNG and uint16 depth counts."""
     root = Path(dataset_dir)
     manifest = DatasetManifest.from_json((root / "manifest.json").read_bytes())
     camera = camera_from_record(manifest.camera)
     shape = camera.intrinsics.height, camera.intrinsics.width
     loaded = []
     for d in manifest.demos:
+        for what, (r, c) in (("pick", d.pick_pixel), ("place", d.place_pixel)):
+            if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+                raise DatasetFormatError(f"demo of episode {d.episode_id} step {d.step_index}: "
+                                         f"{what} pixel {(r, c)} lies outside the camera's "
+                                         f"{shape[0]}x{shape[1]} frame")
         png = images.read_png_rgb(root / d.rgb_file)
         counts = images.read_pgm16(root / d.depth_file)
         for name, frame in ((d.rgb_file, png), (d.depth_file, counts)):

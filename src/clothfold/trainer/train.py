@@ -12,8 +12,8 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..perception.config import typed_fields
-from ..perception.model import (EmptyMaskError, PerceptionModel, normalize_observation,
-                                segment_workspace)
+from ..perception.model import (EmptyMaskError, PerceptionModel, SegmentationError,
+                                crop_origin, segment_workspace)
 from .dataset import DatasetFormatError, LoadedDemo
 from .heatmaps import action_to_heatmap, total_loss
 
@@ -25,8 +25,8 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CropError(ValueError):
-    """A demonstration's action pixel lies outside the model's centre crop:
-    ``model.image_size`` is too small for the data."""
+    """``model.image_size`` does not fit the data: its centre crop is larger
+    than a demonstration's frame, or cuts off its pick or place pixel."""
 
 
 @dataclass
@@ -73,27 +73,29 @@ class PreparedSample:
 
 def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
                    sigma_hm: float) -> PreparedSample:
-    """Mask + crop the stored observation and build crop-frame targets. A pick
-    or place pixel the crop cuts off raises CropError before segmentation; a
-    crop with no cloth then raises DatasetFormatError."""
-    size = model.cfg.image_size
-    # Sized by the kept mask, which segmentation reads too; depth builds a frame per read
-    r0, c0 = ((n - size) // 2 for n in demo.observation.cloth_mask.shape)
-    d, crop, gt = demo.demo, [], []
+    """``segment_workspace``'s array as is, and crop-frame targets. A crop larger
+    than the camera's frame, or one cutting off the pick or place pixel, raises
+    CropError before any pixel is read; one with no cloth, DatasetFormatError."""
+    size, k, d = model.cfg.image_size, demo.observation.camera.intrinsics, demo.demo
+    where = f"demo of episode {d.episode_id} step {d.step_index}"
+    try:
+        r0, c0 = crop_origin((k.height, k.width), size)
+    except SegmentationError as e:
+        raise CropError(f"{where}: its {k.height}x{k.width} frame is smaller than "
+                        f"the centre crop of model.image_size {size}") from e
+    crop, gt = [], []
     for what, (r, c) in (("pick", d.pick_pixel), ("place", d.place_pixel)):
         crop.append((r - r0, c - c0))
         try:
             gt.append(action_to_heatmap(crop[-1], sigma_hm, size, size))
         except ValueError as e:
-            raise CropError(f"demo of episode {d.episode_id} step {d.step_index}: {what} "
-                            f"pixel {(r, c)} lies outside the {size}x{size} centre crop "
-                            f"at {(r0, c0)}; raise model.image_size") from e
+            raise CropError(f"{where}: {what} pixel {(r, c)} lies outside the {size}x{size} "
+                            f"centre crop at {(r0, c0)}; raise model.image_size") from e
     try:
-        seg, _ = segment_workspace(demo.observation, size)
+        image4, _ = segment_workspace(demo.observation, size)
     except EmptyMaskError as e:
-        raise DatasetFormatError(f"demo of episode {d.episode_id} step {d.step_index}: "
-                                 f"{e}") from e
-    return PreparedSample(normalize_observation(seg), model.tokenize(d.subtask), *gt, *crop)
+        raise DatasetFormatError(f"{where}: {e}") from e
+    return PreparedSample(image4, model.tokenize(d.subtask), *gt, *crop)
 
 
 def sample_loss(model: PerceptionModel, sample: PreparedSample,

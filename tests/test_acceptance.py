@@ -58,13 +58,13 @@ class TestAcceptance:
                           seed=4)
         model = PerceptionModel(cfg)
         env = sim.ClothSim.fresh("towel")
-        seg, _ = segment_workspace(env.observe(), cfg.image_size)
+        img, _ = segment_workspace(env.observe(), cfg.image_size)
         st = planner.validate_subtask(
             "Grasp the left edge of the Towel and place it to the right edge")
-        fresh, _ = model.forward(seg, st)
+        fresh, _ = model.forward(img, st)
         # Same config and seed without adapters: bit-equal frozen, fusion,
         # token and decoder tensors, so the frozen-encoder oracle.
-        bare, _ = PerceptionModel(replace(cfg, adapter="none")).forward(seg, st)
+        bare, _ = PerceptionModel(replace(cfg, adapter="none")).forward(img, st)
         identity_err = max(np.abs(fresh.q_pick - bare.q_pick).max(),
                            np.abs(fresh.q_place - bare.q_place).max())
 

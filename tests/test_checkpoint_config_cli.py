@@ -513,10 +513,13 @@ def _bad_dataset(case, data_dir, tmp_path):
     return bad
 
 
-_BAD_DEMO_FIELDS = {          # first demo record's field -> a mistyped value
+_BAD_DEMO_FIELDS = {          # first demo record's field -> a mistyped or out-of-range value
     "demo_rgb_file_a_number": ("rgb_file", 5),
     "demo_pick_pixel_a_string": ("pick_pixel", "ab"),
     "demo_pick_pixel_one_item": ("pick_pixel", [1]),
+    # a label pixel outside the manifest camera's 224x224 frame
+    "demo_pick_pixel_outside_frame": ("pick_pixel", [500, 500]),
+    "demo_pick_pixel_negative_row": ("pick_pixel", [-1, 120]),
     "demo_subtask_null": ("subtask", None),
     "demo_split_a_number": ("split", 3),
     # a sub-task the model cannot split at its conjunction
@@ -620,6 +623,23 @@ _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command 
 }
 
 
+# Commands reading a dataset of 100x100 frames at the default model.image_size
+# 112: the crop does not fit the frames.
+_SMALL_FRAME_RUNS = {"train_on_frames_smaller_than_crop": "train",
+                     "ablate_on_frames_smaller_than_crop": "ablate"}
+
+
+@pytest.fixture(scope="module")
+def small_frame_dataset(tmp_path_factory):
+    """A dataset generated at sim.resolution 100 (model.image_size 64)."""
+    root = tmp_path_factory.mktemp("small_frames")
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"sim": {"resolution": 100}, "model": {"image_size": 64},
+                               "data": {"episodes_per_family": 1}}))
+    assert cli_main(["gen-data", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return root / "data"
+
+
 def _response(body: bytes, length: int | None = None) -> bytes:
     length = len(body) if length is None else length
     return (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n"
@@ -673,7 +693,7 @@ _BAD_ARGS = {                 # command line -> its exit code and what stderr sa
         "could not infer the cloth kind"),
 }
 
-_BAD_INPUTS = [(case, 2) for case in _BAD_CONFIGS] + [
+_BAD_INPUTS = [(case, 2) for case in (*_BAD_CONFIGS, *_SMALL_FRAME_RUNS)] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
@@ -686,7 +706,7 @@ _BAD_INPUTS = [(case, 2) for case in _BAD_CONFIGS] + [
 
 @pytest.mark.parametrize("case,exit_code", _BAD_INPUTS)
 def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, cli_env,
-                                                        llm_endpoint, tmp_path):
+                                                        llm_endpoint, tmp_path, request):
     cfg = tmp_path / "cfg.json"
     if case in _BAD_CONFIGS:
         section, command = _BAD_CONFIGS[case]
@@ -696,6 +716,11 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
             argv += ["--out", str(tmp_path / "o")]
         if command == ["train"]:
             argv += ["--dataset", str(cli_env[2])]
+    elif case in _SMALL_FRAME_RUNS:
+        cfg.write_text("{}")
+        argv = [_SMALL_FRAME_RUNS[case], "--config", str(cfg), "--dataset",
+                str(request.getfixturevalue("small_frame_dataset")),
+                "--out", str(tmp_path / "o")]
     elif case in _BAD_COMPLETIONS:
         cfg.write_text(json.dumps({"planner": {"backend": {
             "endpoint_url": f"{llm_endpoint}/{case}", "timeout_s": 30.0}}}))
@@ -725,3 +750,7 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         assert proc.stderr.startswith("config error:"), proc.stderr
     if case in _BAD_ARGS:
         assert _BAD_ARGS[case][2] in proc.stderr
+    if case in _SMALL_FRAME_RUNS:
+        assert "its 100x100 frame is smaller than the centre crop of model.image_size 112" \
+            in proc.stderr
+        assert "raise model.image_size" not in proc.stderr

@@ -1,11 +1,10 @@
 """The array-at-once PNG codec, cloth mask and crop-first segmentation
-against their per-scanline and full-frame oracles: file bytes, decoded
-arrays, masks, crops, offsets and errors all equal."""
+against their per-scanline, full-frame and Observation-path oracles: file
+bytes, decoded arrays, masks, model inputs, offsets and errors all equal."""
 
 import importlib
 import struct
 import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,9 +13,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from clothfold import images, sim
+from clothfold.evaluation import expert_rollout
 from clothfold.images import _PNG_MAGIC, ImageFormatError, _chunk
-from clothfold.perception.model import (EmptyMaskError, SegmentationError,
+from clothfold.perception.model import (DEPTH_RANGE, EmptyMaskError, SegmentationError,
                                         segment_workspace)
+from clothfold.planner import decompose
+from clothfold.planner.templates import FAMILY_KIND, TASK_FAMILIES, command_bank
 from clothfold.sim.mesh import cloth_color
 from clothfold.sim.render import (CLOTH_COLOR_MARGIN, Observation,
                                   cloth_mask_from_rgb)
@@ -80,8 +82,8 @@ def loop_read_png_rgb(path):
 
 
 def full_frame_segment_workspace(obs, crop_size):
-    """Mask and suppress the background on the whole frame, then crop. The
-    crop keeps that mask; it is not derived again from the cropped RGB."""
+    """Mask, suppress the background and scale depth to height on the whole
+    frame, then crop the RGB-D array."""
     mask = obs.rgb.max(axis=-1) > CLOTH_COLOR_MARGIN
     if not mask.any():
         raise EmptyMaskError("no cloth pixels found in the observation")
@@ -92,13 +94,38 @@ def full_frame_segment_workspace(obs, crop_size):
         raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
     r0 = (h - crop_size) // 2
     c0 = (w - crop_size) // 2
-    cropped = SimpleNamespace(rgb=rgb[r0:r0 + crop_size, c0:c0 + crop_size],
-                              depth=depth[r0:r0 + crop_size, c0:c0 + crop_size],
-                              cloth_mask=mask[r0:r0 + crop_size, c0:c0 + crop_size],
-                              camera=obs.camera)
-    if not cropped.cloth_mask.any():
+    window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
+    if not mask[window].any():
         raise EmptyMaskError("center crop removed all cloth pixels")
-    return cropped, (r0, c0)
+    depth_norm = np.clip((obs.camera.table_depth - depth) / DEPTH_RANGE, 0.0, 1.0)
+    return np.concatenate([rgb, depth_norm[..., None]], axis=-1)[window], (r0, c0)
+
+
+def observation_segment_workspace(obs, crop_size):
+    """The two-step path the model input used to take: crop and mask into a
+    new ``Observation``, then read that back into the RGB-D array."""
+    mask = obs.cloth_mask
+    if not mask.any():
+        raise EmptyMaskError("no cloth pixels found in the observation")
+    h, w = mask.shape
+    if crop_size > min(h, w):
+        raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
+    r0 = (h - crop_size) // 2
+    c0 = (w - crop_size) // 2
+    window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
+    mask = mask[window]
+    if not mask.any():
+        raise EmptyMaskError("center crop removed all cloth pixels")
+    rgb, depth = obs.crop(window)
+    rgb = np.where(mask[..., None], rgb, 0.0)
+    depth = np.where(mask, depth, obs.camera.table_depth)
+    return observation_normalize(Observation(rgb, depth, obs.camera)), (r0, c0)
+
+
+def observation_normalize(obs):
+    """RGB stays in [0,1]; depth becomes height above the table in [0,1]."""
+    depth_norm = np.clip((obs.camera.table_depth - obs.depth) / DEPTH_RANGE, 0.0, 1.0)
+    return np.concatenate([obs.rgb, depth_norm[..., None]], axis=-1)
 
 
 def _outcome(fn, *args):
@@ -109,11 +136,15 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
-def _assert_same_observation(a, b):
-    for x, y in ((a.rgb, b.rgb), (a.depth, b.depth), (a.cloth_mask, b.cloth_mask)):
-        assert x.dtype == y.dtype
-        np.testing.assert_array_equal(x, y)
-    assert a.camera == b.camera
+def _assert_same_input(got, want):
+    """Two (array, offset) results, or two (error type, message) pairs."""
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (a, off), (b, want_off) = got, want
+    assert off == want_off
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 shapes = st.tuples(st.integers(1, 24), st.integers(1, 24))
@@ -263,14 +294,8 @@ class TestSegmentAgainstFullFrameOracle:
     @settings(max_examples=120, deadline=None)
     def test_same_crop_offset_and_error(self, case):
         obs, crop = case
-        got = _outcome(segment_workspace, obs, crop)
-        want = _outcome(full_frame_segment_workspace, obs, crop)
-        if isinstance(want[0], type):
-            assert got == want
-            return
-        (seg, off), (oracle, oracle_off) = got, want
-        assert off == oracle_off
-        _assert_same_observation(seg, oracle)
+        _assert_same_input(_outcome(segment_workspace, obs, crop),
+                           _outcome(full_frame_segment_workspace, obs, crop))
 
     def test_cloth_only_outside_the_crop(self):
         rgb = np.zeros((32, 32, 3))
@@ -285,10 +310,8 @@ class TestSegmentAgainstFullFrameOracle:
         rgb = np.zeros((7, 10, 3))
         rgb[1:] = cloth_color("t-shirt")
         obs = Observation(rgb, np.full((7, 10), 0.99), _CAMERA)
-        seg, off = segment_workspace(obs, crop)
-        oracle, oracle_off = full_frame_segment_workspace(obs, crop)
-        assert off == oracle_off
-        _assert_same_observation(seg, oracle)
+        _assert_same_input(segment_workspace(obs, crop),
+                           full_frame_segment_workspace(obs, crop))
 
     def test_loaded_frames_scale_only_the_window(self, tmp_path, monkeypatch):
         """A loaded demo's whole RGB is scaled once, for its mask; the crop
@@ -308,21 +331,46 @@ class TestSegmentAgainstFullFrameOracle:
             obs = demo.observation
             monkeypatch.setattr(render_module, "_as_float", counting)
             full.clear()
-            seg, off = segment_workspace(obs, 112)
+            got = segment_workspace(obs, 112)
             assert full == [images.StoredPng]
             segment_workspace(obs, 112)
             assert full == [images.StoredPng]
             monkeypatch.undo()
-            oracle, oracle_off = full_frame_segment_workspace(obs, 112)
-            assert off == oracle_off
-            _assert_same_observation(seg, oracle)
-            assert seg.rgb.tobytes() == oracle.rgb.tobytes()
-            assert seg.depth.tobytes() == oracle.depth.tobytes()
+            _assert_same_input(got, full_frame_segment_workspace(obs, 112))
 
     @pytest.mark.parametrize("kind", ["towel", "t-shirt", "trousers"])
     def test_rendered_frames_equal(self, kind):
         obs = sim.render(sim.init_cloth(kind), sim.default_camera())
-        seg, off = segment_workspace(obs, 112)
-        oracle, oracle_off = full_frame_segment_workspace(obs, 112)
-        assert off == oracle_off
-        _assert_same_observation(seg, oracle)
+        _assert_same_input(segment_workspace(obs, 112),
+                           full_frame_segment_workspace(obs, 112))
+
+
+class TestSegmentAgainstObservationPath:
+    """One step from frame to model input gives the bytes, offsets and errors
+    of the crop ``Observation`` read back by a second function."""
+
+    @given(observations())
+    @settings(max_examples=120, deadline=None)
+    def test_hypothesis_frames(self, case):
+        obs, crop = case
+        _assert_same_input(_outcome(segment_workspace, obs, crop),
+                           _outcome(observation_segment_workspace, obs, crop))
+
+    @pytest.mark.parametrize("family", TASK_FAMILIES)
+    def test_rendered_frames_flat_and_folded(self, family):
+        """Every cloth kind flat, and after its family's layered folds."""
+        env = sim.ClothSim.fresh(FAMILY_KIND[family])
+        folded = expert_rollout(env, decompose(command_bank(family)[0]))
+        assert folded.layers.max() >= 2
+        for mesh in (env.mesh, folded):
+            obs = sim.render(mesh, env.camera)
+            for crop in (112, 224):
+                _assert_same_input(segment_workspace(obs, crop),
+                                   observation_segment_workspace(obs, crop))
+
+    def test_loaded_frames(self, tmp_path):
+        generate_dataset(tmp_path, seed=0, episodes_per_family=1)
+        _, demos = load_dataset(tmp_path)
+        for demo in demos:
+            _assert_same_input(segment_workspace(demo.observation, 112),
+                               observation_segment_workspace(demo.observation, 112))

@@ -207,7 +207,7 @@ class TestOneMaskSource:
         assert calls == [(224, 224, 3)]
         again, _ = segment_workspace(loaded, 112)
         assert len(calls) == 1
-        assert again.rgb.tobytes() == first.rgb.tobytes()
+        assert again.tobytes() == first.tobytes()
         segment_workspace(sim.render(sim.init_cloth("towel"), sim.default_camera()), 112)
         assert len(calls) == 1
 

@@ -14,7 +14,7 @@ from clothfold.perception import (ModelConfig, PerceptionModel, TokenizeError,
                                   default_vocabulary, segment_workspace,
                                   select_action, tokenize)
 from clothfold.perception.fusion import prepend_tokens
-from clothfold.perception.model import EmptyMaskError, normalize_observation
+from clothfold.perception.model import EmptyMaskError
 from clothfold.planner import validate_subtask
 
 
@@ -37,8 +37,7 @@ def towel_obs():
 
 @pytest.fixture(scope="module")
 def towel_seg(towel_obs):
-    seg, off = segment_workspace(towel_obs, 112)
-    return seg, off
+    return segment_workspace(towel_obs, 112)
 
 
 SENTENCE = "Grasp the left leg and place it over the right leg"
@@ -83,32 +82,30 @@ class TestEncode:
         ids = model.tokenize(SENTENCE)
         assert len(ids) == 11
         image4 = np.zeros((224, 224, 4))
-        f_l, f_o = model.encode(ids, image4)
+        f_l, f_o = model.encoder.encode(ids, image4)
         assert f_l.shape == (11, 16)
         assert f_o.shape == (196, 16)
 
     def test_deterministic(self, small_model, towel_seg):
-        seg, _ = towel_seg
-        img = normalize_observation(seg)
+        img, _ = towel_seg
         ids = small_model.tokenize(SENTENCE)
-        a_l, a_o = small_model.encode(ids, img)
-        b_l, b_o = small_model.encode(ids, img)
+        a_l, a_o = small_model.encoder.encode(ids, img)
+        b_l, b_o = small_model.encoder.encode(ids, img)
         assert np.array_equal(a_l.data, b_l.data)
         assert np.array_equal(a_o.data, b_o.data)
 
     def test_resolution_mismatch(self, small_model):
         with pytest.raises(ad.ShapeError):
-            small_model.encode([1, 2], np.zeros((64, 64, 4)))
+            small_model.encoder.encode([1, 2], np.zeros((64, 64, 4)))
 
     def test_adapters_disabled_equals_frozen_oracle(self, small_cfg, small_model,
                                                      towel_seg):
         # Adapters start at W0, and an adapter-free model of the same config
         # and seed has bit-equal towers: it is the frozen-encoder oracle.
-        seg, _ = towel_seg
-        img = normalize_observation(seg)
+        img, _ = towel_seg
         ids = small_model.tokenize(SENTENCE)
-        with_adapters = small_model.encode(ids, img)
-        without = PerceptionModel(replace(small_cfg, adapter="none")).encode(ids, img)
+        with_adapters = small_model.encoder.encode(ids, img)
+        without = PerceptionModel(replace(small_cfg, adapter="none")).encoder.encode(ids, img)
         assert np.abs(with_adapters[0].data - without[0].data).max() < 1e-12
         assert np.abs(with_adapters[1].data - without[1].data).max() < 1e-12
 
@@ -133,8 +130,7 @@ class TestDora:
         assert np.abs(norms - adapter.m.data).max() < 1e-9
 
     def test_gradients_reach_all_factors(self, small_model, towel_seg):
-        seg, _ = towel_seg
-        img = normalize_observation(seg)
+        img, _ = towel_seg
         ids = small_model.tokenize(SENTENCE)
         adapter = small_model.encoder.text_blocks[0].q_adapter
         adapter.b.data[:] = 0.01      # leave the zero point so A gets signal
@@ -201,8 +197,7 @@ class TestFusion:
         np.testing.assert_array_equal(co.data[0], small_model.tokens.t_o.data[0])
 
     def test_language_tokens_receive_gradient(self, small_model, towel_seg):
-        seg, _ = towel_seg
-        img = normalize_observation(seg)
+        img, _ = towel_seg
         ids = small_model.tokenize(SENTENCE)
         with ad.Tape() as tape:
             q_pick, q_place = small_model.forward_heatmaps(img, ids)
@@ -214,8 +209,7 @@ class TestFusion:
     def test_shared_visual_token_is_same_tensor(self, small_model, towel_seg):
         # One visual token serves both passes: each heatmap alone sends it a
         # gradient, and the model registers it once.
-        seg, _ = towel_seg
-        img = normalize_observation(seg)
+        img, _ = towel_seg
         ids = small_model.tokenize(SENTENCE)
         t_o = small_model.tokens.t_o
         for branch in (0, 1):
@@ -319,9 +313,9 @@ class TestSegmentWorkspace:
     def test_mask_equals_renderer_mask(self, towel_obs):
         mask = towel_obs.rgb.max(axis=-1) > 0.05
         np.testing.assert_array_equal(mask, towel_obs.cloth_mask)
-        seg, (r0, c0) = segment_workspace(towel_obs, 112)
+        img, (r0, c0) = segment_workspace(towel_obs, 112)
         np.testing.assert_array_equal(
-            seg.cloth_mask, towel_obs.cloth_mask[r0:r0 + 112, c0:c0 + 112])
+            img[..., :3].max(axis=-1) > 0.05, towel_obs.cloth_mask[r0:r0 + 112, c0:c0 + 112])
 
     def test_pure_background_rejected(self):
         m = sim.init_cloth("towel")
@@ -330,26 +324,21 @@ class TestSegmentWorkspace:
         with pytest.raises(EmptyMaskError):
             segment_workspace(obs, 112)
 
-    def test_idempotent(self, towel_obs):
-        seg1, _ = segment_workspace(towel_obs, 112)
-        seg2, off = segment_workspace(seg1, 112)
-        assert off == (0, 0)
-        np.testing.assert_array_equal(seg1.rgb, seg2.rgb)
-        np.testing.assert_array_equal(seg1.depth, seg2.depth)
-
     def test_background_suppressed(self, towel_obs):
-        seg, _ = segment_workspace(towel_obs, 112)
-        assert (seg.rgb[~seg.cloth_mask] == 0).all()
-        assert (seg.depth[~seg.cloth_mask] == seg.camera.table_depth).all()
+        img, (r0, c0) = segment_workspace(towel_obs, 112)
+        assert img.shape == (112, 112, 4) and img.dtype == np.float64
+        off_cloth = ~towel_obs.cloth_mask[r0:r0 + 112, c0:c0 + 112]
+        assert off_cloth.any()
+        assert (img[off_cloth] == 0).all()
 
 
 class TestForward:
     def test_shape_contract_and_determinism(self, small_model, towel_seg):
-        seg, _ = towel_seg
+        img, _ = towel_seg
         st_ = validate_subtask(
             "Grasp the left edge of the Towel and place it to the right edge")
-        pair1, act1 = small_model.forward(seg, st_)
-        pair2, act2 = small_model.forward(seg, st_)
+        pair1, act1 = small_model.forward(img, st_)
+        pair2, act2 = small_model.forward(img, st_)
         assert pair1.q_pick.shape == (112, 112)
         assert pair1.q_place.shape == (112, 112)
         assert (pair1.q_pick > 0).all() and (pair1.q_pick < 1).all()
@@ -364,8 +353,7 @@ class TestMultiHead:
         assert cfg.head_dim == 8
         model = PerceptionModel(cfg)
         env = sim.ClothSim.fresh("towel")
-        seg, _ = segment_workspace(env.observe(), 112)
-        img = normalize_observation(seg)
+        img, _ = segment_workspace(env.observe(), 112)
         ids = model.tokenize(SENTENCE)
         with ad.Tape() as tape:
             q_pick, _ = model.forward_heatmaps(img, ids)
@@ -466,8 +454,7 @@ class TestCensus:
         assert total == census["total"]
 
     def test_frozen_bits_unchanged_by_adapter_forward(self, small_model, towel_seg):
-        seg, _ = towel_seg
-        img = normalize_observation(seg)
+        img, _ = towel_seg
         ids = small_model.tokenize(SENTENCE)
         before = {k: t.data.copy() for k, t in small_model.frozen_parameters().items()}
         with ad.Tape() as tape:

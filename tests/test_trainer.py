@@ -365,6 +365,43 @@ class TestTrain:
                                             r"lies outside the 8x8 centre crop at \(108, 108\)"):
             train([demo], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
 
+    def test_frame_smaller_than_the_crop_is_a_crop_error_before_any_pixel(
+            self, tmp_path, monkeypatch):
+        # Frames made at sim.resolution 100 and read at model.image_size 112:
+        # the message names both sizes, and no pixel of the frame is read.
+        generate_dataset(tmp_path, seed=0, episodes_per_family=1,
+                         camera=sim.default_camera(100))
+        _, demos = load_dataset(tmp_path)
+
+        def no_read(*args):
+            raise AssertionError("a pixel was read")
+
+        monkeypatch.setattr(importlib.import_module("clothfold.sim.render"), "_as_float",
+                            no_read)
+        model = PerceptionModel(ModelConfig(embed_dim=8, depth=1, patch_size=16,
+                                            image_size=112, seed=1))
+        d = demos[0].demo
+        with pytest.raises(CropError) as err:
+            prepare_sample(model, demos[0], 4.0)
+        assert str(err.value) == (f"demo of episode {d.episode_id} step {d.step_index}: "
+                                  f"its 100x100 frame is smaller than the centre crop "
+                                  f"of model.image_size 112")
+
+    @pytest.mark.parametrize("field,pixel", [("pick_pixel", [500, 500]),
+                                             ("pick_pixel", [-1, 120]),
+                                             ("place_pixel", [120, 224])])
+    def test_label_pixel_outside_the_frame_names_the_demo(self, tmp_path, field, pixel):
+        generate_dataset(tmp_path, seed=0, episodes_per_family=1)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        d = manifest["demos"][3]
+        d[field] = pixel
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        what = field.split("_")[0]
+        with pytest.raises(DatasetFormatError, match=re.escape(
+                f"demo of episode {d['episode_id']} step {d['step_index']}: {what} pixel "
+                f"{tuple(pixel)} lies outside the camera's 224x224 frame")):
+            load_dataset(tmp_path)
+
     def test_frame_without_cloth_names_the_demo(self, tmp_path):
         manifest = generate_dataset(tmp_path, seed=5, episodes_per_family=1)
         d = manifest.demos[2]
