@@ -13,9 +13,10 @@ statements listed apart.
 A statement is executable when the compiler emits code for one of its lines
 (so a docstring or a ``global`` is not), and reached when one of those lines
 ran; a compound statement counts its header only (decorators, ``def``,
-``if`` test, ...). The chain is ``gen-data``, ``train``, ``train --resume``,
-``eval`` and ``eval --expert``, ``run`` with the model and with the expert,
-``ablate``, ``plan`` and ``grad-check``, in a temporary directory. A
+``if`` test, ...). The chain is ``cli_chain.py``'s (``gen-data``,
+``train``, ``eval`` and ``eval --expert``, ``run`` with the model and with
+the expert, ``ablate`` and ``plan``) under its ``CONFIG``, then ``train
+--resume`` and ``grad-check``, in a temporary directory. A
 function stops being traced once each of its lines has run; even so, the
 traced suite and chain take about twice the suite's own time.
 
@@ -33,6 +34,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from cli_chain import CHAIN, CONFIG
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -103,27 +106,12 @@ threading.settrace(_call)
 sys.settrace(_call)
 '''
 
-CONFIG = {
-    "seed": 0,
-    "model": {"embed_dim": 16},
-    "train": {"epochs": 2},
-    "data": {"episodes_per_family": 1},
-    "benchmark": {"episodes_per_cell": 1},
-}
 GRAD_CHECK_CONFIG = {"model": {"embed_dim": 8, "depth": 1, "patch_size": 56}}
-COMMAND = "Fold the Towel in half diagonally"
-CHAIN = [
-    ["gen-data", "--out", "out/dataset"],
-    ["train", "--dataset", "out/dataset", "--out", "out/train"],
-    ["train", "--dataset", "out/dataset", "--out", "out/resumed",
+# cli_chain.py's chain, with the commands it leaves out added.
+RUNS = [[*argv[:1], "--config", "config.json", *argv[1:]] for argv in CHAIN] + [
+    ["train", "--config", "config.json", "--dataset", "out/dataset", "--out", "out/resumed",
      "--resume", "out/train/model.cfck"],
-    ["eval", "--checkpoint", "out/train/model.cfck", "--out", "out/eval"],
-    ["eval", "--expert", "--out", "out/eval_expert"],
-    ["run", "--checkpoint", "out/train/model.cfck", "--command", COMMAND,
-     "--out", "out/run"],
-    ["run", "--expert", "--command", COMMAND, "--out", "out/run_expert"],
-    ["ablate", "--dataset", "out/dataset", "--out", "out/ablate"],
-    ["plan", "--command", COMMAND],
+    ["grad-check", "--config", "grad_check.json"],
 ]
 
 
@@ -134,9 +122,7 @@ def run_traced(env: dict, tests: bool) -> list[str]:
         cwd = Path(tmp)
         (cwd / "config.json").write_text(json.dumps(CONFIG))
         (cwd / "grad_check.json").write_text(json.dumps(GRAD_CHECK_CONFIG))
-        runs = [[*argv[:1], "--config", "config.json", *argv[1:]] for argv in CHAIN]
-        runs.append(["grad-check", "--config", "grad_check.json"])
-        for argv in runs:
+        for argv in RUNS:
             proc = subprocess.run([sys.executable, "-m", "clothfold", *argv], cwd=cwd,
                                   env=env, capture_output=True, text=True)
             if proc.returncode:

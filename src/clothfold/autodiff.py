@@ -33,6 +33,7 @@ place, and the step clears ``.grad`` to ``None``.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
@@ -485,15 +486,10 @@ def conv1x1(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                lambda g: g.reshape(c_out, h * wid).sum(axis=1))
 
 
-_INTERP_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _interp_matrix(n_in: int, factor: int) -> np.ndarray:
-    """Align-corners bilinear interpolation matrix (n_in*factor, n_in)."""
-    key = (n_in, factor)
-    cached = _INTERP_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Align-corners bilinear interpolation matrix (n_in*factor, n_in);
+    read-only, as every upsample of that size shares it."""
     n_out = n_in * factor
     u = np.zeros((n_out, n_in))
     if n_in == 1 or n_out == 1:
@@ -504,7 +500,7 @@ def _interp_matrix(n_in: int, factor: int) -> np.ndarray:
         frac = pos - i0
         u[np.arange(n_out), i0] = 1.0 - frac
         u[np.arange(n_out), i0 + 1] += frac
-    _INTERP_CACHE[key] = u
+    u.flags.writeable = False
     return u
 
 

@@ -40,6 +40,15 @@ def _plan_subtasks(cfg: RunConfig, command: str):
     return decompose(command.strip())
 
 
+def _train_split(dataset):
+    """The manifest and the train-split demos of ``dataset``; only they stay held."""
+    manifest, demos = load_dataset(dataset)
+    demos = [d for d in demos if d.demo.split == "train"]
+    if not demos:
+        raise DatasetFormatError(f"dataset {dataset} holds no train-split demo")
+    return manifest, demos
+
+
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     manifest = generate_dataset(args.out, seed=cfg.seed,
@@ -56,8 +65,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    manifest, demos = load_dataset(args.dataset)
-    demos = [d for d in demos if d.demo.split == "train"]     # only the train split stays held
+    manifest, demos = _train_split(args.dataset)
     model = PerceptionModel(cfg.model)
     if args.resume:
         ckpt = ckpt_io.load_checkpoint(args.resume)
@@ -171,8 +179,7 @@ def cmd_grad_check(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    manifest, demos = load_dataset(args.dataset)
-    demos = [d for d in demos if d.demo.split == "train"]     # only the train split stays held
+    manifest, demos = _train_split(args.dataset)
     report = run_ablation(demos, cfg.model, cfg.train, manifest.camera,
                           episodes_per_cell=cfg.benchmark["episodes_per_cell"],
                           benchmark_seed=cfg.seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -30,16 +31,10 @@ class Vocabulary:
         return [self.word_to_id.get(w, unk) for w in words]
 
 
-_DEFAULT: Vocabulary | None = None
-
-
+@functools.cache
 def default_vocabulary() -> Vocabulary:
-    global _DEFAULT
-    if _DEFAULT is None:
-        raw = json.loads(resources.files("clothfold.assets")
-                         .joinpath("vocab.json").read_text())
-        _DEFAULT = Vocabulary(word_to_id=raw["words"], unk_token=raw["unk"])
-    return _DEFAULT
+    raw = json.loads(resources.files("clothfold.assets").joinpath("vocab.json").read_text())
+    return Vocabulary(word_to_id=raw["words"], unk_token=raw["unk"])
 
 
 def tokenize(text: str, vocab: Vocabulary | None = None,

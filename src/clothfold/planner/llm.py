@@ -14,10 +14,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .grammar import GrammarError, PlanningError, SubTask, validate_subtask
-from .templates import FAMILY_KIND, HighLevelCommand, decompose, parse_command
+from .templates import decompose, parse_command
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +128,7 @@ def parse_completion(text: str, cloth_kind: Optional[str] = None) -> list[SubTas
     return subtasks
 
 
-def llm_decompose(command: Union[str, HighLevelCommand],
-                  backend: LlmBackendConfig,
+def llm_decompose(text: str, backend: LlmBackendConfig,
                   transport: Optional[Transport] = None) -> list[SubTask]:
     """Decompose via the remote backend, grammar-checking the result.
 
@@ -137,16 +136,13 @@ def llm_decompose(command: Union[str, HighLevelCommand],
     template-decomposable; otherwise the validation error propagates. Network
     errors always propagate (the caller decides whether to fall back).
     """
-    if isinstance(command, str):
-        command = parse_command(command)
+    command = parse_command(text)
     completion = request_completion(backend, command.text, transport=transport)
-    kind = command.cloth_kind or (FAMILY_KIND.get(command.task_family)
-                                  if command.task_family else None)
     try:
-        return parse_completion(completion, cloth_kind=kind)
+        return parse_completion(completion, cloth_kind=command.cloth_kind)
     except PlanValidationError as e:
         if command.known:
             log.warning("LLM completion rejected (%s); falling back to templates. Raw: %r",
                         e, completion)
-            return decompose(command)
+            return decompose(text)
         raise

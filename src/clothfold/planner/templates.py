@@ -9,22 +9,13 @@ Sub-task surface forms vary with the variant through the preposition slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .grammar import (GrammarError, PlanningError, SubTask, normalize_text,
                       validate_subtask)
 
 TASK_FAMILIES = ("DSF", "DTF", "FCIF", "TF", "TSF")
 AUX_FAMILIES = ("SLEEVE_IN",)
-
-FAMILY_KIND = {
-    "DSF": "towel",
-    "DTF": "towel",
-    "FCIF": "towel",
-    "TF": "trousers",
-    "TSF": "t-shirt",
-    "SLEEVE_IN": "t-shirt",
-}
 
 CLOTH_DISPLAY = {"towel": "Towel", "t-shirt": "T-Shirt", "trousers": "Trousers"}
 
@@ -35,96 +26,54 @@ PREP_VARIANTS = ("to", "onto", "over", "towards")
 SEEN_VARIANTS = (0, 1)
 UNSEEN_VARIANTS = (2, 3)
 
-
-@dataclass(frozen=True)
-class PlanTemplate:
-    family: str
-    kind: str
-    steps: tuple[tuple[str, str], ...]   # (pick landmark, place landmark)
-
-    def instantiate(self, variant: int = 0) -> list[str]:
-        prep = PREP_VARIANTS[variant % len(PREP_VARIANTS)]
-        cloth = CLOTH_DISPLAY[self.kind]
-        return [f"Grasp the {pick} of the {cloth} and place it {prep} the {place}"
-                for pick, place in self.steps]
-
-
-_TEMPLATES: dict[str, PlanTemplate] = {
-    "DSF": PlanTemplate("DSF", "towel",
-                        (("left edge", "right edge"),
-                         ("top edge", "bottom edge"))),
-    "DTF": PlanTemplate("DTF", "towel",
-                        (("top-left corner", "bottom-right corner"),)),
-    "FCIF": PlanTemplate("FCIF", "towel",
-                         (("top-left corner", "center"),
-                          ("top-right corner", "center"),
-                          ("bottom-left corner", "center"),
-                          ("bottom-right corner", "center"))),
-    "TF": PlanTemplate("TF", "trousers",
-                       (("left waist", "right waist"),
-                        ("left leg", "right leg"))),
-    "TSF": PlanTemplate("TSF", "t-shirt",
-                        (("left sleeve", "left middle part"),
-                         ("right sleeve", "right middle part"),
-                         ("bottom", "shoulder"))),
-    "SLEEVE_IN": PlanTemplate("SLEEVE_IN", "t-shirt",
-                              (("left sleeve", "left middle part"),
-                               ("right sleeve", "right middle part"))),
+# family -> (cloth kind, its sub-tasks as (pick landmark, place landmark),
+# its paraphrase bank with the canonical command first)
+_FAMILIES: dict[str, tuple[str, tuple[tuple[str, str], ...], tuple[str, ...]]] = {
+    "DSF": ("towel", (("left edge", "right edge"), ("top edge", "bottom edge")),
+            ("Fold the Towel in half from left to right and then from top to bottom",
+             "Fold the Towel in half twice to make a rectangle",
+             "Do a double straight fold on the Towel",
+             "Fold the Towel straight in half two times")),
+    "DTF": ("towel", (("top-left corner", "bottom-right corner"),),
+            ("Fold the Towel in half diagonally",
+             "Fold the Towel into a triangle",
+             "Do a triangle fold on the Towel",
+             "Fold the Towel corner to corner")),
+    "FCIF": ("towel", (("top-left corner", "center"), ("top-right corner", "center"),
+                       ("bottom-left corner", "center"), ("bottom-right corner", "center")),
+             ("Fold all corners of the Towel to the center",
+              "Fold the four corners of the Towel inward",
+              "Bring every corner of the Towel to the middle",
+              "Do a four corners inward fold on the Towel")),
+    "TF": ("trousers", (("left waist", "right waist"), ("left leg", "right leg")),
+           ("Fold the Trousers in half from left to right",
+            "Fold the Trousers in half",
+            "Fold the Trousers from the left side over to the right side",
+            "Do a half fold on the Trousers")),
+    "TSF": ("t-shirt", (("left sleeve", "left middle part"),
+                        ("right sleeve", "right middle part"), ("bottom", "shoulder")),
+            ("Fold the T-Shirt",
+             "Fold the T-Shirt neatly",
+             "Do a standard fold on the T-Shirt",
+             "Fold up the T-Shirt for storage")),
+    "SLEEVE_IN": ("t-shirt", (("left sleeve", "left middle part"),
+                              ("right sleeve", "right middle part")),
+                  ("Fold the sleeve towards the inner of the T-Shirt",
+                   "Fold the sleeves inward on the T-Shirt",
+                   "Bring the sleeves of the T-Shirt inward",
+                   "Tuck the sleeves of the T-Shirt in")),
 }
 
-_COMMAND_BANK: dict[str, tuple[str, ...]] = {
-    "DSF": (
-        "Fold the Towel in half from left to right and then from top to bottom",
-        "Fold the Towel in half twice to make a rectangle",
-        "Do a double straight fold on the Towel",
-        "Fold the Towel straight in half two times",
-    ),
-    "DTF": (
-        "Fold the Towel in half diagonally",
-        "Fold the Towel into a triangle",
-        "Do a triangle fold on the Towel",
-        "Fold the Towel corner to corner",
-    ),
-    "FCIF": (
-        "Fold all corners of the Towel to the center",
-        "Fold the four corners of the Towel inward",
-        "Bring every corner of the Towel to the middle",
-        "Do a four corners inward fold on the Towel",
-    ),
-    "TF": (
-        "Fold the Trousers in half from left to right",
-        "Fold the Trousers in half",
-        "Fold the Trousers from the left side over to the right side",
-        "Do a half fold on the Trousers",
-    ),
-    "TSF": (
-        "Fold the T-Shirt",
-        "Fold the T-Shirt neatly",
-        "Do a standard fold on the T-Shirt",
-        "Fold up the T-Shirt for storage",
-    ),
-    "SLEEVE_IN": (
-        "Fold the sleeve towards the inner of the T-Shirt",
-        "Fold the sleeves inward on the T-Shirt",
-        "Bring the sleeves of the T-Shirt inward",
-        "Tuck the sleeves of the T-Shirt in",
-    ),
-}
+FAMILY_KIND = {family: kind for family, (kind, _, _) in _FAMILIES.items()}
 
 _BANK_INDEX = {normalize_text(cmd): (family, variant)
-               for family, cmds in _COMMAND_BANK.items()
-               for variant, cmd in enumerate(cmds)}
+               for family, (_, _, bank) in _FAMILIES.items()
+               for variant, cmd in enumerate(bank)}
 
 
 def command_bank(family: str) -> tuple[str, ...]:
     """The paraphrase commands of ``family``, canonical variant first."""
-    return _COMMAND_BANK[family]
-
-
-def plan_for(family: str) -> PlanTemplate:
-    if family not in _TEMPLATES:
-        raise PlanningError(f"no template for task family {family!r}")
-    return _TEMPLATES[family]
+    return _FAMILIES[family][2]
 
 
 @dataclass(frozen=True)
@@ -186,22 +135,23 @@ def parse_command(text: str) -> HighLevelCommand:
     return HighLevelCommand(text.strip(), None, kind, 0)
 
 
-def decompose(command: Union[str, HighLevelCommand]) -> list[SubTask]:
+def decompose(text: str) -> list[SubTask]:
     """Deterministic template decomposition into validated sub-tasks.
 
     A command that is already a grammar-valid atomic instruction passes
     through as a single-element plan.
     """
-    if isinstance(command, str):
-        try:
-            return [validate_subtask(command)]
-        except GrammarError:
-            pass
-        command = parse_command(command)
+    try:
+        return [validate_subtask(text)]
+    except GrammarError:
+        pass
+    command = parse_command(text)
     if not command.known:
         raise PlanningError(
             f"cannot decompose {command.text!r}: task family not recognized "
             f"(cloth kind: {command.cloth_kind}); an LLM backend may handle it")
-    template = plan_for(command.task_family)
-    texts = template.instantiate(command.variant)
-    return [validate_subtask(t, cloth_kind=template.kind) for t in texts]
+    kind, steps, _ = _FAMILIES[command.task_family]
+    prep = PREP_VARIANTS[command.variant % len(PREP_VARIANTS)]
+    return [validate_subtask(f"Grasp the {pick} of the {CLOTH_DISPLAY[kind]} "
+                             f"and place it {prep} the {place}", cloth_kind=kind)
+            for pick, place in steps]

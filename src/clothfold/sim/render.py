@@ -15,7 +15,7 @@ from .mesh import LAYER_THICKNESS, WORKSPACE_HALF, ClothMesh, cloth_color
 
 BACKGROUND_RGB = np.zeros(3)          # black table; cloth colors are far from it
 CLOTH_COLOR_MARGIN = 0.05             # min distance of any cloth color channel to bg
-DEPTH_QUANTUM = 1e-4                  # depths snap to 0.1 mm so exports round-trip
+DEPTH_QUANTUM = DEPTH_UNIT            # the depth snap, under the name perfbench imports
 
 
 def cloth_mask_from_rgb(rgb: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ class Splats(NamedTuple):
 
     vi: np.ndarray         # centre rows, int64
     ui: np.ndarray         # centre columns, int64
-    z_c: np.ndarray        # depths, quantized to DEPTH_QUANTUM
+    z_c: np.ndarray        # depths, quantized to DEPTH_UNIT
     r_px: int              # disk radius in pixels
     colors: np.ndarray     # [2, 3] (background, cloth)
 
@@ -207,7 +207,7 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     r_px = max(1, int(math.ceil(0.75 * mesh.spacing * scale_px)))
     x, y = mesh.positions[mesh.active].T
     z_w = mesh.layers[mesh.active] * LAYER_THICKNESS
-    z_c = np.rint((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
+    z_c = np.rint((camera.height - z_w) / DEPTH_UNIT) * DEPTH_UNIT
     u, v = camera.world_to_pixel(x, y, z_w)
     splats = Splats(np.rint(v).astype(np.int64), np.rint(u).astype(np.int64), z_c, r_px,
                     np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]))

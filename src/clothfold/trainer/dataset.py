@@ -38,10 +38,11 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 
 
 class DatasetFormatError(RuntimeError):
-    """A manifest that is not UTF-8 JSON, misses a key, whose demos are not a
-    list of records, whose demo fields have the wrong JSON type or a pixel off
-    the camera's frame, or whose sub-task the model cannot split at its
-    conjunction; a demo frame not of the camera's size, or with no cloth."""
+    """A manifest that is not UTF-8 JSON, misses a key, is not of version
+    DATASET_VERSION, whose demos are not a list of records, whose demo fields
+    have the wrong JSON type or a pixel off the camera's frame, or whose
+    sub-task the model cannot split at its conjunction; a demo frame not of
+    the camera's size, or with no cloth; a dataset with no demo to train on."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,8 @@ class DatasetManifest:
     def from_json(cls, text: str | bytes) -> "DatasetManifest":
         try:
             raw = json.loads(text)
+            if type(raw["version"]) is not int or raw["version"] != DATASET_VERSION:
+                raise ValueError(f"version {raw['version']!r}, not {DATASET_VERSION}")
             if not isinstance(raw["demos"], list):
                 raise TypeError(f"'demos' is a {type(raw['demos']).__name__}, not a list")
             demos = [Demonstration.from_record(r) for r in raw["demos"]]

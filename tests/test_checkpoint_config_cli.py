@@ -509,6 +509,10 @@ def _bad_dataset(case, data_dir, tmp_path):
             del manifest["camera"]["fx"]
         elif case == "manifest_demos_not_a_list":
             manifest["demos"] = {"0": first}
+        elif case == "manifest_version_unknown":
+            manifest["version"] = 99
+        elif case in _NO_TRAIN_SPLIT:
+            manifest["demos"] = []
         (bad / "manifest.json").write_text(json.dumps(manifest))
     return bad
 
@@ -538,12 +542,17 @@ _PNG_IHDR_EDITS = {           # IHDR payload offset -> the bytes written there
     "png_taller_than_its_data": (4, (225).to_bytes(4, "big")),
 }
 
+# A dataset with no demo, so no train split, and the command that reads it;
+# the other bad datasets are read by ``train``.
+_NO_TRAIN_SPLIT = {"train_without_train_split": "train",
+                   "ablate_without_train_split": "ablate"}
+
 _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", *_PNG_FLIPS,
                  *_PNG_IHDR_EDITS,
                  "pgm_size_not_numeric", "pgm_size_negative", "pgm_data_odd_length",
                  "manifest_not_json", "manifest_key_missing", "manifest_camera_key_missing",
-                 "manifest_demos_not_a_list", *_BAD_DEMO_FIELDS,
-                 "png_resized", "pgm_resized", "png_all_background")
+                 "manifest_demos_not_a_list", "manifest_version_unknown", *_BAD_DEMO_FIELDS,
+                 "png_resized", "pgm_resized", "png_all_background", *_NO_TRAIN_SPLIT)
 
 
 def _train_on_cli_data(section, **values):
@@ -731,7 +740,7 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
             argv = [*argv, "--out", str(tmp_path / "o")]
     elif case in _BAD_DATASETS:
         _, cfg_path, data_dir = cli_env
-        argv = ["train", "--config", str(cfg_path),
+        argv = [_NO_TRAIN_SPLIT.get(case, "train"), "--config", str(cfg_path),
                 "--dataset", str(_bad_dataset(case, data_dir, tmp_path)),
                 "--out", str(tmp_path / "t")]
     else:
@@ -750,6 +759,8 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         assert proc.stderr.startswith("config error:"), proc.stderr
     if case in _BAD_ARGS:
         assert _BAD_ARGS[case][2] in proc.stderr
+    if case in _NO_TRAIN_SPLIT:
+        assert f"dataset {tmp_path / 'data'} holds no train-split demo" in proc.stderr
     if case in _SMALL_FRAME_RUNS:
         assert "its 100x100 frame is smaller than the centre crop of model.image_size 112" \
             in proc.stderr

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from clothfold import evaluation, sim
 from clothfold.geometry import CameraIntrinsics
+from clothfold.images import DEPTH_UNIT
 from clothfold.perception import segment_workspace
 from clothfold.sim import env as sim_env
 from clothfold.sim.mesh import LAYER_THICKNESS, cloth_color
-from clothfold.sim.render import (BACKGROUND_RGB, DEPTH_QUANTUM, Observation,
-                                  SimCamera, cloth_mask_from_rgb)
+from clothfold.sim.render import (BACKGROUND_RGB, Observation, SimCamera,
+                                  cloth_mask_from_rgb)
 from clothfold.trainer import generate_dataset, load_dataset
 
 # The module; ``clothfold.sim.render`` as an attribute is the function.
@@ -44,7 +45,7 @@ def eager_render(mesh, camera):
 
     x, y = mesh.positions[mesh.active].T
     z_w = mesh.layers[mesh.active] * LAYER_THICKNESS
-    z_c = np.rint((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
+    z_c = np.rint((camera.height - z_w) / DEPTH_UNIT) * DEPTH_UNIT
     u, v = camera.world_to_pixel(x, y, z_w)
     vi = np.rint(v).astype(np.int64)
     ui = np.rint(u).astype(np.int64)

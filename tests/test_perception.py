@@ -66,12 +66,14 @@ class TestTokenize:
 
     def test_vocabulary_covers_all_template_surface_forms(self):
         # training text must never fall back to UNK
-        from clothfold.planner.templates import _TEMPLATES, PREP_VARIANTS
+        from clothfold.planner import decompose
+        from clothfold.planner.templates import (AUX_FAMILIES, PREP_VARIANTS,
+                                                 TASK_FAMILIES, command_bank)
         unk = default_vocabulary().unk_id
-        for tpl in _TEMPLATES.values():
+        for family in TASK_FAMILIES + AUX_FAMILIES:
             for v in range(len(PREP_VARIANTS)):
-                for text in tpl.instantiate(v):
-                    assert unk not in tokenize(text), text
+                for s in decompose(command_bank(family)[v]):
+                    assert unk not in tokenize(s.text), s.text
 
 
 class TestEncode:

@@ -1,5 +1,8 @@
 """Grammar, conjunction splitting, and template decomposition."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,10 +159,20 @@ class TestDecompose:
 
     def test_variant_preposition_always_valid(self):
         for family in TASK_FAMILIES:
-            tpl = planner.plan_for(family)
             for v in range(len(PREP_VARIANTS)):
-                for text in tpl.instantiate(v):
-                    planner.validate_subtask(text, cloth_kind=tpl.kind)
+                for s in planner.decompose(planner.command_bank(family)[v]):
+                    assert s.place_phrase.startswith(f"place it {PREP_VARIANTS[v]} the ")
+                    planner.validate_subtask(s.text, cloth_kind=FAMILY_KIND[family])
+
+    def test_bank_plans_pinned(self):
+        """The sub-task records of all 24 bank commands (6 families x 4
+        variants), pinned by the SHA-256 of their sorted-key JSON."""
+        plans = [[s.to_record() for s in planner.decompose(cmd)]
+                 for family in TASK_FAMILIES + AUX_FAMILIES
+                 for cmd in planner.command_bank(family)]
+        assert len(plans) == 24 and sum(map(len, plans)) == 56
+        digest = hashlib.sha256(json.dumps(plans, sort_keys=True).encode()).hexdigest()
+        assert digest == "c03767449434d71f98260fb70b798151c308f279fc4c65096e4780adff15b8a3"
 
     def test_family_kinds(self):
         assert FAMILY_KIND["TF"] == "trousers"

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from clothfold import sim
 from clothfold.geometry import CameraIntrinsics
+from clothfold.images import DEPTH_UNIT
 from clothfold.sim.mesh import (_CELL_WIDTH, EPS_GRASP, LAYER_THICKNESS,
                                 MIN_FOLD_SPAN, WORKSPACE_HALF, FoldError,
                                 GraspMissError, cloth_color, nearest_particle)
-from clothfold.sim.render import BACKGROUND_RGB, DEPTH_QUANTUM, SimCamera
+from clothfold.sim.render import BACKGROUND_RGB, SimCamera
 
 _ON_LINE_TOL = 1e-12
 
@@ -44,7 +45,7 @@ def loop_render(mesh, camera):
             r, c = rr[idx], cc[idx]
             x, y = mesh.positions[r, c]
             z_w = mesh.layers[r, c] * LAYER_THICKNESS
-            z_c = round((camera.height - z_w) / DEPTH_QUANTUM) * DEPTH_QUANTUM
+            z_c = round((camera.height - z_w) / DEPTH_UNIT) * DEPTH_UNIT
             u, v = camera.world_to_pixel(x, y, z_w)
             ui, vi = int(round(u)), int(round(v))
             u0, u1 = max(0, ui - r_px), min(w, ui + r_px + 1)

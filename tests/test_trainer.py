@@ -214,6 +214,17 @@ class TestDatasetGeneration:
                            match=rf"{re.escape(name)}: a {size} frame, not the camera's 224x224"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None])
+    def test_manifest_of_another_version_is_a_format_error(self, version):
+        from clothfold.trainer.dataset import DatasetManifest, camera_record
+        manifest = DatasetManifest(1, 0, 1, None, camera_record(sim.default_camera()),
+                                   [], [], {}, 0)
+        assert DatasetManifest.from_json(manifest.to_json()) == manifest
+        raw = json.loads(manifest.to_json())
+        raw["version"] = version
+        with pytest.raises(DatasetFormatError, match=re.escape(f"version {version!r}, not 1")):
+            DatasetManifest.from_json(json.dumps(raw))
+
     def test_full_scale_protocol_documented(self, tmp_path):
         manifest = generate_dataset(tmp_path / "d", seed=1, episodes_per_family=1)
         raw = (tmp_path / "d" / "manifest.json").read_text()
