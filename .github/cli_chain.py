@@ -8,10 +8,13 @@ epochs), ``eval`` and ``eval --expert`` (1 episode per cell), ``run`` with
 the model and with the scripted expert (before/after PNGs), ``ablate``
 (every adapter x fusion pair, trained and scored on that dataset) and
 ``plan``, which writes no file and is almost all start-up.
-``grad-check`` is left out: at D=16 it takes about 20 s per side. A
-desk-scale pair follows: ``gen-data`` at the default 42 episodes per family
-(504 demos) and ``train`` with ``train.epochs: 0``, which only loads that
-dataset and prepares its samples, so its peak RSS is the data path's.
+``grad-check`` is left out: at D=16 it takes about 20 s per side. A second
+``train`` on that dataset follows, with ``train.batch_size: 1`` and its own
+output directory: one sample per optimizer step, whose bytes a change to
+how a batch sums its gradients must leave alone. A desk-scale pair
+follows: ``gen-data`` at the default 42 episodes per family (504 demos)
+and ``train`` with ``train.epochs: 0``, which only loads that dataset and
+prepares its samples, so its peak RSS is the data path's.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. JSON files are compared with every
 ``wall_time_s`` key removed; all other files byte for byte.
@@ -56,8 +59,9 @@ CONFIG = {
     "data": {"episodes_per_family": 1},
     "benchmark": {"episodes_per_cell": 1},
 }
+BATCH1_CONFIG = {**CONFIG, "train": {"epochs": 2, "batch_size": 1}}
 DESK_CONFIG = {**CONFIG, "train": {"epochs": 0}, "data": {"episodes_per_family": 42}}
-CONFIGS = {"config.json": CONFIG, "desk.json": DESK_CONFIG}
+CONFIGS = {"config.json": CONFIG, "batch1.json": BATCH1_CONFIG, "desk.json": DESK_CONFIG}
 TRAIN = ["train", "--dataset", "out/dataset", "--out", "out/train"]
 CHAIN = [
     ["gen-data", "--out", "out/dataset"],
@@ -71,8 +75,12 @@ CHAIN = [
     ["ablate", "--dataset", "out/dataset", "--out", "out/ablate"],
     ["plan", "--command", "Fold the Towel in half diagonally"],
 ]
+BATCH1_CHAIN = [["train", "--dataset", "out/dataset", "--out", "out/train_batch1"]]
 DESK_CHAIN = [["gen-data", "--out", "out/desk/dataset"],
               ["train", "--dataset", "out/desk/dataset", "--out", "out/desk/train"]]
+# Chains run after CHAIN, each under its own config, and the tag of their costs.
+SUFFIX_CHAINS = [(BATCH1_CHAIN, "batch1.json", "(batch 1)"),
+                 (DESK_CHAIN, "desk.json", "(desk)")]
 
 
 def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN,
@@ -176,8 +184,9 @@ def main(argv=None) -> int:
             subprocess.run(["tar", "-x", "-C", str(base_src)], input=archive, check=True)
             base_costs = run_chain(base_src / "src", work / "base")
             head_costs = run_chain(REPO / "src", work / "head")
-            base_costs += run_chain(base_src / "src", work / "base", DESK_CHAIN, "desk.json")
-            head_costs += run_chain(REPO / "src", work / "head", DESK_CHAIN, "desk.json")
+            for chain, config, _ in SUFFIX_CHAINS:
+                base_costs += run_chain(base_src / "src", work / "base", chain, config)
+                head_costs += run_chain(REPO / "src", work / "head", chain, config)
             shutil.copytree(work / "base" / "out" / "dataset", work / "cross" / "out" / "dataset")
             run_chain(REPO / "src", work / "cross", [TRAIN])
         except subprocess.CalledProcessError as e:
@@ -198,7 +207,8 @@ def main(argv=None) -> int:
             print(f"  {name}")
     print(f"wall s and peak RSS MB per command ({args.base} -> working tree):")
     names = ([" ".join([argv[0], *(a for a in argv if a == "--expert")]) for argv in CHAIN]
-             + [f"{argv[0]} (desk)" for argv in DESK_CHAIN])
+             + [f"{argv[0]} {suffix}" for chain, _, suffix in SUFFIX_CHAINS
+                for argv in chain])
     for name, (base_s, base_mb), (head_s, head_mb) in zip(names, base_costs, head_costs):
         print(f"  {name:<16} {base_s:6.2f} s {base_mb:7.1f} MB -> "
               f"{head_s:6.2f} s {head_mb:7.1f} MB")

@@ -23,7 +23,10 @@ forward drops it.
 Gradient lifetime: leaves (``requires_grad`` tensors no recorded node
 produced, such as parameters) keep ``.grad`` after backward, and so does
 the loss; a leaf the loss does not reach gets no gradient; an
-intermediate's gradient is freed as soon as its node has run.
+intermediate's gradient is freed as soon as its node has run. An
+intermediate that a later tape reads (an adapter's effective weight,
+shared by a batch's samples) is a leaf of that tape: it keeps what the
+later tape's backward adds until its own tape's backward runs its node.
 A first write takes the contribution as is; later writes add out of place,
 so a gradient array shared between tensors is never modified. A leaf held
 by an :class:`Adam` writes into its slice of the optimizer's flat gradient
@@ -292,7 +295,7 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.abs(d)
     np.negative(e, out=e)
     np.exp(e, out=e)                  # exp(-x) where x >= 0, else exp(x)
-    out_data = np.where(d >= 0, 1.0, e)
+    out_data = np.maximum(e, d >= 0)   # 1 where x >= 0, else e (NaN stays NaN)
     out_data /= e + 1.0
     np.clip(out_data, _SIGMOID_LO, _SIGMOID_HI, out=out_data)
     return _op("sigmoid", out_data, (x,), lambda g: g * out_data * (1.0 - out_data))

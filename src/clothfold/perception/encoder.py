@@ -74,9 +74,7 @@ class EncoderBlock:
             self.ia3 = Ia3Adapter(cfg.embed_dim, f"adapter.{name}")
             self.tensors += self.ia3.tensors
 
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        wq = self.q_adapter.effective() if self.q_adapter else self.wq
-        wv = self.v_adapter.effective() if self.v_adapter else self.wv
+    def forward(self, x: ad.Tensor, wq: ad.Tensor, wv: ad.Tensor) -> ad.Tensor:
         q = ad.matmul(x, wq)
         k = ad.matmul(x, self.wk)
         v = ad.matmul(x, wv)
@@ -142,11 +140,22 @@ class FrozenEncoder:
         return ad.constant(patches @ self.patch_w.data + self.patch_b.data
                            + self.image_pos.data)
 
-    def encode(self, token_ids: list[int], image4: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
+    def effective_weights(self) -> list[tuple[ad.Tensor, ad.Tensor]]:
+        """Each block's (wq, wv) as its adapter makes them, text blocks first:
+        they depend on the parameters only, so one list serves every forward
+        until the parameters change."""
+        return [(b.q_adapter.effective() if b.q_adapter else b.wq,
+                 b.v_adapter.effective() if b.v_adapter else b.wv)
+                for b in self.text_blocks + self.image_blocks]
+
+    def encode(self, token_ids: list[int], image4: np.ndarray,
+               weights: list | None = None) -> tuple[ad.Tensor, ad.Tensor]:
+        """``weights`` defaults to this call's own ``effective_weights()``."""
+        weights = iter(self.effective_weights() if weights is None else weights)
         f_l = self.embed_text(token_ids)
         for block in self.text_blocks:
-            f_l = block.forward(f_l)
+            f_l = block.forward(f_l, *next(weights))
         f_o = self.embed_image(image4)
         for block in self.image_blocks:
-            f_o = block.forward(f_o)
+            f_o = block.forward(f_o, *next(weights))
         return f_l, f_o

@@ -98,5 +98,5 @@ class TransformerFusion:
     def fuse(self, f_o: ad.Tensor, f_l: ad.Tensor) -> ad.Tensor:
         x = ad.concat_rows([f_o, f_l])
         for block in self.blocks:
-            x = block.forward(x)
+            x = block.forward(x, block.wq, block.wv)
         return ad.slice_rows(x, 0, f_o.shape[0])

@@ -127,10 +127,11 @@ class PerceptionModel:
             raise ad.ShapeError("conjunction cannot start or end the instruction")
         return ad.slice_rows(f_l, 0, i), ad.slice_rows(f_l, i + 1, f_l.shape[0])
 
-    def forward_heatmaps(self, image4: np.ndarray,
-                         token_ids: list[int]) -> tuple[ad.Tensor, ad.Tensor]:
-        """Differentiable core: masked RGB-D input + token ids -> two maps."""
-        f_l, f_o = self.encoder.encode(token_ids, image4)
+    def forward_heatmaps(self, image4: np.ndarray, token_ids: list[int],
+                         weights=None) -> tuple[ad.Tensor, ad.Tensor]:
+        """Differentiable core: masked RGB-D input + token ids -> two maps;
+        ``weights`` as ``FrozenEncoder.encode`` takes them."""
+        f_l, f_o = self.encoder.encode(token_ids, image4, weights)
         f_l1, f_l2 = self.segment_text_features(f_l, token_ids)
         cap_l1, cap_l2, cap_o = prepend_tokens(f_l1, f_l2, f_o, self.tokens)
         fused_pick = self.fusion.fuse(cap_o, cap_l1)

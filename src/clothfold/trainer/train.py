@@ -99,10 +99,28 @@ def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
 
 
 def sample_loss(model: PerceptionModel, sample: PreparedSample,
-                weight: float = 1.0) -> ad.Tensor:
-    q_pick, q_place = model.forward_heatmaps(sample.image4, sample.token_ids)
+                weight: float = 1.0, weights=None) -> ad.Tensor:
+    q_pick, q_place = model.forward_heatmaps(sample.image4, sample.token_ids, weights)
     loss = total_loss(q_pick, q_place, sample.gt_pick, sample.gt_place)
     return ad.scale(loss, weight) if weight != 1.0 else loss
+
+
+def accumulate_gradients(model: PerceptionModel,
+                         batch: Sequence[PreparedSample]) -> list[float]:
+    """Add the batch's mean-loss gradient into the trainables'; return each
+    sample's loss. The first sample's tape records the adapters' effective
+    weights for the whole batch and runs its backward last, so they
+    back-propagate the batch's summed gradient once."""
+    w = 1.0 / len(batch)
+    with ad.Tape() as first:
+        weights = model.encoder.effective_weights()
+        losses = [sample_loss(model, batch[0], w, weights)]
+    for sample in batch[1:]:
+        with ad.Tape() as tape:
+            losses.append(sample_loss(model, sample, w, weights))
+            tape.backward(losses[-1])
+    first.backward(losses[0])
+    return [loss.item() * len(batch) for loss in losses]
 
 
 def clip_gradients(opt: ad.Adam, max_norm: float) -> float:
@@ -166,12 +184,8 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
         max_grad_norm = 0.0
         clips = 0
         for start in range(0, len(train_idx), config.batch_size):
-            batch = train_idx[start:start + config.batch_size]
-            for j in batch:
-                with ad.Tape() as tape:
-                    loss = sample_loss(model, samples[j], 1.0 / len(batch))
-                    tape.backward(loss)
-                value = loss.item() * len(batch)
+            batch = [samples[j] for j in train_idx[start:start + config.batch_size]]
+            for value in accumulate_gradients(model, batch):
                 if not math.isfinite(value):
                     raise TrainingDivergedError(
                         f"loss became {value} at epoch {epoch}")
@@ -185,7 +199,8 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
 
         val_loss = None
         if len(val_idx):
-            val_loss = float(np.mean([sample_loss(model, samples[j]).item()
+            weights = model.encoder.effective_weights()
+            val_loss = float(np.mean([sample_loss(model, samples[j], weights=weights).item()
                                       for j in val_idx]))
             if val_loss < result.best_val_loss:
                 result.best_val_loss = val_loss

@@ -159,6 +159,21 @@ def test_kernel_rows_of_note():
         _assert_same(w, a)
 
 
+def test_sigmoid_numerator_without_where_keeps_every_bit():
+    """``np.maximum(e, x >= 0)`` is ``np.where(x >= 0, 1.0, e)`` for
+    e = exp(-|x|) in [0, 1] or NaN: on a 112x112 map with NaN, ±0, ±inf and
+    |x| past 745, where exp underflows to 0."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 50.0, (112, 112))
+    special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0,
+               -746.0, 800.0, -800.0, 1e308, -1e308, 5e-324, -5e-324]
+    x.flat[:len(special)] = special
+    e = np.exp(-np.abs(x))
+    got = np.maximum(e, x >= 0)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.where(x >= 0, 1.0, e).tobytes()
+
+
 # -- Adam on one flat vector -------------------------------------------------------
 
 def _adam_reference(params, grads_per_step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):

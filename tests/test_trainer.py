@@ -348,7 +348,7 @@ class TestTrain:
         model = PerceptionModel(cfg)
         p = model.fusion.ln_g
         p.data[:] = 0.0
-        monkeypatch.setattr(train_module, "sample_loss", lambda m, s, w=1.0: ad.scale(
+        monkeypatch.setattr(train_module, "sample_loss", lambda m, s, w=1.0, weights=None: ad.scale(
             ad.sum_all(ad.pow_const(p, 0.5)), w))
         before = {k: t.data.copy() for k, t in model.trainable_parameters().items()}
         with np.errstate(divide="ignore"), \
