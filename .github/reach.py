@@ -7,8 +7,8 @@ every Python process traced: a ``sitecustomize`` written to a temporary
 directory at the head of ``PYTHONPATH`` starts ``sys.settrace`` in each
 interpreter that starts, pytest's and every subprocess's that keeps that
 ``PYTHONPATH``, and each one writes the ``src/`` lines it ran when it exits.
-Then it prints, per file, the statements that none of them ran, ``raise``
-statements listed apart.
+Then it prints, per file, the statements that none of them ran, each by its
+first line number and source line, ``raise`` statements listed apart.
 
 A statement is executable when the compiler emits code for one of its lines
 (so a docstring or a ``global`` is not), and reached when one of those lines
@@ -189,7 +189,9 @@ def report(ran: dict[str, set[int]]) -> None:
             if not isinstance(node, ast.Raise):
                 print(f"  {span.start:5d}  {source[span.start - 1].strip()}")
         if missed_raises:
-            print(f"  raise: {' '.join(map(str, missed_raises))}")
+            print("  raise:")
+            for line in missed_raises:
+                print(f"  {line:5d}  {source[line - 1].strip()}")
     print(f"{unreached} of {total} executable statements unreached, "
           f"{unreached - raises} of them not raise")
 

@@ -18,10 +18,10 @@ from . import evaluation, images
 from .planner import BackendError, PlanningError, decompose, llm_decompose
 from .perception import PerceptionModel, TokenizeError
 from .runconfig import ConfigError, RunConfig, load_config
-from .sim import default_camera, jittered_sim
-from .trainer import (CropError, DatasetFormatError, TrainingDivergedError,
-                      generate_dataset, grad_check, load_dataset, prepare_sample,
-                      run_ablation, train)
+from .sim import jittered_sim, scripted_expert
+from .trainer import (CropError, DatasetFormatError, Demonstration, LoadedDemo,
+                      TrainingDivergedError, generate_dataset, grad_check, load_dataset,
+                      prepare_sample, run_ablation, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,15 +29,22 @@ EXIT_PLANNING = 3
 EXIT_TRAINING = 4
 EXIT_IO = 5
 
-
-def _camera_for(cfg: RunConfig):
-    return default_camera(cfg.sim["resolution"])
+GRAD_CHECK_MAX_DIM = 32      # the widest model.embed_dim grad-check accepts
 
 
 def _plan_subtasks(cfg: RunConfig, command: str):
     if cfg.backend is not None:
         return llm_decompose(command.strip(), cfg.backend)
     return decompose(command.strip())
+
+
+def _policy(args):
+    """The model ``--checkpoint`` names, or None for ``--expert``'s scripted expert."""
+    if args.expert:
+        return None
+    if not args.checkpoint:
+        raise ConfigError(f"{args.command_name} needs --checkpoint (or --expert)")
+    return ckpt_io.model_from_checkpoint(ckpt_io.load_checkpoint(args.checkpoint))
 
 
 def _train_split(dataset):
@@ -54,7 +61,7 @@ def cmd_gen_data(args) -> int:
     manifest = generate_dataset(args.out, seed=cfg.seed,
                                 episodes_per_family=cfg.data["episodes_per_family"],
                                 held_out_family=cfg.data["held_out_family"],
-                                camera=_camera_for(cfg),
+                                camera=cfg.camera,
                                 provenance=cfg.provenance())
     summary = {"out": str(args.out), "counts": manifest.counts,
                "skipped_episodes": manifest.skipped_episodes,
@@ -93,16 +100,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    model = None
-    if not args.expert:
-        if not args.checkpoint:
-            raise ConfigError("eval needs --checkpoint (or --expert)")
-        model = ckpt_io.model_from_checkpoint(ckpt_io.load_checkpoint(args.checkpoint))
-    bench = evaluation.BenchmarkConfig(
-        episodes_per_cell=cfg.benchmark["episodes_per_cell"], seed=cfg.seed,
-        held_out_family=cfg.data["held_out_family"],
-        mask_only=cfg.benchmark["mask_only"])
-    report = evaluation.run_benchmark(model, bench, camera=_camera_for(cfg),
+    model = _policy(args)
+    report = evaluation.run_benchmark(model, cfg.bench, camera=cfg.camera,
                                       artifacts_dir=(Path(args.out) / "heatmaps"
                                                      if not args.expert else None))
     out = Path(args.out)
@@ -117,11 +116,7 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    model = None
-    if not args.expert:
-        if not args.checkpoint:
-            raise ConfigError("run needs --checkpoint (or --expert)")
-        model = ckpt_io.model_from_checkpoint(ckpt_io.load_checkpoint(args.checkpoint))
+    model = _policy(args)
     subtasks = _plan_subtasks(cfg, args.command)
     kind = subtasks[0].cloth_kind
     if kind is None:
@@ -130,7 +125,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
-    env = jittered_sim(kind, rng, _camera_for(cfg))
+    env = jittered_sim(kind, rng, cfg.camera)
     images.write_png_rgb(out / "before.rgb.png", env.observe().rgb)
     result = evaluation.run_episode(args.command, model, env,
                                     artifacts_dir=out, episode_tag="run_",
@@ -154,7 +149,6 @@ def cmd_plan(args) -> int:
 
 def cmd_grad_check(args) -> int:
     cfg = load_config(args.config)
-    from .trainer.train import GRAD_CHECK_MAX_DIM
     if cfg.model.embed_dim > GRAD_CHECK_MAX_DIM:
         raise ConfigError(
             f"grad-check runs two forward passes per trainable scalar; "
@@ -162,9 +156,7 @@ def cmd_grad_check(args) -> int:
             f"(got {cfg.model.embed_dim})")
     model = PerceptionModel(cfg.model)
     rng = np.random.default_rng(cfg.seed)
-    env = jittered_sim("towel", rng, _camera_for(cfg))
-    from .trainer.dataset import Demonstration, LoadedDemo
-    from .sim import scripted_expert
+    env = jittered_sim("towel", rng, cfg.camera)
     subtask = decompose("Fold the Towel in half diagonally")[0]
     action = scripted_expert(env.mesh, subtask, env.camera)
     demo = Demonstration(0, 0, "DTF", 0, "SI", "train", "towel",
@@ -181,7 +173,7 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     manifest, demos = _train_split(args.dataset)
     report = run_ablation(demos, cfg.model, cfg.train, manifest.camera,
-                          episodes_per_cell=cfg.benchmark["episodes_per_cell"],
+                          episodes_per_cell=cfg.bench.episodes_per_cell,
                           benchmark_seed=cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -192,6 +192,8 @@ class BenchmarkConfig:
         if self.held_out_family not in (None, *TASK_FAMILIES):
             raise ValueError(f"held_out_family must be None or one of {TASK_FAMILIES}, "
                              f"got {self.held_out_family!r}")
+        if type(self.mask_only) is not bool:
+            raise ValueError(f"mask_only must be true or false, got {self.mask_only!r}")
 
     def to_record(self) -> dict:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}

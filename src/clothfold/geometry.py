@@ -3,6 +3,7 @@ and expansion of a pick/place pair into grasp / move / place primitives."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +27,17 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:     # a bool is not a size
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in ("fx", "fy"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie within the image")
+            raise ValueError(f"principal point must lie within the {self.width}x"
+                             f"{self.height} image, got ({self.cx!r}, {self.cy!r})")
 
 
 def pixel_to_camera(u: float, v: float, depth: float, k: CameraIntrinsics) -> np.ndarray:

@@ -4,7 +4,7 @@ Stages of 1x1 convolution, tanh and align-corners bilinear upsampling carry
 the patch grid back to image resolution; a final sigmoid maps the single
 output channel to probabilities. Channel widths halve per stage down to the
 single-channel output, and the per-stage upsampling factors multiply back to
-the patch size (asserted at construction).
+the patch size.
 
 Each convolution after the first runs before the previous stage's upsample,
 on the coarser grid. In real arithmetic that is the per-stage ``conv -> tanh
@@ -25,9 +25,6 @@ class CunDecoder:
         self.cfg = cfg
         self.name = name
         self.factors = cfg.upsample_factors()
-        if int(np.prod(self.factors)) != cfg.patch_size:
-            raise ValueError(f"upsample factors {self.factors} do not multiply "
-                             f"to patch size {cfg.patch_size}")
         channels = [cfg.embed_dim]
         for i in range(len(self.factors) - 1):
             channels.append(max(channels[-1] // 2, 1))
@@ -44,7 +41,7 @@ class CunDecoder:
 
     def forward(self, fused_tokens: ad.Tensor) -> ad.Tensor:
         """(P+1) x D fused features (row 0 = prepended token) -> H x W logits
-        through sigmoid. P must be a perfect square. Three stages run
+        through sigmoid. P is the patch grid's side squared. Three stages run
         ``conv0 tanh conv1 up0 tanh conv2 up1 up2``: the same function as
         ``conv0 tanh up0 conv1 tanh up1 conv2 up2`` (see the module docstring)."""
         cfg = self.cfg
@@ -53,8 +50,6 @@ class CunDecoder:
             raise ad.ShapeError(f"decoder expects ({cfg.num_patches + 1}, "
                                 f"{cfg.embed_dim}), got {fused_tokens.shape}")
         g = cfg.grid_side
-        if g * g != cfg.num_patches:
-            raise ValueError(f"patch count {cfg.num_patches} is not a square grid")
         x = ad.slice_rows(fused_tokens, 1, n)                 # drop the prepended token
         x = ad.reshape(ad.transpose2d(x), (cfg.embed_dim, g, g))
         x = ad.conv1x1(x, self.weights[0], self.biases[0])

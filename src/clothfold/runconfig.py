@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
 
+from .evaluation import BenchmarkConfig
 from .perception.config import ModelConfig
 from .planner.llm import LlmBackendConfig
-from .planner.templates import TASK_FAMILIES
+from .sim import SimCamera, default_camera
 from .trainer.train import TrainConfig
 
 
@@ -51,14 +52,18 @@ def _merge_section(name: str, defaults: dict, override: Any) -> dict:
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    sim: dict = field(default_factory=lambda: dict(_SIM_DEFAULTS))
-    data: dict = field(default_factory=lambda: dict(_DATA_DEFAULTS))
-    benchmark: dict = field(default_factory=lambda: dict(_BENCH_DEFAULTS))
-    planner: dict = field(default_factory=lambda: dict(_PLANNER_DEFAULTS))
-    backend: Optional[LlmBackendConfig] = None     # built from planner["backend"]
+    """The sections as read, which the hash covers, and the records built
+    from them once, which the commands use."""
+    seed: int
+    model: ModelConfig
+    train: TrainConfig
+    sim: dict
+    data: dict
+    benchmark: dict
+    planner: dict
+    camera: SimCamera                        # built from sim["resolution"]
+    bench: BenchmarkConfig                   # built from seed, data and benchmark
+    backend: Optional[LlmBackendConfig]      # built from planner["backend"]
 
     def to_record(self) -> dict:
         return {"seed": self.seed, "model": self.model.to_record(),
@@ -84,8 +89,6 @@ def parse_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
     seed = raw.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     model_rec = _merge_section("model", ModelConfig().to_record(), raw.get("model"))
     train_rec = _merge_section("train", TrainConfig().to_record(), raw.get("train"))
@@ -98,20 +101,23 @@ def parse_config(raw: dict) -> RunConfig:
     sim = _merge_section("sim", _SIM_DEFAULTS, raw.get("sim"))
     data = _merge_section("data", _DATA_DEFAULTS, raw.get("data"))
     benchmark = _merge_section("benchmark", _BENCH_DEFAULTS, raw.get("benchmark"))
-    for key, value in (("sim.resolution", sim["resolution"]),
-                       ("data.episodes_per_family", data["episodes_per_family"]),
-                       ("benchmark.episodes_per_cell", benchmark["episodes_per_cell"])):
-        if type(value) is not int or value <= 0:
-            raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    try:
+        camera = default_camera(sim["resolution"])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid sim.resolution {sim['resolution']!r}: {e}") from e
+    episodes = data["episodes_per_family"]
+    if type(episodes) is not int or episodes <= 0:
+        raise ConfigError(f"data.episodes_per_family must be a positive integer, "
+                          f"got {episodes!r}")
     if model.image_size > sim["resolution"]:
         raise ConfigError(f"model.image_size {model.image_size} exceeds "
                           f"sim.resolution {sim['resolution']}")
-    if type(benchmark["mask_only"]) is not bool:
-        raise ConfigError(f"benchmark.mask_only must be true or false, "
-                          f"got {benchmark['mask_only']!r}")
-    if data["held_out_family"] not in (None, *TASK_FAMILIES):
-        raise ConfigError(f"data.held_out_family {data['held_out_family']!r} "
-                          f"is not null or one of {list(TASK_FAMILIES)}")
+    try:
+        bench = BenchmarkConfig(episodes_per_cell=benchmark["episodes_per_cell"], seed=seed,
+                                held_out_family=data["held_out_family"],
+                                mask_only=benchmark["mask_only"])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid seed/data/benchmark settings: {e}") from e
     planner = _merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner"))
     rec = planner["backend"]
     try:
@@ -119,12 +125,13 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid planner backend config: {e}") from e
     return RunConfig(seed=seed, model=model, train=train, sim=sim, data=data,
-                     benchmark=benchmark, planner=planner, backend=backend)
+                     benchmark=benchmark, planner=planner, camera=camera, bench=bench,
+                     backend=backend)
 
 
 def load_config(path: Optional[str]) -> RunConfig:
     if path is None:
-        return RunConfig()
+        return parse_config({})
     try:
         raw = json.loads(Path(path).read_bytes().decode("utf-8"))
     except FileNotFoundError as e:

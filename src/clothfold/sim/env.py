@@ -9,8 +9,6 @@ from .render import Observation, SimCamera, default_camera, render
 
 JITTER_TRANSLATION = 0.015       # meters
 JITTER_ROTATION = 0.14           # radians (~8 degrees)
-DEFAULT_GRID = (25, 25)
-DEFAULT_CLOTH_SIZE = 0.36        # meters; keeps jittered cloth inside the crop
 
 
 class ClothSim:
@@ -21,10 +19,9 @@ class ClothSim:
         self.camera = camera or default_camera()
 
     @classmethod
-    def fresh(cls, kind: str, grid_dims=(25, 25), size_m: float = 0.36,
-              center=(0.0, 0.0), rotation_rad: float = 0.0,
-              camera: SimCamera | None = None) -> "ClothSim":
-        return cls(init_cloth(kind, grid_dims, size_m, center, rotation_rad), camera)
+    def fresh(cls, kind: str, camera: SimCamera | None = None) -> "ClothSim":
+        """An unjittered cloth of ``init_cloth``'s default grid and size."""
+        return cls(init_cloth(kind), camera)
 
     def observe(self) -> Observation:
         return render(self.mesh, self.camera)
@@ -41,5 +38,4 @@ def jittered_sim(kind: str, rng: np.random.Generator,
     """Fresh episode with a randomized cloth pose (translation + rotation)."""
     center = rng.uniform(-JITTER_TRANSLATION, JITTER_TRANSLATION, size=2)
     rot = rng.uniform(-JITTER_ROTATION, JITTER_ROTATION)
-    return ClothSim.fresh(kind, DEFAULT_GRID, DEFAULT_CLOTH_SIZE,
-                          center=tuple(center), rotation_rad=rot, camera=camera)
+    return ClothSim(init_cloth(kind, center=tuple(center), rotation_rad=rot), camera)

@@ -36,9 +36,9 @@ class PickPlaceAction:
 
 def project_landmark(mesh: ClothMesh, name: str, camera: SimCamera) -> tuple[int, int]:
     """Current pixel (row, col) of a landmark particle, at its layered height."""
-    point = mesh.landmark_point(name)
-    z_w = mesh.landmark_layer(name) * LAYER_THICKNESS
-    u, v = camera.world_to_pixel(point[0], point[1], z_w)
+    r, c = mesh.landmark_index(name)
+    x, y = mesh.positions[r, c]
+    u, v = camera.world_to_pixel(x, y, int(mesh.layers[r, c]) * LAYER_THICKNESS)
     row, col = int(round(v)), int(round(u))
     h, w = camera.intrinsics.height, camera.intrinsics.width
     if not (0 <= row < h and 0 <= col < w):

@@ -105,26 +105,25 @@ class ClothMesh:
     def landmark_names(self) -> list[str]:
         return sorted(self.landmarks.keys())
 
-    def landmark_point(self, name: str) -> np.ndarray:
+    def landmark_index(self, name: str) -> tuple[int, int]:
+        """Grid (row, col) of a landmark, its name matched case- and space-blind."""
         key = name.strip().lower()
         if key not in self.landmarks:
             raise LandmarkError(f"{name!r} is not a landmark of kind {self.kind!r}; "
                                 f"known: {self.landmark_names()}")
-        r, c = self.landmarks[key]
-        return self.positions[r, c].copy()
+        return self.landmarks[key]
 
-    def landmark_layer(self, name: str) -> int:
-        key = name.strip().lower()
-        if key not in self.landmarks:
-            raise LandmarkError(f"{name!r} is not a landmark of kind {self.kind!r}")
-        r, c = self.landmarks[key]
-        return int(self.layers[r, c])
+    def landmark_point(self, name: str) -> np.ndarray:
+        r, c = self.landmark_index(name)
+        return self.positions[r, c].copy()
 
 
 def init_cloth(kind: str, grid_dims: tuple[int, int] = (25, 25), size_m: float = 0.36,
                center: tuple[float, float] = (0.0, 0.0),
                rotation_rad: float = 0.0) -> ClothMesh:
-    """Create a flat cloth mesh centered at ``center`` on the table plane."""
+    """Create a flat cloth mesh centered at ``center`` on the table plane.
+    The default 25x25 grid and 0.36 m size keep a jittered cloth inside the
+    model's centre crop."""
     if kind not in _SHAPES["kinds"]:
         raise ValueError(f"unknown cloth kind {kind!r}; known: {cloth_kinds()}")
     n, m = grid_dims

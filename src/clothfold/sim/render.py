@@ -36,6 +36,8 @@ class SimCamera:
     height: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.height) and self.height > 0):
+            raise ValueError(f"mount height must be finite and positive, got {self.height!r}")
         # Built and checked once per camera; a rollout applies it twice per
         # step. Its arrays are read-only, as every caller shares them.
         rotation = np.diag([1.0, -1.0, -1.0])

@@ -10,7 +10,8 @@ from typing import Sequence
 from ..evaluation import BenchmarkConfig, run_benchmark
 from ..perception.config import ADAPTER_TYPES, FUSION_TYPES, ModelConfig
 from ..perception.model import PerceptionModel
-from ..trainer.dataset import LoadedDemo, camera_from_record
+from ..sim import SimCamera
+from ..trainer.dataset import LoadedDemo
 from ..trainer.train import TrainConfig, train
 
 
@@ -37,13 +38,12 @@ class AblationReport:
 
 
 def run_ablation(demos: Sequence[LoadedDemo], model_cfg: ModelConfig,
-                 train_cfg: TrainConfig, camera_record: dict,
+                 train_cfg: TrainConfig, camera: SimCamera,
                  episodes_per_cell: int = 1,
                  benchmark_seed: int = 0) -> AblationReport:
     """Train each combination from the same seed and data, then benchmark it
     on seen instructions. Values are desk-scale; the row schema is the point.
     """
-    camera = camera_from_record(camera_record)
     report = AblationReport()
     for adapter in ADAPTER_TYPES:
         for fusion in FUSION_TYPES:

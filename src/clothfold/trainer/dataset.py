@@ -85,7 +85,7 @@ class DatasetManifest:
     seed: int
     episodes_per_family: int
     held_out_family: Optional[str]
-    camera: dict
+    camera: SimCamera
     cloth_kinds: list[str]
     families: list[str]
     counts: dict
@@ -94,7 +94,8 @@ class DatasetManifest:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {**vars(self), "demos": [d.to_record() for d in self.demos],
+        payload = {**vars(self), "camera": camera_record(self.camera),
+                   "demos": [d.to_record() for d in self.demos],
                    "full_scale_protocol": {"total": FULL_SCALE_TOTAL,
                                            "train": FULL_SCALE_TRAIN,
                                            "test": FULL_SCALE_TEST}}
@@ -109,11 +110,10 @@ class DatasetManifest:
             if not isinstance(raw["demos"], list):
                 raise TypeError(f"'demos' is a {type(raw['demos']).__name__}, not a list")
             demos = [Demonstration.from_record(r) for r in raw["demos"]]
-            camera_from_record(raw["camera"])     # a bad camera record is malformed too
             return cls(raw["version"], raw["seed"], raw["episodes_per_family"],
-                       raw["held_out_family"], raw["camera"], raw["cloth_kinds"],
-                       raw["families"], raw["counts"], raw["skipped_episodes"],
-                       demos, raw.get("provenance", {}))
+                       raw["held_out_family"], camera_from_record(raw["camera"]),
+                       raw["cloth_kinds"], raw["families"], raw["counts"],
+                       raw["skipped_episodes"], demos, raw.get("provenance", {}))
         except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise DatasetFormatError(f"malformed dataset manifest: {e!r}") from e
 
@@ -158,8 +158,6 @@ def generate_dataset(out_dir, seed: int = 0, episodes_per_family: int = 42,
                      provenance: Optional[dict] = None) -> DatasetManifest:
     """Roll out the scripted expert over jittered episodes and write the
     dataset to ``out_dir``. Expert failures skip the episode and are logged."""
-    if held_out_family is not None and held_out_family not in TASK_FAMILIES:
-        raise ValueError(f"held-out family {held_out_family!r} not in {TASK_FAMILIES}")
     out = Path(out_dir)
     (out / "demos").mkdir(parents=True, exist_ok=True)
     camera = camera or default_camera()
@@ -206,7 +204,7 @@ def generate_dataset(out_dir, seed: int = 0, episodes_per_family: int = 42,
         "by_family": _count(demos, lambda d: d.family),
     }
     manifest = DatasetManifest(DATASET_VERSION, seed, episodes_per_family,
-                               held_out_family, camera_record(camera),
+                               held_out_family, camera,
                                sorted({d.cloth_kind for d in demos}),
                                list(TASK_FAMILIES), counts, skipped, demos,
                                provenance or {})
@@ -244,7 +242,7 @@ def load_dataset(dataset_dir) -> tuple[DatasetManifest, list[LoadedDemo]]:
     hold its labels, kept as the files store them: PNG and uint16 depth counts."""
     root = Path(dataset_dir)
     manifest = DatasetManifest.from_json((root / "manifest.json").read_bytes())
-    camera = camera_from_record(manifest.camera)
+    camera = manifest.camera
     shape = camera.intrinsics.height, camera.intrinsics.width
     loaded = []
     for d in manifest.demos:

@@ -247,23 +247,16 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-GRAD_CHECK_MAX_DIM = 32
-
-
 def grad_check(model: PerceptionModel, sample: PreparedSample,
                seed: int = 0, h: float = FD_STEP) -> GradCheckReport:
     """Compare tape gradients with central finite differences for every
     trainable scalar (the frozen towers are excluded by construction).
 
-    Only small models are accepted: the cost is two forward passes per
-    trainable scalar. Trainables are first moved to a generic random point:
-    several adapter factors start at exactly zero where their true gradients
-    vanish.
+    The cost is two forward passes per trainable scalar, so it suits small
+    models only; the ``grad-check`` command enforces the width limit.
+    Trainables are first moved to a generic random point: several adapter
+    factors start at exactly zero where their true gradients vanish.
     """
-    if model.cfg.embed_dim > GRAD_CHECK_MAX_DIM:
-        raise ValueError(
-            f"grad_check needs a small model (embed_dim <= {GRAD_CHECK_MAX_DIM}); "
-            f"got {model.cfg.embed_dim}")
     rng = np.random.default_rng(seed)
     named = model.trainable_parameters()
     for name, p in named.items():

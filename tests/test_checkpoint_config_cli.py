@@ -16,9 +16,11 @@ import pytest
 
 from clothfold import checkpoint as ck
 from clothfold import images
+from clothfold.evaluation import BenchmarkConfig
 from clothfold.perception import ModelConfig, PerceptionModel
 from clothfold.runconfig import ConfigError, load_config, parse_config
 from clothfold.cli import main as cli_main
+from clothfold.sim import default_camera
 
 
 @pytest.fixture
@@ -192,6 +194,16 @@ class TestRunConfig:
         assert cfg.backend.endpoint_url == "http://x/v1"
         assert cfg.planner == {"backend": {"endpoint_url": "http://x/v1"}}
         assert parse_config({}).backend is None
+
+    def test_camera_and_benchmark_built_on_load(self):
+        cfg = parse_config({"seed": 4, "sim": {"resolution": 160},
+                            "data": {"held_out_family": "TF"},
+                            "benchmark": {"episodes_per_cell": 2, "mask_only": True}})
+        assert cfg.camera == default_camera(160)
+        assert cfg.bench == BenchmarkConfig(episodes_per_cell=2, seed=4,
+                                            held_out_family="TF", mask_only=True)
+        assert load_config(None).bench == BenchmarkConfig()
+        assert load_config(None).camera == default_camera()
 
     def test_readme_configs_parse(self):
         """Every JSON block in README is a config ``parse_config`` accepts, so a
@@ -507,6 +519,9 @@ def _bad_dataset(case, data_dir, tmp_path):
             del first["rgb_file"]
         elif case == "manifest_camera_key_missing":
             del manifest["camera"]["fx"]
+        elif case in _BAD_CAMERA_FIELDS:
+            key, value = _BAD_CAMERA_FIELDS[case]
+            manifest["camera"][key] = value
         elif case == "manifest_demos_not_a_list":
             manifest["demos"] = {"0": first}
         elif case == "manifest_version_unknown":
@@ -542,17 +557,25 @@ _PNG_IHDR_EDITS = {           # IHDR payload offset -> the bytes written there
     "png_taller_than_its_data": (4, (225).to_bytes(4, "big")),
 }
 
+_BAD_CAMERA_FIELDS = {        # manifest camera record's field -> a value no camera has
+    "manifest_camera_fx_nan": ("fx", math.nan),
+    "manifest_camera_mount_height_negative": ("mount_height", -1),
+    "manifest_camera_width_float": ("width", 224.0),
+}
+
 # A dataset with no demo, so no train split, and the command that reads it;
-# the other bad datasets are read by ``train``.
+# ``ablate`` reads the bad cameras, ``train`` the other bad datasets.
 _NO_TRAIN_SPLIT = {"train_without_train_split": "train",
                    "ablate_without_train_split": "ablate"}
+_DATASET_COMMANDS = {**_NO_TRAIN_SPLIT, **dict.fromkeys(_BAD_CAMERA_FIELDS, "ablate")}
 
 _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", *_PNG_FLIPS,
                  *_PNG_IHDR_EDITS,
                  "pgm_size_not_numeric", "pgm_size_negative", "pgm_data_odd_length",
                  "manifest_not_json", "manifest_key_missing", "manifest_camera_key_missing",
                  "manifest_demos_not_a_list", "manifest_version_unknown", *_BAD_DEMO_FIELDS,
-                 "png_resized", "pgm_resized", "png_all_background", *_NO_TRAIN_SPLIT)
+                 *_BAD_CAMERA_FIELDS, "png_resized", "pgm_resized", "png_all_background",
+                 *_NO_TRAIN_SPLIT)
 
 
 def _train_on_cli_data(section, **values):
@@ -690,6 +713,12 @@ def llm_endpoint():
     server.server_close()
 
 
+# Bad config values whose error names the field and the value.
+_NAMED_FIELDS = {"seed_negative": ("seed", -1), "seed_bool": ("seed", True),
+                 "held_out_family": ("held_out_family", "XYZ"),
+                 "benchmark_episodes_per_cell_not_int": ("episodes_per_cell", "x"),
+                 "benchmark_mask_only_not_bool": ("mask_only", "yes")}
+
 _BAD_ARGS = {                 # command line -> its exit code and what stderr says
     "plan_empty_command": (["plan", "--command", ""], 3, "empty command"),
     "eval_without_checkpoint_or_expert": (["eval"], 2, "eval needs --checkpoint"),
@@ -740,7 +769,7 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
             argv = [*argv, "--out", str(tmp_path / "o")]
     elif case in _BAD_DATASETS:
         _, cfg_path, data_dir = cli_env
-        argv = [_NO_TRAIN_SPLIT.get(case, "train"), "--config", str(cfg_path),
+        argv = [_DATASET_COMMANDS.get(case, "train"), "--config", str(cfg_path),
                 "--dataset", str(_bad_dataset(case, data_dir, tmp_path)),
                 "--out", str(tmp_path / "t")]
     else:
@@ -757,6 +786,9 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
     assert proc.stderr.strip()
     if case in _BAD_CONFIGS:
         assert proc.stderr.startswith("config error:"), proc.stderr
+    if case in _NAMED_FIELDS:
+        field, value = _NAMED_FIELDS[case]
+        assert field in proc.stderr and repr(value) in proc.stderr, proc.stderr
     if case in _BAD_ARGS:
         assert _BAD_ARGS[case][2] in proc.stderr
     if case in _NO_TRAIN_SPLIT:

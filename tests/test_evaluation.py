@@ -266,6 +266,8 @@ class TestBenchmark:
         ("conditions", ("XX",)),           # ran 15 episodes under an unknown label
         ("held_out_family", "NOPE"),
         ("held_out_family", ""),
+        ("mask_only", "yes"),
+        ("mask_only", 1),
     ])
     def test_config_rejects_a_bad_field_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be"):

@@ -1,5 +1,7 @@
 """Pinhole back-projection, rigid transforms, and primitive expansion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,11 +61,20 @@ class TestPixelToCamera:
         with pytest.raises(geo.InvalidDepthError):
             geo.pixel_to_camera(10, 10, -1.0, k)
 
-    def test_bad_intrinsics_rejected(self):
-        with pytest.raises(ValueError):
-            geo.CameraIntrinsics(0.0, 100.0, 10, 10, 64, 64)
-        with pytest.raises(ValueError):
-            geo.CameraIntrinsics(10, 10, 500, 10, 64, 64)
+    @pytest.mark.parametrize("args,named", [
+        ((0.0, 100.0, 10, 10, 64, 64), "fx"),
+        ((100.0, -1.0, 10, 10, 64, 64), "fy"),
+        ((math.nan, 100.0, 10, 10, 64, 64), "fx"),
+        ((100.0, math.inf, 10, 10, 64, 64), "fy"),
+        ((10, 10, 500, 10, 64, 64), "principal point"),
+        ((10, 10, 10, math.nan, 64, 64), "principal point"),
+        ((100.0, 100.0, 10, 10, 64.0, 64), "width"),
+        ((100.0, 100.0, 0, 0, True, 64), "width"),
+        ((100.0, 100.0, 10, 10, 64, 0), "height"),
+    ])
+    def test_bad_intrinsics_rejected(self, args, named):
+        with pytest.raises(ValueError, match=f"^{named} must"):
+            geo.CameraIntrinsics(*args)
 
 
 class TestRigidTransform:

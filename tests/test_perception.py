@@ -284,10 +284,12 @@ class TestDecoder:
         assert not np.array_equal(a, b)
 
     def test_upsample_factors_multiply_to_patch_size(self):
-        for ps in (8, 16, 56):
-            cfg = ModelConfig(embed_dim=16, depth=1, patch_size=ps,
-                              image_size=112 if ps != 16 else 224, seed=1)
-            assert int(np.prod(cfg.upsample_factors())) == ps
+        # The decoder upsamples the patch grid by these factors, back to the image.
+        for ps in range(2, 65):
+            cfg = ModelConfig(embed_dim=16, depth=1, patch_size=ps, image_size=2 * ps)
+            factors = cfg.upsample_factors()
+            assert all(type(f) is int and f >= 2 for f in factors)
+            assert int(np.prod(factors)) == ps
 
 
 class TestSelectAction:

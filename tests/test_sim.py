@@ -1,6 +1,8 @@
 """Cloth mesh construction, reflection folds vs the brute-force oracle,
 rendering, landmarks, and the scripted expert."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,10 @@ class TestLandmarks:
         m = sim.init_cloth("trousers")
         assert m.landmark_point("left waist") is not None
 
+    def test_landmark_name_is_case_and_space_blind(self):
+        m = sim.init_cloth("trousers")
+        assert m.landmark_index("  Left Waist ") == m.landmark_index("left waist")
+
     def test_towel_has_no_sleeve(self):
         m = sim.init_cloth("towel")
         with pytest.raises(sim.LandmarkError):
@@ -341,6 +347,12 @@ class TestSimCamera:
         assert t.apply(p).tobytes() == fresh.apply(p).tobytes()
         with pytest.raises(ValueError):
             t.translation[2] = 0.0
+
+
+    @pytest.mark.parametrize("height", [-1.0, 0.0, math.nan, math.inf])
+    def test_mount_height_must_be_finite_and_positive(self, height):
+        with pytest.raises(ValueError, match="^mount height must be finite and positive"):
+            sim.default_camera(224, height)
 
 
 class TestScriptedExpert:

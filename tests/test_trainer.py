@@ -216,9 +216,8 @@ class TestDatasetGeneration:
 
     @pytest.mark.parametrize("version", [99, 0, True, 1.0, "1", None])
     def test_manifest_of_another_version_is_a_format_error(self, version):
-        from clothfold.trainer.dataset import DatasetManifest, camera_record
-        manifest = DatasetManifest(1, 0, 1, None, camera_record(sim.default_camera()),
-                                   [], [], {}, 0)
+        from clothfold.trainer.dataset import DatasetManifest
+        manifest = DatasetManifest(1, 0, 1, None, sim.default_camera(), [], [], {}, 0)
         assert DatasetManifest.from_json(manifest.to_json()) == manifest
         raw = json.loads(manifest.to_json())
         raw["version"] = version
@@ -242,10 +241,9 @@ class TestDatasetGeneration:
                 assert d.condition in ("SI", "UI")
 
     def test_pick_pixel_matches_projection_oracle(self, tmp_path):
-        from clothfold.trainer.dataset import camera_from_record
         manifest, demos = load_dataset(
             generate_and_return(tmp_path / "d", seed=2, episodes_per_family=1))
-        camera = camera_from_record(manifest.camera)
+        camera = manifest.camera
         for item in demos[:6]:
             x, y = item.demo.pick_world
             # project at any plausible layer height: sub-pixel either way
@@ -257,8 +255,6 @@ class TestDatasetGeneration:
         # every stored (sub-task, pick, place) is re-derivable from the expert
         manifest, demos = load_dataset(
             generate_and_return(tmp_path / "d", seed=4, episodes_per_family=1))
-        from clothfold.trainer.dataset import camera_from_record
-        camera = camera_from_record(manifest.camera)
         by_episode = {}
         for item in demos:
             by_episode.setdefault(item.demo.episode_id, []).append(item)
@@ -270,8 +266,7 @@ class TestDatasetGeneration:
     def test_observation_roundtrip_exact(self, tmp_path):
         out = generate_and_return(tmp_path / "d", seed=5, episodes_per_family=1)
         manifest, demos = load_dataset(out)
-        from clothfold.trainer.dataset import camera_from_record
-        camera = camera_from_record(manifest.camera)
+        camera = manifest.camera
         rng = np.random.default_rng(manifest.seed)
         # regenerate the first episode's first observation and compare
         first = manifest.demos[0]
