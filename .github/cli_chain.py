@@ -11,10 +11,14 @@ the model and with the scripted expert (before/after PNGs), ``ablate``
 ``grad-check`` is left out: at D=16 it takes about 20 s per side. A second
 ``train`` on that dataset follows, with ``train.batch_size: 1`` and its own
 output directory: one sample per optimizer step, whose bytes a change to
-how a batch sums its gradients must leave alone. A desk-scale pair
-follows: ``gen-data`` at the default 42 episodes per family (504 demos)
-and ``train`` with ``train.epochs: 0``, which only loads that dataset and
-prepares its samples, so its peak RSS is the data path's.
+how a batch sums its gradients must leave alone. A larger scripted-expert
+grid follows: ``eval --expert`` at seed 173 with 3 episodes per cell (45
+episodes, among them the one known expert miss, SI/TF), so the bytes of a
+change to the simulator, the planner or the scoring show on more episodes
+than the chain's 15. A desk-scale pair follows: ``gen-data`` at the default
+42 episodes per family (504 demos) and ``train`` with ``train.epochs: 0``,
+which only loads that dataset and prepares its samples, so its peak RSS is
+the data path's.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. JSON files are compared with every
 ``wall_time_s`` key removed; all other files byte for byte.
@@ -60,8 +64,10 @@ CONFIG = {
     "benchmark": {"episodes_per_cell": 1},
 }
 BATCH1_CONFIG = {**CONFIG, "train": {"epochs": 2, "batch_size": 1}}
+EXPERT_CONFIG = {**CONFIG, "seed": 173, "benchmark": {"episodes_per_cell": 3}}
 DESK_CONFIG = {**CONFIG, "train": {"epochs": 0}, "data": {"episodes_per_family": 42}}
-CONFIGS = {"config.json": CONFIG, "batch1.json": BATCH1_CONFIG, "desk.json": DESK_CONFIG}
+CONFIGS = {"config.json": CONFIG, "batch1.json": BATCH1_CONFIG,
+           "expert.json": EXPERT_CONFIG, "desk.json": DESK_CONFIG}
 TRAIN = ["train", "--dataset", "out/dataset", "--out", "out/train"]
 CHAIN = [
     ["gen-data", "--out", "out/dataset"],
@@ -76,10 +82,12 @@ CHAIN = [
     ["plan", "--command", "Fold the Towel in half diagonally"],
 ]
 BATCH1_CHAIN = [["train", "--dataset", "out/dataset", "--out", "out/train_batch1"]]
+EXPERT_CHAIN = [["eval", "--expert", "--out", "out/eval_expert_seed173"]]
 DESK_CHAIN = [["gen-data", "--out", "out/desk/dataset"],
               ["train", "--dataset", "out/desk/dataset", "--out", "out/desk/train"]]
 # Chains run after CHAIN, each under its own config, and the tag of their costs.
 SUFFIX_CHAINS = [(BATCH1_CHAIN, "batch1.json", "(batch 1)"),
+                 (EXPERT_CHAIN, "expert.json", "(seed 173)"),
                  (DESK_CHAIN, "desk.json", "(desk)")]
 
 

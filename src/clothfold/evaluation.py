@@ -45,12 +45,10 @@ def miou(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     """Intersection over union of two boolean masks; both-empty counts as 1."""
     if mask_a.shape != mask_b.shape:
         raise MetricError(f"mask shapes differ: {mask_a.shape} vs {mask_b.shape}")
-    a = mask_a.astype(bool)
-    b = mask_b.astype(bool)
-    union = np.logical_or(a, b).sum()
+    union = np.count_nonzero(np.logical_or(mask_a, mask_b))
     if union == 0:
         return 1.0
-    return float(np.logical_and(a, b).sum() / union)
+    return float(np.count_nonzero(np.logical_and(mask_a, mask_b)) / union)
 
 
 def success(mpd_value: float) -> bool:

@@ -8,6 +8,7 @@ Sub-task surface forms vary with the variant through the preposition slot.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -150,8 +151,14 @@ def decompose(text: str) -> list[SubTask]:
         raise PlanningError(
             f"cannot decompose {command.text!r}: task family not recognized "
             f"(cloth kind: {command.cloth_kind}); an LLM backend may handle it")
-    kind, steps, _ = _FAMILIES[command.task_family]
-    prep = PREP_VARIANTS[command.variant % len(PREP_VARIANTS)]
-    return [validate_subtask(f"Grasp the {pick} of the {CLOTH_DISPLAY[kind]} "
-                             f"and place it {prep} the {place}", cloth_kind=kind)
-            for pick, place in steps]
+    return list(_plan(command.task_family, PREP_VARIANTS[command.variant % len(PREP_VARIANTS)]))
+
+
+@functools.lru_cache(maxsize=len(_FAMILIES) * len(PREP_VARIANTS))
+def _plan(family: str, prep: str) -> tuple[SubTask, ...]:
+    """The validated sub-tasks of ``family`` phrased with ``prep``; built once,
+    as sub-tasks are frozen and the family table is fixed."""
+    kind, steps, _ = _FAMILIES[family]
+    return tuple(validate_subtask(f"Grasp the {pick} of the {CLOTH_DISPLAY[kind]} "
+                                  f"and place it {prep} the {place}", cloth_kind=kind)
+                 for pick, place in steps)

@@ -8,6 +8,7 @@ dynamics with an exactly checkable geometric rule.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -132,31 +133,39 @@ def init_cloth(kind: str, grid_dims: tuple[int, int] = (25, 25), size_m: float =
     if not (0 < size_m <= 2 * WORKSPACE_HALF):
         raise ValueError(f"cloth size {size_m} m does not fit the workspace")
 
-    spec = _SHAPES["kinds"][kind]
-    authored = _SHAPES["authored_grid"]
-    active = _resample_mask(spec["silhouette"], n, m)
-
-    cols = np.arange(m) / (m - 1) - 0.5
-    rows = 0.5 - np.arange(n) / (n - 1)
-    x = np.broadcast_to(cols[None, :] * size_m, (n, m))
-    y = np.broadcast_to(rows[:, None] * size_m, (n, m))
-    pts = np.stack([x, y], axis=-1).astype(np.float64).copy()
+    active, pts, layers, landmarks = _rest_cloth(kind, n, m, size_m)
     if rotation_rad != 0.0:
         ca, sa = np.cos(rotation_rad), np.sin(rotation_rad)
         rot = np.array([[ca, -sa], [sa, ca]])
         pts = pts @ rot.T
+    else:
+        pts = pts.copy()
     pts[..., 0] += center[0]
     pts[..., 1] += center[1]
     if np.abs(pts[active]).max() > WORKSPACE_HALF:
         raise ValueError("cloth placement leaves the workspace")
+    return ClothMesh(kind, n, m, size_m, active.copy(), pts, layers.copy(), dict(landmarks))
 
+
+@functools.cache
+def _rest_cloth(kind: str, n: int, m: int, size_m: float):
+    """(active, points, layers, landmarks) of an unrotated cloth centred at
+    the origin: read-only arrays and a landmark tuple, as every
+    ``init_cloth`` of that kind, grid and size starts from them."""
+    spec = _SHAPES["kinds"][kind]
+    active = _resample_mask(spec["silhouette"], n, m)
+    cols = np.arange(m) / (m - 1) - 0.5
+    rows = 0.5 - np.arange(n) / (n - 1)
+    x = np.broadcast_to(cols[None, :] * size_m, (n, m))
+    y = np.broadcast_to(rows[:, None] * size_m, (n, m))
+    pts = np.stack([x, y], axis=-1).astype(np.float64)
+    layers = np.where(active, 1, 0).astype(np.int64)
     landmarks = {}
     for name, rc in spec["landmarks"].items():
-        r, c = _rescale_index(tuple(rc), authored, n, m)
+        r, c = _rescale_index(tuple(rc), _SHAPES["authored_grid"], n, m)
         landmarks[name] = _snap_to_active(active, r, c)
-
-    layers = np.where(active, 1, 0).astype(np.int64)
-    return ClothMesh(kind, n, m, size_m, active, pts, layers, landmarks)
+    active.flags.writeable = pts.flags.writeable = layers.flags.writeable = False
+    return active, pts, layers, tuple(landmarks.items())
 
 
 def nearest_particle(mesh: ClothMesh, point_w: np.ndarray) -> tuple[int, int, float]:

@@ -97,7 +97,6 @@ class Observation:
         self.camera = camera
         self._shape = camera.intrinsics.height, camera.intrinsics.width  # a rendered frame's
         self._splats = splats
-        self._index = None       # the splat index, between the mask's build and the depth's
 
     @property
     def cloth_mask(self) -> np.ndarray:
@@ -106,9 +105,9 @@ class Observation:
             if self._splats is None:
                 self._mask = cloth_mask_from_rgb(self.rgb)
             else:
-                flat, z_px = self._take_index()
+                flat, _ = self._disk_pixels(self._splats.z_c <= self.camera.table_depth)
                 self._mask = np.zeros(self._shape, dtype=bool)
-                self._mask.reshape(-1)[flat[z_px <= self.camera.table_depth]] = True
+                self._mask.reshape(-1)[flat] = True
             self._mask.flags.writeable = False
         return self._mask
 
@@ -116,7 +115,7 @@ class Observation:
     def depth(self) -> np.ndarray:
         """[H, W]: the least depth of the splats covering a pixel, else the table's."""
         if self._depth is None:
-            flat, z_px = self._take_index()
+            flat, z_px = self._disk_pixels()
             self._depth = depth = np.full(self._shape, self.camera.table_depth)
             np.minimum.at(depth.reshape(-1), flat, z_px)
         return _as_float(self._depth)
@@ -150,18 +149,16 @@ class Observation:
         covering = s.z_c[dv * dv + du * du <= s.r_px * s.r_px]
         return float(covering.min(initial=self.camera.table_depth))
 
-    def _take_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat index and depth of every in-image pixel of every splat's disk,
-        built for the first of mask and depth, handed to the second, dropped.
-        ``np.minimum.at`` over it is exactly a per-particle z-buffer in any
-        order, as all particles share one color. A particle whose centre is at
-        least ``r_px`` from every edge has its whole disk inside the image: its
-        pixels are its flat centre plus the disk's flat offsets ``dv * w + du``.
-        Only particles nearer an edge clip each pixel."""
-        if self._index is not None:
-            index, self._index = self._index, None
-            return index
-        (h, w), (vi, ui, z_c, r_px, _) = self._shape, self._splats
+    def _disk_pixels(self, keep=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index and depth of every in-image pixel of the disks of the
+        splats ``keep`` selects (all by default). ``np.minimum.at`` over it is
+        exactly a per-particle z-buffer in any order, as all particles share
+        one color. A particle whose centre is at least ``r_px`` from every
+        edge has its whole disk inside the image: its pixels are its flat
+        centre plus the disk's flat offsets ``dv * w + du``. Only particles
+        nearer an edge clip each pixel."""
+        (h, w), s = self._shape, self._splats
+        vi, ui, z_c, r_px = s.vi[keep], s.ui[keep], s.z_c[keep], s.r_px
         dv, du = _splat_disk(r_px)
         edge = (vi < r_px) | (vi >= h - r_px) | (ui < r_px) | (ui >= w - r_px)
         flat = ((vi * w + ui)[~edge, None] + (dv * w + du)).ravel()
@@ -172,8 +169,7 @@ class Observation:
             inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
             flat = np.concatenate([flat, (rows * w + cols)[inside]])
             z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
-        self._index = flat, z_px
-        return self._index
+        return flat, z_px
 
 
 def _as_float(stored, window=...):
@@ -198,6 +194,15 @@ def _splat_disk(r_px: int) -> tuple[np.ndarray, np.ndarray]:
     return dv, du
 
 
+@functools.cache
+def _colors(kind: str) -> np.ndarray:
+    """The (background, cloth) color pair of ``kind``; read-only, as every
+    render of that kind shares it."""
+    colors = np.stack([BACKGROUND_RGB, cloth_color(kind)])
+    colors.flags.writeable = False
+    return colors
+
+
 def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     """Top-down RGB-D frame: each active particle splats a disk (radius ~3/4
     cell spacing, so neighbors overlap) at its projected pixel; the z-buffer
@@ -212,5 +217,5 @@ def render(mesh: ClothMesh, camera: SimCamera) -> Observation:
     z_c = np.rint((camera.height - z_w) / DEPTH_UNIT) * DEPTH_UNIT
     u, v = camera.world_to_pixel(x, y, z_w)
     splats = Splats(np.rint(v).astype(np.int64), np.rint(u).astype(np.int64), z_c, r_px,
-                    np.stack([BACKGROUND_RGB, cloth_color(mesh.kind)]))
+                    _colors(mesh.kind))
     return Observation(None, None, camera, splats=splats)

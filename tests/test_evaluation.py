@@ -87,6 +87,23 @@ class TestMiou:
             b2[free[0][0], free[1][0]] = True
             assert miou(a2, b2) >= v - 1e-15
 
+    @given(st.integers(0, 10 ** 6), st.sampled_from([bool, np.int64, np.uint8]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_logical_expression(self, seed, dtype):
+        """The count equals the expression it replaced, the same float, on bool
+        and 0/1 integer masks of random shapes, empty ones included."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(0, 9, size=rng.integers(1, 4)))
+        a = (rng.random(shape) > rng.random()).astype(dtype)
+        b = (rng.random(shape) > rng.random()).astype(dtype)
+        if rng.random() < 0.2:
+            a[...] = b[...] = 0
+        union = np.logical_or(a.astype(bool), b.astype(bool)).sum()
+        want = 1.0 if union == 0 else float(
+            np.logical_and(a.astype(bool), b.astype(bool)).sum() / union)
+        got = miou(a, b)
+        assert type(got) is float and got == want
+
 
 class TestSuccess:
     def test_below_threshold(self):

@@ -21,7 +21,7 @@ from clothfold.perception import segment_workspace
 from clothfold.sim import env as sim_env
 from clothfold.sim.mesh import LAYER_THICKNESS, cloth_color
 from clothfold.sim.render import (BACKGROUND_RGB, Observation, SimCamera,
-                                  cloth_mask_from_rgb)
+                                  Splats, cloth_mask_from_rgb, default_camera)
 from clothfold.trainer import generate_dataset, load_dataset
 
 # The module; ``clothfold.sim.render`` as an attribute is the function.
@@ -123,7 +123,8 @@ class TestLazyFrame:
                 assert getattr(obs, read) is a, read
             assert not obs.cloth_mask.flags.writeable
             assert obs.depth.flags.writeable and obs.rgb.flags.writeable
-            assert obs._index is None            # let go once mask and depth exist
+            # Mask and depth each build their pixels; no splat index is kept.
+            assert set(vars(obs)) == {"_rgb", "_depth", "_mask", "camera", "_shape", "_splats"}
 
     @given(rendered_cases())
     @settings(max_examples=20, deadline=None)
@@ -161,6 +162,68 @@ class TestLazyFrame:
         depth[100, 100] = 0.125
         assert held.depth_at(100, 100) == 0.125
         assert held.cloth_mask is held.cloth_mask and not held.cloth_mask.flags.writeable
+
+
+@st.composite
+def hand_built_splats(draw):
+    """Splats on a small non-square frame: centres anywhere from a radius
+    beyond each edge to a radius inside it, so disks straddle every edge, and
+    depths on both sides of the table's, so some splats lie behind it."""
+    h, w = draw(st.integers(6, 40)), draw(st.integers(6, 40))
+    r_px = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    rows = st.integers(-r_px - 1, h + r_px)
+    cols = st.integers(-r_px - 1, w + r_px)
+    vi = np.array(draw(st.lists(rows, min_size=n, max_size=n)), dtype=np.int64)
+    ui = np.array(draw(st.lists(cols, min_size=n, max_size=n)), dtype=np.int64)
+    camera = SimCamera(CameraIntrinsics(float(w), float(w), w / 2, h / 2, w, h), 1.0)
+    steps = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    z_c = camera.table_depth + np.array(steps) * DEPTH_UNIT
+    colors = np.stack([BACKGROUND_RGB, cloth_color("towel")])
+    return camera, Splats(vi, ui, z_c, r_px, colors)
+
+
+def per_pixel_frame(camera, s):
+    """The frame rule pixel by pixel: the splats covering a pixel are those
+    within ``r_px`` of it; its depth is the least of their ``z_c`` and the
+    table's, and it is cloth if one of them is not behind the table."""
+    h, w = camera.intrinsics.height, camera.intrinsics.width
+    depth = np.full((h, w), camera.table_depth)
+    mask = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            z = s.z_c[(r - s.vi) ** 2 + (c - s.ui) ** 2 <= s.r_px ** 2]
+            depth[r, c] = z.min(initial=camera.table_depth)
+            mask[r, c] = bool((z <= camera.table_depth).any())
+    return mask, depth
+
+
+class TestHandBuiltSplats:
+    @given(hand_built_splats())
+    @settings(max_examples=60, deadline=None)
+    def test_mask_and_depth_follow_the_per_pixel_rule(self, case):
+        camera, splats = case
+        mask, depth = per_pixel_frame(camera, splats)
+        for order in (("cloth_mask", "depth"), ("depth", "cloth_mask")):
+            obs = Observation(None, None, camera, splats=splats)
+            got = {read: getattr(obs, read) for read in order}
+            assert got["cloth_mask"].tobytes() == mask.tobytes()
+            assert got["depth"].tobytes() == depth.tobytes()
+
+    def test_every_edge_and_the_table_are_covered(self):
+        """The cases above reach what they are meant to: a splat behind the
+        table, and one straddling each edge of the frame."""
+        camera = default_camera(20)
+        vi = np.array([10, -1, 20, 10, 10], dtype=np.int64)
+        ui = np.array([10, 10, 10, -2, 21], dtype=np.int64)
+        z_c = camera.table_depth + np.array([1, -1, -2, 0, -1]) * DEPTH_UNIT
+        splats = Splats(vi, ui, z_c, 2, np.stack([BACKGROUND_RGB, cloth_color("towel")]))
+        mask, depth = per_pixel_frame(camera, splats)
+        obs = Observation(None, None, camera, splats=splats)
+        assert obs.cloth_mask.tobytes() == mask.tobytes()
+        assert obs.depth.tobytes() == depth.tobytes()
+        assert not mask[10, 10] and depth[10, 10] == camera.table_depth  # behind the table
+        assert mask[0].any() and mask[-1].any() and mask[:, 0].any() and mask[:, -1].any()
 
 
 # A fold per cloth kind that lays one side on the other.

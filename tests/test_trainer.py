@@ -17,6 +17,7 @@ from clothfold import autodiff as ad
 from clothfold import images, sim
 from clothfold.perception import ModelConfig, PerceptionModel
 from clothfold.planner import decompose
+from clothfold.planner.templates import FAMILY_KIND
 from clothfold.trainer import (CropError, DatasetFormatError, TrainConfig,
                                TrainingDivergedError, action_to_heatmap, bce,
                                generate_dataset, load_dataset, total_loss, train)
@@ -251,17 +252,50 @@ class TestDatasetGeneration:
             assert abs(item.demo.pick_pixel[0] - v) <= 0.5 + 1e-9
             assert abs(item.demo.pick_pixel[1] - u) <= 0.5 + 1e-9
 
-    def test_replay_equality(self, tmp_path):
-        # every stored (sub-task, pick, place) is re-derivable from the expert
-        manifest, demos = load_dataset(
-            generate_and_return(tmp_path / "d", seed=4, episodes_per_family=1))
+    @pytest.mark.parametrize("fail_call", [None, 4], ids=["all_kept", "one_skipped"])
+    def test_replay_equality(self, tmp_path, monkeypatch, fail_call):
+        """Every stored (sub-task, pick, place) is re-derivable from the expert:
+        each episode is replayed from the manifest seed, drawing its pose in
+        episode order, skipped episodes included, and every demo's pixels and
+        world points equal the scripted expert's on the replayed mesh. No seed
+        tried skips an episode, so one case makes the expert's fourth call fail
+        as a landmark off the image would."""
+        if fail_call is not None:
+            calls = []
+
+            def failing(mesh, subtask, camera):
+                calls.append(subtask)
+                if len(calls) == fail_call:
+                    raise sim.ExpertError("landmark projects outside the image")
+                return sim.scripted_expert(mesh, subtask, camera)
+
+            monkeypatch.setattr(importlib.import_module("clothfold.trainer.dataset"),
+                                "scripted_expert", failing)
+        manifest, _ = load_dataset(
+            generate_and_return(tmp_path / "d", seed=4, episodes_per_family=2))
+        monkeypatch.undo()
+        assert manifest.skipped_episodes == (fail_call is not None)
         by_episode = {}
-        for item in demos:
-            by_episode.setdefault(item.demo.episode_id, []).append(item)
-        for eid, items in by_episode.items():
-            items.sort(key=lambda it: it.demo.step_index)
-            plan = decompose(items[0].demo.command)
-            assert [s.text for s in plan] == [it.demo.subtask for it in items]
+        for d in manifest.demos:
+            by_episode.setdefault(d.episode_id, []).append(d)
+        rng = np.random.default_rng(manifest.seed)
+        families = [f for f in manifest.families for _ in range(manifest.episodes_per_family)]
+        for eid, family in enumerate(families):
+            env = sim.jittered_sim(FAMILY_KIND[family], rng, manifest.camera)
+            demos = sorted(by_episode.pop(eid, []), key=lambda d: d.step_index)
+            if not demos:
+                continue                  # a skipped episode still drew its pose
+            plan = decompose(demos[0].command)
+            assert [s.text for s in plan] == [d.subtask for d in demos]
+            for subtask, d in zip(plan, demos):
+                assert (d.family, d.cloth_kind) == (family, env.mesh.kind)
+                action = sim.scripted_expert(env.mesh, subtask, manifest.camera)
+                assert action.pick_pixel == d.pick_pixel
+                assert action.place_pixel == d.place_pixel
+                assert tuple(float(v) for v in action.pick_world[:2]) == d.pick_world
+                assert tuple(float(v) for v in action.place_world[:2]) == d.place_world
+                env.step(action.pick_world, action.place_world)
+        assert by_episode == {}
 
     def test_observation_roundtrip_exact(self, tmp_path):
         out = generate_and_return(tmp_path / "d", seed=5, episodes_per_family=1)
