@@ -8,7 +8,12 @@ directory at the head of ``PYTHONPATH`` starts ``sys.settrace`` in each
 interpreter that starts, pytest's and every subprocess's that keeps that
 ``PYTHONPATH``, and each one writes the ``src/`` lines it ran when it exits.
 Then it prints, per file, the statements that none of them ran, each by its
-first line number and source line, ``raise`` statements listed apart.
+first line number and source line, ``raise`` statements listed apart. Last
+it lists each function, class and method of ``src/`` that no ``src/`` module
+names, from the AST alone: a name counts as used when some ``src/`` module
+reads it, as a name or an attribute, outside the definition itself. A
+dunder method is left out (Python calls it), and so is an ``__init__.py``
+re-export, which is an import, not a use.
 
 A statement is executable when the compiler emits code for one of its lines
 (so a docstring or a ``global`` is not), and reached when one of those lines
@@ -196,6 +201,36 @@ def report(ran: dict[str, set[int]]) -> None:
           f"{unreached - raises} of them not raise")
 
 
+def _definitions(body: list, prefix: str = ""):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def uncalled() -> list[str]:
+    """``path:line qualname`` of each definition in ``src/`` that no
+    ``src/`` module reads outside its own lines."""
+    defs, reads = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs += [(path, qualname, node) for qualname, node in _definitions(tree.body)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((path, node.attr, node.lineno))
+    out = []
+    for path, qualname, node in defs:
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        if not any(name == node.name and not (where == path
+                                              and node.lineno <= line <= node.end_lineno)
+                   for where, name, line in reads):
+            out.append(f"{path.relative_to(REPO)}:{node.lineno} {qualname}")
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--no-tests", action="store_true",
@@ -216,6 +251,9 @@ def main(argv=None) -> int:
             for name, lines in json.loads(record.read_text()).items():
                 ran.setdefault(name, set()).update(lines)
     report(ran)
+    names = uncalled()
+    print(f"{len(names)} functions, classes and methods that no src/ module names"
+          + "".join(f"\n  {name}" for name in names))
     for what in failed:
         print(f"failed: {what}", file=sys.stderr)
     return 1 if failed else 0

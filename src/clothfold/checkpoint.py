@@ -33,7 +33,6 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class Checkpoint:
-    format_version: int
     model_config: dict
     tensors: dict[str, np.ndarray]
     metadata: dict = field(default_factory=dict)
@@ -90,7 +89,7 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = arr.reshape(rec["shape"]).copy()
         model_config = {k: v for k, v in header["model_config"].items()
                         if k not in _DERIVED_CONFIG_KEYS}
-        return Checkpoint(version, model_config, tensors, header.get("metadata", {}))
+        return Checkpoint(model_config, tensors, header.get("metadata", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         # A header record that is missing, mistyped, or a shape that does
         # not match its byte count.
@@ -118,7 +117,7 @@ def load_into_model(ckpt: Checkpoint, model: PerceptionModel) -> None:
 
 def model_from_checkpoint(ckpt: Checkpoint) -> PerceptionModel:
     try:
-        model = PerceptionModel(ModelConfig.from_record(ckpt.model_config))
+        model = PerceptionModel(ModelConfig(**ckpt.model_config))
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"invalid checkpoint model config: {e}") from e
     load_into_model(ckpt, model)

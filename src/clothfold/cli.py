@@ -185,6 +185,14 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _add_policy_flags(sp: argparse.ArgumentParser) -> None:
+    """``--checkpoint`` or ``--expert``, not both; ``_policy`` reads them."""
+    policy = sp.add_mutually_exclusive_group()
+    policy.add_argument("--checkpoint", default=None)
+    policy.add_argument("--expert", action="store_true",
+                        help="scripted-expert actions instead of the model")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="clothfold",
@@ -208,16 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="run the task x condition benchmark")
     sp.add_argument("--config", default=None)
-    sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--expert", action="store_true",
-                    help="scripted-expert actions instead of the model")
+    _add_policy_flags(sp)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("run", help="run one command as a full episode")
     sp.add_argument("--config", default=None)
-    sp.add_argument("--checkpoint", default=None)
-    sp.add_argument("--expert", action="store_true")
+    _add_policy_flags(sp)
     sp.add_argument("--command", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_run)

@@ -117,35 +117,32 @@ def run_episode(command: str, model: Optional[PerceptionModel],
     actions: list[dict] = []
     artifact_files: list[str] = []
     failure: Optional[str] = None
-    steps_done = 0
     obs = env.observe()
     for t, subtask in enumerate(plan):
         try:
             if model is None:
-                action = scripted_expert(env.mesh, subtask, env.camera)
-                pick_full, place_full = action.pick_pixel, action.place_pixel
+                pick_full, place_full, _, _ = scripted_expert(env.mesh, subtask, env.camera)
             else:
                 image4, (r0, c0) = segment_workspace(obs, model.cfg.image_size)
-                heatmaps, action = model.forward(image4, subtask)
-                pick_full = (action.pick_pixel[0] + r0, action.pick_pixel[1] + c0)
-                place_full = (action.place_pixel[0] + r0, action.place_pixel[1] + c0)
+                (q_pick, q_place), (pick_px, place_px) = model.forward(image4, subtask)
+                pick_full = (pick_px[0] + r0, pick_px[1] + c0)
+                place_full = (place_px[0] + r0, place_px[1] + c0)
                 if artifacts_dir is not None:
-                    for tag, q in (("pick", heatmaps.q_pick), ("place", heatmaps.q_place)):
+                    for tag, q in (("pick", q_pick), ("place", q_place)):
                         fname = f"{episode_tag}step{t}_{tag}.pgm"
                         images.write_heatmap_pgm(Path(artifacts_dir) / fname, q)
                         artifact_files.append(fname)
             pick_base = pixel_to_base(pick_full, obs, env.camera)
             place_base = pixel_to_base(place_full, obs, env.camera)
             primitives = geometry.action_to_primitives(pick_base, place_base)
-            grasp, _, place = primitives.waypoints
+            grasp, _, place = primitives
             obs = env.step(grasp.position[:2], place.position[:2])
-            steps_done += 1
             actions.append({"subtask": subtask.text,
                             "pick_pixel": list(pick_full),
                             "place_pixel": list(place_full),
                             "pick_base": [float(v) for v in pick_base],
                             "place_base": [float(v) for v in place_base],
-                            "primitives": primitives.to_records()})
+                            "primitives": [w.to_record() for w in primitives]})
             if artifacts_dir is not None:
                 fname = f"{episode_tag}step{t}_after.rgb.png"
                 images.write_png_rgb(Path(artifacts_dir) / fname, obs.rgb)
@@ -162,7 +159,7 @@ def run_episode(command: str, model: Optional[PerceptionModel],
         subtasks=[s.text for s in plan], actions=actions,
         mpd=final_mpd, miou=final_miou,
         success=success(final_mpd) and failure is None,
-        steps=steps_done, failure_reason=failure,
+        steps=len(actions), failure_reason=failure,
         wall_time_s=time.perf_counter() - t0, artifact_files=artifact_files)
 
 

@@ -4,7 +4,7 @@ and expansion of a pick/place pair into grasp / move / place primitives."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,19 +92,11 @@ class Waypoint:
                 "gripper_closed": self.gripper_closed}
 
 
-@dataclass
-class PrimitiveSequence:
-    waypoints: list[Waypoint] = field(default_factory=list)
-
-    def to_records(self) -> list[dict]:
-        return [w.to_record() for w in self.waypoints]
-
-
 WORKSPACE_HALF = 0.5       # meters; the table, 1 m x 1 m, spans +/- this on x and y
 TRANSPORT_HEIGHT = 0.15    # meters above the table (z = 0) while carrying
 
 
-def action_to_primitives(pick_base: np.ndarray, place_base: np.ndarray) -> PrimitiveSequence:
+def action_to_primitives(pick_base: np.ndarray, place_base: np.ndarray) -> tuple[Waypoint, ...]:
     """Expand a pick/place pair into the fixed grasp -> move -> place sequence."""
     pick = np.asarray(pick_base, dtype=np.float64)
     place = np.asarray(place_base, dtype=np.float64)
@@ -112,9 +104,9 @@ def action_to_primitives(pick_base: np.ndarray, place_base: np.ndarray) -> Primi
         if abs(p[0]) > WORKSPACE_HALF or abs(p[1]) > WORKSPACE_HALF:
             raise WorkspaceError(f"{name} point {p[:2]} outside +/-{WORKSPACE_HALF} m workspace")
     mid = 0.5 * (pick + place)
-    return PrimitiveSequence([
+    return (
         Waypoint("grasp", np.array([pick[0], pick[1], 0.0]), gripper_closed=True),
         Waypoint("move-to-position",
                  np.array([mid[0], mid[1], TRANSPORT_HEIGHT]), gripper_closed=True),
         Waypoint("place", np.array([place[0], place[1], 0.0]), gripper_closed=False),
-    ])
+    )

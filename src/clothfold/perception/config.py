@@ -94,7 +94,3 @@ class ModelConfig:
 
     def to_record(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "ModelConfig":
-        return cls(**rec)

@@ -4,13 +4,10 @@ heatmap decoders with argmax action selection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import autodiff as ad
 from ..planner.grammar import SubTask
-from ..sim.expert import PickPlaceAction
 from ..sim.render import Observation
 from .config import ModelConfig
 from .decoder import CunDecoder
@@ -57,17 +54,11 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[np.ndarray, tup
     return np.concatenate([rgb, depth_norm[..., None]], axis=-1), (r0, c0)
 
 
-@dataclass
-class HeatmapPair:
-    q_pick: np.ndarray    # [H, W] in (0, 1)
-    q_place: np.ndarray
-
-
-def select_action(q_pick: np.ndarray, q_place: np.ndarray) -> PickPlaceAction:
-    """Argmax pixels; ties resolve to the smallest row-major index."""
+def select_action(q_pick: np.ndarray,
+                  q_place: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Argmax (row, col) pixels of both maps; ties go to the smallest row-major index."""
     w = q_pick.shape[1]
-    return PickPlaceAction(divmod(int(np.argmax(q_pick)), w),
-                           divmod(int(np.argmax(q_place)), w))
+    return divmod(int(np.argmax(q_pick)), w), divmod(int(np.argmax(q_place)), w)
 
 
 class PerceptionModel:
@@ -139,9 +130,8 @@ class PerceptionModel:
         return (self.decoder_pick.forward(fused_pick),
                 self.decoder_place.forward(fused_place))
 
-    def forward(self, image4: np.ndarray,
-                subtask: SubTask) -> tuple[HeatmapPair, PickPlaceAction]:
-        """Full inference on ``segment_workspace``'s array."""
+    def forward(self, image4: np.ndarray, subtask: SubTask):
+        """``segment_workspace``'s array -> ((q_pick, q_place), select_action pixels)."""
         q_pick_t, q_place_t = self.forward_heatmaps(image4, self.tokenize(subtask.text))
-        pair = HeatmapPair(q_pick_t.data.copy(), q_place_t.data.copy())
-        return pair, select_action(pair.q_pick, pair.q_place)
+        q_pick, q_place = q_pick_t.data.copy(), q_place_t.data.copy()
+        return (q_pick, q_place), select_action(q_pick, q_place)

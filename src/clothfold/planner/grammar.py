@@ -22,8 +22,8 @@ class PlanningError(RuntimeError):
 class GrammarError(PlanningError):
     """A sentence does not fit the sub-task grammar.
 
-    ``reason`` is a stable code: missing-conjunction, empty-phrase, bad-verb,
-    bad-preposition, unresolvable-part, unresolvable-target, empty-text.
+    ``reason`` is a stable code: missing-conjunction, empty-phrase, bad-verb, bad-preposition,
+    unresolvable-part, unresolvable-target, empty-text, cloth-mismatch.
     """
 
     def __init__(self, reason: str, message: str, text: str = ""):
@@ -122,7 +122,8 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
     """Parse one sentence, resolving both landmark references.
 
     When ``cloth_kind`` is omitted, an in-sentence mention ("of the Trousers")
-    or, failing that, any kind's landmark table is used for resolution.
+    or, failing that, any kind's landmark table is used for resolution. A
+    sentence that names a cloth other than that kind is rejected.
     """
     if not text or not text.strip():
         raise GrammarError("empty-text", "empty sub-task text", text)
@@ -152,6 +153,8 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
     kind = cloth_kind or pick_kind or place_kind
     if kind is not None and kind not in _TABLES:
         raise ValueError(f"unknown cloth kind {kind!r}")
+    if {pick_kind, place_kind} - {None, kind}:
+        raise GrammarError("cloth-mismatch", f"{text!r} names a cloth other than {kind!r}", text)
     pick_landmark = _resolve_landmark(pick_part, kind, "part", text)
     place_landmark = _resolve_landmark(place_part, kind, "target", text)
 

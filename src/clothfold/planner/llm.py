@@ -113,6 +113,8 @@ def parse_completion(text: str, cloth_kind: Optional[str] = None) -> list[SubTas
 
     Blank lines are dropped; list markers / numbering are stripped; any
     remaining line must pass the grammar or the whole completion is rejected.
+    Every line must fit one cloth: ``cloth_kind`` or, failing that, the cloth
+    of the first line that names one.
     """
     subtasks = []
     for raw in text.splitlines():
@@ -125,7 +127,8 @@ def parse_completion(text: str, cloth_kind: Optional[str] = None) -> list[SubTas
             raise PlanValidationError(raw, e) from e
     if not subtasks:
         raise PlanValidationError(text, GrammarError("empty-text", "no sub-task lines"))
-    return subtasks
+    kind = cloth_kind or next((s.cloth_kind for s in subtasks if s.cloth_kind), None)
+    return subtasks if kind == cloth_kind else parse_completion(text, cloth_kind=kind)
 
 
 def llm_decompose(text: str, backend: LlmBackendConfig,

@@ -93,8 +93,8 @@ def parse_config(raw: dict) -> RunConfig:
     model_rec = _merge_section("model", ModelConfig().to_record(), raw.get("model"))
     train_rec = _merge_section("train", TrainConfig().to_record(), raw.get("train"))
     try:
-        model = ModelConfig.from_record(model_rec)
-        train = TrainConfig.from_record(train_rec)
+        model = ModelConfig(**model_rec)
+        train = TrainConfig(**train_rec)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid model/train settings: {e}") from e
 

@@ -18,11 +18,6 @@ class ClothSim:
         self.mesh = mesh
         self.camera = camera or default_camera()
 
-    @classmethod
-    def fresh(cls, kind: str, camera: SimCamera | None = None) -> "ClothSim":
-        """An unjittered cloth of ``init_cloth``'s default grid and size."""
-        return cls(init_cloth(kind), camera)
-
     def observe(self) -> Observation:
         return render(self.mesh, self.camera)
 

@@ -4,7 +4,7 @@ training data and the evaluation targets."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -19,19 +19,13 @@ class ExpertError(RuntimeError):
     """The expert could not resolve a sub-task on this mesh."""
 
 
-class PickPlaceAction:
-    """Pick/place pixels (row, col) with optional exact world-frame points."""
+class PickPlaceAction(NamedTuple):
+    """The expert's pick/place pixels and exact world-frame points."""
 
-    __slots__ = ("pick_pixel", "place_pixel", "pick_world", "place_world")
-
-    def __init__(self, pick_pixel, place_pixel, pick_world=None, place_world=None):
-        self.pick_pixel = (int(pick_pixel[0]), int(pick_pixel[1]))
-        self.place_pixel = (int(place_pixel[0]), int(place_pixel[1]))
-        self.pick_world = None if pick_world is None else np.asarray(pick_world, float)
-        self.place_world = None if place_world is None else np.asarray(place_world, float)
-
-    def __repr__(self):
-        return f"PickPlaceAction(pick={self.pick_pixel}, place={self.place_pixel})"
+    pick_pixel: tuple[int, int]     # (row, col)
+    place_pixel: tuple[int, int]
+    pick_world: np.ndarray          # (x, y) on the table, meters
+    place_world: np.ndarray
 
 
 def project_landmark(mesh: ClothMesh, name: str, camera: SimCamera) -> tuple[int, int]:
@@ -56,4 +50,4 @@ def scripted_expert(mesh: ClothMesh, subtask: "SubTask", camera: SimCamera) -> P
     except LandmarkError as e:
         raise ExpertError(f"cannot resolve sub-task {subtask.text!r} on kind "
                           f"{mesh.kind!r}: {e}") from e
-    return PickPlaceAction(pick_px, place_px, pick_world=pick_w, place_world=place_w)
+    return PickPlaceAction(pick_px, place_px, pick_w, place_w)

@@ -56,10 +56,6 @@ class TrainConfig:
     def to_record(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "TrainConfig":
-        return cls(**rec)
-
 
 @dataclass
 class PreparedSample:

@@ -57,7 +57,7 @@ class TestAcceptance:
         cfg = ModelConfig(embed_dim=32, depth=2, patch_size=16, image_size=112,
                           seed=4)
         model = PerceptionModel(cfg)
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         img, _ = segment_workspace(env.observe(), cfg.image_size)
         st = planner.validate_subtask(
             "Grasp the left edge of the Towel and place it to the right edge")
@@ -65,8 +65,8 @@ class TestAcceptance:
         # Same config and seed without adapters: bit-equal frozen, fusion,
         # token and decoder tensors, so the frozen-encoder oracle.
         bare, _ = PerceptionModel(replace(cfg, adapter="none")).forward(img, st)
-        identity_err = max(np.abs(fresh.q_pick - bare.q_pick).max(),
-                           np.abs(fresh.q_place - bare.q_place).max())
+        identity_err = max(np.abs(q_fresh - q_bare).max()
+                           for q_fresh, q_bare in zip(fresh, bare))
 
         rng = np.random.default_rng(0)
         norm_err = 0.0

@@ -682,8 +682,14 @@ def _completion(content) -> bytes:
     return _response(json.dumps({"choices": [{"message": {"content": content}}]}).encode())
 
 
+# Two lines that each parse alone, one on the T-shirt, one only on trousers.
+_MIXED_CLOTH_PLAN = ("Grasp the left sleeve of the T-Shirt and place it to the left middle part\n"
+                     "Grasp the left leg and place it to the right leg")
+
 _BAD_COMPLETIONS = {          # raw HTTP response of the LLM endpoint
     "llm_line_fails_grammar": _completion("Wave the cloth"),
+    "llm_lines_fit_different_cloths": _completion(_MIXED_CLOTH_PLAN),
+    "llm_lines_fit_different_cloths_run_expert": _completion(_MIXED_CLOTH_PLAN),
     "llm_content_null": _completion(None),
     "llm_content_a_list": _completion(["Wave the cloth"]),
     "llm_body_not_utf8": _response(b"\xff\xfe{}"),
@@ -691,6 +697,9 @@ _BAD_COMPLETIONS = {          # raw HTTP response of the LLM endpoint
     "llm_body_cut_short": _response(b'{"choices"', length=1000),
     "llm_connection_dropped": b"",
 }
+# Planned by ``run --expert``, which must stop at planning, before the expert
+# looks up a landmark the T-shirt does not have; the rest by ``plan``.
+_RUN_EXPERT_COMPLETIONS = ("llm_lines_fit_different_cloths_run_expert",)
 
 
 @pytest.fixture(scope="module")
@@ -729,6 +738,12 @@ _BAD_ARGS = {                 # command line -> its exit code and what stderr sa
         ["run", "--expert", "--command",
          "Grasp the left edge and place it to the right edge"], 3,
         "could not infer the cloth kind"),
+    "eval_checkpoint_and_expert": (
+        ["eval", "--checkpoint", "missing.cfck", "--expert"], 2,
+        "not allowed with argument"),
+    "run_checkpoint_and_expert": (
+        ["run", "--checkpoint", "missing.cfck", "--expert", "--command",
+         "Fold the Towel in half diagonally"], 2, "not allowed with argument"),
 }
 
 _BAD_INPUTS = [(case, 2) for case in (*_BAD_CONFIGS, *_SMALL_FRAME_RUNS)] + [
@@ -763,6 +778,8 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         cfg.write_text(json.dumps({"planner": {"backend": {
             "endpoint_url": f"{llm_endpoint}/{case}", "timeout_s": 30.0}}}))
         argv = ["plan", "--config", str(cfg), "--command", "Roll the scarf into a tube"]
+        if case in _RUN_EXPERT_COMPLETIONS:
+            argv = ["run", "--expert", *argv[1:], "--out", str(tmp_path / "o")]
     elif case in _BAD_ARGS:
         argv = _BAD_ARGS[case][0]
         if argv[0] != "plan":
@@ -791,6 +808,9 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         assert field in proc.stderr and repr(value) in proc.stderr, proc.stderr
     if case in _BAD_ARGS:
         assert _BAD_ARGS[case][2] in proc.stderr
+    if case.startswith("llm_lines_fit_different_cloths"):
+        assert "'left leg' is not a cloth part of 't-shirt'" in proc.stderr, proc.stderr
+        assert not (tmp_path / "o").exists()
     if case in _NO_TRAIN_SPLIT:
         assert f"dataset {tmp_path / 'data'} holds no train-split demo" in proc.stderr
     if case in _SMALL_FRAME_RUNS:

@@ -137,14 +137,14 @@ class TestRunEpisode:
             assert result.steps == len(result.subtasks)
 
     def test_single_step_episode(self):
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         result = run_episode(
             "Grasp the top-left corner of the Towel and place it to the center",
             None, env)
         assert result.steps == 1 and result.success
 
     def test_miou_close_to_one_for_expert(self):
-        env = sim.ClothSim.fresh("trousers")
+        env = sim.ClothSim(sim.init_cloth("trousers"))
         result = run_episode("Fold the Trousers in half from left to right",
                              None, env)
         assert result.miou > 0.9
@@ -153,7 +153,7 @@ class TestRunEpisode:
         cfg = ModelConfig(embed_dim=16, depth=1, patch_size=16, image_size=112,
                           seed=1)
         model = PerceptionModel(cfg)
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         result = run_episode("Fold the Towel in half diagonally", model, env)
         # untrained model: outcome unspecified, but the loop must complete
         assert result.steps + (1 if result.failure_reason else 0) >= 1
@@ -162,7 +162,7 @@ class TestRunEpisode:
             assert len(a["pick_base"]) == 3 and len(a["place_base"]) == 3
 
     def test_empty_plan_scores_against_initial_state(self):
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         initial = env.mesh.copy()
         result = run_episode("noop", None, env, plan=[])
         assert result.steps == 0 and result.subtasks == []
@@ -171,7 +171,7 @@ class TestRunEpisode:
 
     def test_supplied_plan_overrides_templates(self):
         from clothfold.planner import validate_subtask
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         custom = [validate_subtask(
             "Grasp the top edge of the Towel and place it to the bottom edge")]
         result = run_episode("Fold the Towel in half diagonally", None, env,
@@ -182,14 +182,14 @@ class TestRunEpisode:
     def test_executed_fold_matches_geometry_place_point(self):
         # closes the loop: the pixel -> camera -> base place point lands
         # within the picker radius of the landmark the plan named
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         target = env.mesh.landmark_point("bottom-right corner")
         result = run_episode("Fold the Towel in half diagonally", None, env)
         place_base = np.array(result.actions[0]["place_base"])
         assert np.linalg.norm(place_base[:2] - target) < 0.02
 
     def test_record_equals_asdict(self, tmp_path):
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         result = run_episode("Fold the Towel in half twice to make a rectangle", None,
                              env, family="DSF", artifacts_dir=tmp_path, episode_tag="e0_")
         assert result.steps == 2 and len(result.artifact_files) == 2
@@ -206,13 +206,11 @@ class TestRunEpisode:
                 image_size = 112
 
             def forward(self, obs, subtask):
-                from clothfold.perception.model import HeatmapPair
-                from clothfold.sim.expert import PickPlaceAction
                 q = np.zeros((112, 112))
                 q[0, 0] = 1.0
-                return HeatmapPair(q, q), PickPlaceAction((0, 0), (56, 56))
+                return (q, q), ((0, 0), (56, 56))
 
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         result = run_episode("Fold the Towel in half diagonally", CornerModel(), env)
         assert not result.success
         assert result.failure_reason and "GraspMiss" in result.failure_reason

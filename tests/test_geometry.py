@@ -24,7 +24,7 @@ def _inverse(tr):
 
 
 def _tags(seq):
-    return [w.kind for w in seq.waypoints]
+    return [w.kind for w in seq]
 
 
 def _project(k, point_cam):
@@ -141,14 +141,14 @@ class TestPrimitives:
         seq = geo.action_to_primitives(rng.uniform(-0.3, 0.3, 3),
                                        rng.uniform(-0.3, 0.3, 3))
         assert _tags(seq) == ["grasp", "move-to-position", "place"]
-        assert seq.waypoints[0].gripper_closed
-        assert seq.waypoints[1].gripper_closed
-        assert not seq.waypoints[2].gripper_closed
+        assert seq[0].gripper_closed
+        assert seq[1].gripper_closed
+        assert not seq[2].gripper_closed
 
     def test_transport_height(self):
         seq = geo.action_to_primitives(np.array([0.1, 0.0, 0.0]),
                                        np.array([-0.1, 0.0, 0.0]))
-        assert seq.waypoints[1].position[2] == 0.15
+        assert seq[1].position[2] == 0.15
 
     def test_out_of_workspace_rejected(self):
         with pytest.raises(geo.WorkspaceError):
@@ -156,5 +156,5 @@ class TestPrimitives:
 
     def test_serializable_records(self):
         seq = geo.action_to_primitives(np.array([0.1, 0.1, 0.0]), np.zeros(3))
-        recs = seq.to_records()
+        recs = [w.to_record() for w in seq]
         assert len(recs) == 3 and all("position" in r for r in recs)

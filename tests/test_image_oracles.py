@@ -359,7 +359,7 @@ class TestSegmentAgainstObservationPath:
     @pytest.mark.parametrize("family", TASK_FAMILIES)
     def test_rendered_frames_flat_and_folded(self, family):
         """Every cloth kind flat, and after its family's layered folds."""
-        env = sim.ClothSim.fresh(FAMILY_KIND[family])
+        env = sim.ClothSim(sim.init_cloth(FAMILY_KIND[family]))
         folded = expert_rollout(env, decompose(command_bank(family)[0]))
         assert folded.layers.max() >= 2
         for mesh in (env.mesh, folded):

@@ -103,6 +103,18 @@ class TestParseCompletion:
             parse_completion("Wave the cloth", cloth_kind="towel")
         assert "Wave the cloth" in e.value.line
 
+    def test_every_line_takes_the_first_named_cloth(self):
+        subs = parse_completion("Grasp the left leg and place it to the right leg\n"
+                                "Grasp the left waist of the Trousers and place it to "
+                                "the right waist")
+        assert [s.cloth_kind for s in subs] == ["trousers", "trousers"]
+
+    def test_line_naming_another_cloth_rejected(self):
+        with pytest.raises(PlanValidationError) as e:
+            parse_completion("Grasp the left edge of the Towel and place it to the right edge",
+                             cloth_kind="trousers")
+        assert e.value.cause.reason == "cloth-mismatch"
+
     def test_empty_completion_rejected(self):
         with pytest.raises(PlanValidationError):
             parse_completion("\n\n", cloth_kind="towel")
@@ -119,6 +131,18 @@ class TestFallback:
         with pytest.raises(PlanValidationError):
             llm_decompose("Levitate the sock", backend,
                           transport=canned("Wave the cloth"))
+
+    def test_plan_that_mixes_cloths_rejected_or_replaced(self, backend):
+        # Each line parses alone, but the left leg is no part of the T-shirt
+        # that the first line names.
+        mixed = canned("Grasp the left sleeve of the T-Shirt and place it to the left "
+                       "middle part\nGrasp the left leg and place it to the right leg")
+        with pytest.raises(PlanValidationError) as e:
+            llm_decompose("Roll the scarf into a tube", backend, transport=mixed)
+        assert "left leg" in e.value.line
+        assert e.value.cause.reason == "unresolvable-part"
+        got = llm_decompose("Fold the T-Shirt", backend, transport=mixed)
+        assert [s.text for s in got] == [s.text for s in planner.decompose("Fold the T-Shirt")]
 
     def test_network_error_propagates(self, backend):
         def transport(url, body, headers, timeout):

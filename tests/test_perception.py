@@ -31,7 +31,7 @@ def small_model(small_cfg):
 
 @pytest.fixture(scope="module")
 def towel_obs():
-    env = sim.ClothSim.fresh("towel")
+    env = sim.ClothSim(sim.init_cloth("towel"))
     return env.observe()
 
 
@@ -99,6 +99,21 @@ class TestEncode:
     def test_resolution_mismatch(self, small_model):
         with pytest.raises(ad.ShapeError):
             small_model.encoder.encode([1, 2], np.zeros((64, 64, 4)))
+
+    def test_empty_token_list_rejected(self, small_model):
+        with pytest.raises(ad.ShapeError, match="empty token list"):
+            small_model.encoder.embed_text([])
+
+    def test_tokens_beyond_max_text_len_rejected(self, small_model):
+        n = small_model.cfg.max_text_len
+        small_model.encoder.embed_text([1] * n)
+        with pytest.raises(ad.ShapeError, match=f"{n + 1} tokens exceed max length {n}"):
+            small_model.encoder.embed_text([1] * (n + 1))
+
+    @pytest.mark.parametrize("bad", [-1, len(default_vocabulary())])
+    def test_token_id_outside_vocabulary_rejected(self, small_model, bad):
+        with pytest.raises(ad.ShapeError, match="outside the vocabulary"):
+            small_model.encoder.embed_text([1, bad, 2])
 
     def test_adapters_disabled_equals_frozen_oracle(self, small_cfg, small_model,
                                                      towel_seg):
@@ -246,6 +261,19 @@ class TestSegmentTextFeatures:
         rebuilt = np.vstack([f1.data, f_l.data[i:i + 1], f2.data])
         np.testing.assert_array_equal(rebuilt, f_l.data)
 
+    def test_ids_and_feature_rows_must_agree(self, small_model, rng):
+        ids = small_model.tokenize(SENTENCE)
+        f_l = ad.Tensor(rng.normal(size=(10, small_model.cfg.embed_dim)))
+        with pytest.raises(ad.ShapeError, match="11 ids vs 10 feature rows"):
+            small_model.segment_text_features(f_l, ids)
+
+    @pytest.mark.parametrize("text", ["and left leg", "left leg and"])
+    def test_conjunction_at_either_end_rejected(self, small_model, rng, text):
+        ids = small_model.tokenize(text)
+        f_l = ad.Tensor(rng.normal(size=(3, small_model.cfg.embed_dim)))
+        with pytest.raises(ad.ShapeError, match="cannot start or end"):
+            small_model.segment_text_features(f_l, ids)
+
     def test_missing_conjunction_rejected(self, small_model, rng):
         ids = small_model.tokenize("grasp the left leg")
         f_l = ad.Tensor(rng.normal(size=(4, small_model.cfg.embed_dim)))
@@ -296,21 +324,21 @@ class TestSelectAction:
     def test_single_peak(self):
         q = np.full((16, 16), 0.1)
         q[7, 3] = 1.0
-        act = select_action(q, q)
-        assert act.pick_pixel == (7, 3)
+        pick, _ = select_action(q, q)
+        assert pick == (7, 3)
 
     def test_row_major_tie_break(self):
         q = np.zeros((8, 8))
         q[0, 5] = 0.7
         q[2, 1] = 0.7
-        act = select_action(q, q)
-        assert act.pick_pixel == (0, 5)
+        pick, _ = select_action(q, q)
+        assert pick == (0, 5)
 
     def test_monotone_transform_invariance(self, rng):
         q = rng.uniform(0.01, 0.99, size=(12, 12))
-        a = select_action(q, q)
-        b = select_action(np.tanh(3 * q) + 2, np.tanh(3 * q) + 2)
-        assert a.pick_pixel == b.pick_pixel
+        a, _ = select_action(q, q)
+        b, _ = select_action(np.tanh(3 * q) + 2, np.tanh(3 * q) + 2)
+        assert a == b
 
 
 class TestSegmentWorkspace:
@@ -341,13 +369,13 @@ class TestForward:
         img, _ = towel_seg
         st_ = validate_subtask(
             "Grasp the left edge of the Towel and place it to the right edge")
-        pair1, act1 = small_model.forward(img, st_)
-        pair2, act2 = small_model.forward(img, st_)
-        assert pair1.q_pick.shape == (112, 112)
-        assert pair1.q_place.shape == (112, 112)
-        assert (pair1.q_pick > 0).all() and (pair1.q_pick < 1).all()
-        assert np.array_equal(pair1.q_pick, pair2.q_pick)
-        assert act1.pick_pixel == act2.pick_pixel
+        (q_pick1, q_place1), (pick1, _) = small_model.forward(img, st_)
+        (q_pick2, _), (pick2, _) = small_model.forward(img, st_)
+        assert q_pick1.shape == (112, 112)
+        assert q_place1.shape == (112, 112)
+        assert (q_pick1 > 0).all() and (q_pick1 < 1).all()
+        assert np.array_equal(q_pick1, q_pick2)
+        assert pick1 == pick2
 
 
 class TestMultiHead:
@@ -356,7 +384,7 @@ class TestMultiHead:
                           image_size=112, seed=9)
         assert cfg.head_dim == 8
         model = PerceptionModel(cfg)
-        env = sim.ClothSim.fresh("towel")
+        env = sim.ClothSim(sim.init_cloth("towel"))
         img, _ = segment_workspace(env.observe(), 112)
         ids = model.tokenize(SENTENCE)
         with ad.Tape() as tape:
