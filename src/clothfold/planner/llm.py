@@ -114,7 +114,7 @@ def parse_completion(text: str, cloth_kind: Optional[str] = None) -> list[SubTas
     Blank lines are dropped; list markers / numbering are stripped; any
     remaining line must pass the grammar or the whole completion is rejected.
     Every line must fit one cloth: ``cloth_kind`` or, failing that, the cloth
-    of the first line that names one.
+    of the first line that fits only one.
     """
     subtasks = []
     for raw in text.splitlines():

@@ -157,7 +157,8 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
 
     A deterministic validation slice is carved from the inputs; the model is
     left holding the best-by-validation parameters (or the final ones when
-    the validation slice is empty). Frozen tower weights are never updated.
+    the validation slice is empty). Frozen tower weights are never updated:
+    a change to one raises :class:`TrainingDivergedError`.
     """
     if not demos:
         raise ValueError("training needs a non-empty dataset")
@@ -172,6 +173,7 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
     opt = ad.Adam(model.trainable_parameters().values(), lr=config.learning_rate)
     result = TrainResult(n_train=len(train_idx), n_val=len(val_idx))
     best_data: Optional[np.ndarray] = None
+    frozen = {k: t.data.copy() for k, t in model.frozen_parameters().items()}
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -213,6 +215,9 @@ def train(demos: Sequence[LoadedDemo], model: PerceptionModel,
 
     if best_data is not None:
         opt.data[:] = best_data
+    for k, t in model.frozen_parameters().items():
+        if not np.array_equal(frozen[k], t.data):
+            raise TrainingDivergedError(f"frozen weight {k!r} changed during training")
     return result
 
 

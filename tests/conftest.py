@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clothfold import autodiff as ad
+from clothfold.perception import PerceptionModel
 
 
 def finite_difference(fn, tensors, h=1e-5):
@@ -50,3 +51,22 @@ def tape_grad():
         return loss.item(), [t.grad.copy() for t in tensors]
 
     return runner
+
+
+@pytest.fixture
+def frozen_write_on_step(monkeypatch):
+    """Each ``Adam.step`` also writes one frozen weight of the newest
+    ``PerceptionModel``: a training step that lets a frozen tower move."""
+    models = []
+    init, step = PerceptionModel.__init__, ad.Adam.step
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    def leaky_step(self):
+        step(self)
+        next(iter(models[-1].frozen_parameters().values())).data.flat[0] += 1.0
+
+    monkeypatch.setattr(PerceptionModel, "__init__", recording_init)
+    monkeypatch.setattr(ad.Adam, "step", leaky_step)

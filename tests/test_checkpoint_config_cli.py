@@ -303,7 +303,13 @@ class TestCli:
         assert rc == 0
         report = json.loads((eval_dir / "report.json").read_text())
         assert len(report["cells"]) == 15
-        assert "provenance" in report
+        # The episode records are the artifact index: nothing else lands there.
+        listed = {f for e in report["episodes"] for f in e["artifact_files"]}
+        assert listed
+        assert {p.name for p in (eval_dir / "heatmaps").iterdir()} == listed
+        # One config hash, the run's own.
+        assert (eval_dir / "report.json").read_text().count('"config_hash"') == 1
+        assert report["provenance"]["config_hash"] == load_config(cfg_path).config_hash()
 
         run_dir = root / "run"
         rc = cli_main(["run", "--config", str(cfg_path),
@@ -350,6 +356,17 @@ class TestCli:
         assert rc == 0
         episode = json.loads((out / "episode.json").read_text())
         assert episode["success"] is True
+
+    def test_run_expert_kindless_sentence_takes_its_one_cloth(self, cli_env, capsys):
+        """Only the trousers have both legs, so the sentence needs no cloth named."""
+        root, cfg_path, _ = cli_env
+        out = root / "run_kindless"
+        rc = cli_main(["run", "--config", str(cfg_path), "--expert", "--command",
+                       "Grasp the left leg and place it to the right leg",
+                       "--out", str(out)])
+        assert rc == 0
+        episode = json.loads((out / "episode.json").read_text())
+        assert episode["steps"] == 1 and episode["failure_reason"] is None
 
     def test_run_atomic_instruction_single_step(self, cli_env, capsys):
         root, cfg_path, _ = cli_env
@@ -423,6 +440,16 @@ class TestCli:
         assert len(rows) == 8
         csv = (out / "ablation.csv").read_text()
         assert csv.startswith("adapter,fusion,")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_frozen_weight_change_exits_4(self, command, cli_env, tmp_path,
+                                          frozen_write_on_step, capsys):
+        _, cfg_path, data_dir = cli_env
+        rc = cli_main([command, "--config", str(cfg_path), "--dataset", str(data_dir),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "changed during training" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_io_error_exit_code(self, cli_env, tmp_path, capsys):
         root, cfg_path, _ = cli_env
@@ -696,6 +723,8 @@ _BAD_COMPLETIONS = {          # raw HTTP response of the LLM endpoint
     "llm_body_nested_too_deep": _response(b"[" * 100_000),
     "llm_body_cut_short": _response(b'{"choices"', length=1000),
     "llm_connection_dropped": b"",
+    "llm_line_fits_no_one_cloth": _completion(
+        "Grasp the left leg and place it to the left sleeve"),
 }
 # Planned by ``run --expert``, which must stop at planning, before the expert
 # looks up a landmark the T-shirt does not have; the rest by ``plan``.
@@ -734,10 +763,13 @@ _BAD_ARGS = {                 # command line -> its exit code and what stderr sa
     "run_without_checkpoint_or_expert": (
         ["run", "--command", "Fold the Towel in half diagonally"], 2,
         "run needs --checkpoint"),
-    "run_expert_without_cloth_kind": (
+    "run_expert_without_cloth_kind": (       # every cloth has a center
         ["run", "--expert", "--command",
-         "Grasp the left edge and place it to the right edge"], 3,
+         "Grasp the center and place it to the center"], 3,
         "could not infer the cloth kind"),
+    "plan_parts_of_two_cloths": (
+        ["plan", "--command", "Grasp the left leg and place it to the left sleeve"], 3,
+        "cannot decompose"),
     "eval_checkpoint_and_expert": (
         ["eval", "--checkpoint", "missing.cfck", "--expert"], 2,
         "not allowed with argument"),
@@ -811,6 +843,8 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
     if case.startswith("llm_lines_fit_different_cloths"):
         assert "'left leg' is not a cloth part of 't-shirt'" in proc.stderr, proc.stderr
         assert not (tmp_path / "o").exists()
+    if case == "llm_line_fits_no_one_cloth":
+        assert "no cloth has both 'left leg' and 'left sleeve'" in proc.stderr, proc.stderr
     if case in _NO_TRAIN_SPLIT:
         assert f"dataset {tmp_path / 'data'} holds no train-split demo" in proc.stderr
     if case in _SMALL_FRAME_RUNS:

@@ -1,6 +1,7 @@
 """Grammar, conjunction splitting, and template decomposition."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clothfold import planner
-from clothfold.planner.templates import (AUX_FAMILIES, FAMILY_KIND,
+from clothfold.planner.grammar import PREPOSITIONS
+from clothfold.planner.templates import (AUX_FAMILIES, CLOTH_DISPLAY, FAMILY_KIND,
                                          PREP_VARIANTS, TASK_FAMILIES)
+from clothfold.sim import cloth_kinds, init_cloth
 
 
 class TestSplitAtConjunction:
@@ -98,6 +101,56 @@ class TestValidateSubtask:
         with pytest.raises(planner.GrammarError) as e:
             planner.validate_subtask(text)
         assert e.value.reason == reason
+
+    def test_every_kindless_sentence_resolves_against_the_cloths_holding_both_parts(self):
+        """Every part of every cloth as pick and as place, each with no cloth or
+        any cloth named, under every preposition: 34,656 sentences. A sentence
+        that names no cloth takes the one kind with both parts; none is a
+        cloth mismatch, several ("center" to "center") leave it kind-less.
+        The parts are those a cloth's mesh can look up."""
+        parts = {kind: set(init_cloth(kind).landmark_names()) for kind in cloth_kinds()}
+        names = sorted(set().union(*parts.values()))
+        suffixes = [("", None)] + [(f" of the {CLOTH_DISPLAY[k]}", k) for k in parts]
+
+        def expected(pick, place, pick_kind, place_kind):
+            named = {pick_kind, place_kind} - {None}
+            if len(named) > 1:
+                return "cloth-mismatch"
+            if named:
+                (kind,) = named
+                if pick not in parts[kind]:
+                    return "unresolvable-part"
+                if place not in parts[kind]:
+                    return "unresolvable-target"
+                return (pick, place, kind)
+            fits = [k for k in parts if pick in parts[k] and place in parts[k]]
+            if not fits:
+                return "cloth-mismatch"
+            return (pick, place, fits[0] if len(fits) == 1 else None)
+
+        n = 0
+        for pick, place in itertools.product(names, names):
+            for (pick_sfx, pick_kind), (place_sfx, place_kind) in itertools.product(
+                    suffixes, suffixes):
+                want = expected(pick, place, pick_kind, place_kind)
+                for prep in PREPOSITIONS:
+                    text = f"Grasp the {pick}{pick_sfx} and place it {prep} the {place}{place_sfx}"
+                    try:
+                        s = planner.validate_subtask(text)
+                        got = (s.pick_landmark, s.place_landmark, s.cloth_kind)
+                    except planner.GrammarError as e:
+                        got = e.reason
+                    assert got == want, text
+                    n += 1
+        assert n == 34_656
+
+    def test_part_of_no_cloth_is_unresolvable(self):
+        for text, reason in (
+                ("Grasp the antenna and place it to the center", "unresolvable-part"),
+                ("Grasp the center and place it to the antenna", "unresolvable-target")):
+            with pytest.raises(planner.GrammarError) as e:
+                planner.validate_subtask(text)
+            assert e.value.reason == reason
 
     def test_tokens_split_never_errors_for_valid(self):
         st_ = planner.validate_subtask(

@@ -368,6 +368,14 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError):
             train(demos[:4], model, TrainConfig(epochs=1, batch_size=2))
 
+    def test_frozen_weight_written_during_training_aborts(self, tiny_dataset,
+                                                          frozen_write_on_step):
+        _, demos = tiny_dataset
+        model = PerceptionModel(ModelConfig(embed_dim=16, depth=1, patch_size=16,
+                                            image_size=112, seed=1))
+        with pytest.raises(TrainingDivergedError, match="frozen weight .* changed"):
+            train(demos[:2], model, TrainConfig(epochs=1, batch_size=2, val_fraction=0.0))
+
     def test_infinite_gradient_aborts_before_the_step(self, tiny_dataset, monkeypatch):
         """A finite loss whose gradient is infinite on the only step of a run
         with no validation slice: the step would write NaN weights."""
