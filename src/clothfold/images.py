@@ -58,7 +58,7 @@ class StoredPng(NamedTuple):
     shape: tuple[int, int, int]
 
     def levels(self) -> np.ndarray:
-        return _png_levels(self.data, "a checked PNG")
+        return _png_levels(self.data, "a checked PNG").copy()
 
 
 def read_png_rgb(path) -> StoredPng:
@@ -69,6 +69,10 @@ def read_png_rgb(path) -> StoredPng:
 
 
 def _png_levels(blob: bytes, path) -> np.ndarray:
+    """A PNG's [H, W, 3] levels, checked whole: a read-only view of its
+    inflated scanlines. The inflate buffer starts at the size IHDR implies,
+    capped at zlib's largest ratio (1032:1), so a forged IHDR cannot ask for
+    more memory than its data could fill."""
     if not blob.startswith(_PNG_MAGIC):
         raise ImageFormatError(f"{path}: not a PNG file")
     pos = len(_PNG_MAGIC)
@@ -93,7 +97,8 @@ def _png_levels(blob: bytes, path) -> np.ndarray:
                 break
         if width is None:
             raise ImageFormatError(f"{path}: missing IHDR")
-        raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+        size = min(height * (3 * width + 1), 1032 * len(idat) + 64)
+        raw = np.frombuffer(zlib.decompress(idat, bufsize=size), dtype=np.uint8)
     except (struct.error, zlib.error) as e:
         raise ImageFormatError(f"{path}: cut-off or corrupt PNG: {e}") from e
     stride = width * 3 + 1
@@ -103,7 +108,7 @@ def _png_levels(blob: bytes, path) -> np.ndarray:
     filters = lines[:, 0]
     if filters.any():
         raise ImageFormatError(f"{path}: unsupported PNG filter {filters[filters != 0][0]}")
-    return lines[:, 1:].reshape(height, width, 3).copy()
+    return lines[:, 1:].reshape(height, width, 3)
 
 
 def write_pgm16(path, values: np.ndarray) -> None:

@@ -82,7 +82,10 @@ def _landmark_tables() -> dict[str, dict[str, str]]:
 
 
 _TABLES = _landmark_tables()
-_KIND_BY_NORM = {normalize_text(k): k for k in _TABLES}
+_KINDS = sorted(_TABLES)
+# Each kind's "of the <cloth>" tokens, the longest cloth name first.
+_CLOTH_SUFFIXES = [(["of", "the", *normalize_text(k).split()], k)
+                   for k in sorted(_TABLES, key=lambda k: len(normalize_text(k)), reverse=True)]
 
 
 def landmark_names(kind: str) -> list[str]:
@@ -93,11 +96,9 @@ def landmark_names(kind: str) -> list[str]:
 
 def _strip_cloth_suffix(tokens: list[str]) -> tuple[list[str], Optional[str]]:
     """Remove a trailing 'of the <cloth>' and report the mentioned kind."""
-    for n_kind in sorted(_KIND_BY_NORM, key=len, reverse=True):
-        kt = n_kind.split()
-        tail = ["of", "the"] + kt
+    for tail, kind in _CLOTH_SUFFIXES:
         if len(tokens) > len(tail) and tokens[-len(tail):] == tail:
-            return tokens[:-len(tail)], _KIND_BY_NORM[n_kind]
+            return tokens[:-len(tail)], kind
     return tokens, None
 
 
@@ -106,7 +107,7 @@ def _resolve_landmark(phrase_tokens: list[str], kind: Optional[str],
     phrase = " ".join(phrase_tokens)
     if not phrase:
         raise GrammarError("empty-phrase", f"{role} phrase names no part in {text!r}", text)
-    kinds = [kind] if kind else sorted(_TABLES)
+    kinds = [kind] if kind else _KINDS
     for k in kinds:
         if phrase in _TABLES[k]:
             return _TABLES[k][phrase]

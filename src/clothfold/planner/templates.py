@@ -140,14 +140,18 @@ def decompose(text: str) -> list[SubTask]:
     """Deterministic template decomposition into validated sub-tasks.
 
     A command that is already a grammar-valid atomic instruction passes
-    through as a single-element plan.
+    through as a single-element plan. A sentence of the sub-task's shape
+    whose parts do not resolve, or resolve to two cloths, and that no
+    command template matches either, fails with that reason.
     """
     try:
         return [validate_subtask(text)]
-    except GrammarError:
-        pass
+    except GrammarError as e:
+        shaped = e if e.reason.startswith(("unresolvable-", "cloth-mismatch")) else None
     command = parse_command(text)
     if not command.known:
+        if shaped is not None:
+            raise shaped
         raise PlanningError(
             f"cannot decompose {command.text!r}: task family not recognized "
             f"(cloth kind: {command.cloth_kind}); an LLM backend may handle it")

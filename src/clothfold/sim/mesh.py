@@ -22,6 +22,8 @@ LAYER_THICKNESS = 0.002       # meters of height per cloth layer
 MIN_FOLD_SPAN = 0.01          # grasp-to-place spans below this are no-ops
 _ON_LINE_TOL = 1e-12          # particles this close to the fold line stay put
 _CELL_WIDTH = 1.001           # fold's landing-grid cells, in landing radii
+_NEIGHBOURS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])  # 3x3 cells
+_FAR = np.full((1, 2), np.inf)  # where the landing table's padding points
 
 
 class GraspMissError(RuntimeError):
@@ -194,13 +196,14 @@ def fold(mesh: ClothMesh, pick_w, place_w) -> ClothMesh:
     Moved particles stack on whatever unmoved cloth they land above: each
     takes the layers of its nearest unmoved particle (the first on ties) if
     that one lies within the landing radius ``0.75 * spacing``. The nearest
-    one is found by cell lookup: the unmoved particles are binned into grid
-    cells a little wider than the radius, and each moved particle is
-    compared only with those in the 3x3 cells around its own. That search
-    is exact. An unmoved particle within the radius is less than one cell
-    width away on each axis, rounding included, so it lies in one of those
-    nine cells; so do the nearest one and all its ties whenever it landed,
-    and a moved particle with no candidate in range lands on nothing.
+    one is found in a table of grid cells a little wider than the radius:
+    a cell's column lists the unmoved particles in it, padded with a particle
+    at infinity, and each moved particle gathers the 3x3 cells around its
+    own in one take. That search is exact. An unmoved particle within the
+    radius is less than one cell width away on each axis, rounding included,
+    so it lies in one of those nine cells; so do the nearest one and all its
+    ties whenever it landed, and a moved particle with none in range lands
+    on nothing.
     """
     pick = np.asarray(pick_w, dtype=np.float64)[:2]
     place = np.asarray(place_w, dtype=np.float64)[:2]
@@ -225,49 +228,46 @@ def fold(mesh: ClothMesh, pick_w, place_w) -> ClothMesh:
     mid = 0.5 * (snapped + place)
     signed = (out.positions - mid[None, None, :]) @ u  # [n, m]
     # Never empty: the grasped particle is active, at signed = -span / 2.
-    moved = out.active & (signed < -_ON_LINE_TOL)
-
-    reflected = out.positions[moved] - 2.0 * signed[moved][:, None] * u[None, :]
+    leaves = out.active & (signed < -_ON_LINE_TOL)
+    moved = leaves.reshape(-1).nonzero()[0]             # flat, row-major indices
+    still = (out.active ^ leaves).reshape(-1).nonzero()[0]
+    flat = out.positions.reshape(-1, 2)
+    reflected = flat.take(moved, axis=0) - 2.0 * signed.reshape(-1).take(moved)[:, None] * u
     if np.abs(reflected).max() > WORKSPACE_HALF:
         raise FoldError("fold would carry cloth outside the workspace")
-    out.positions[moved] = reflected
+    flat[moved] = reflected
 
     # The distances are np.linalg.norm's, bit for bit (its size-2 axis
-    # reduction is sqrt(dx*dx + dy*dy)). Cells are keyed column-major with
-    # two empty rows per column, so the three cells of a neighbouring column
-    # are one run of the sorted keys. A run that reaches into another column
-    # only adds farther particles, which cannot change the nearest one.
-    unmoved = out.active & ~moved
-    if unmoved.any():
-        base = out.positions[unmoved]
+    # reduction is sqrt(dx*dx + dy*dy)). Cells count from the lowest corner
+    # of all particles, so truncation floors them, and the table has an
+    # empty cell beyond each side, so every moved particle has nine.
+    if still.size:
         radius = 0.75 * out.spacing
-        lo = base.min(axis=0)
-        cell = np.floor((out.positions - lo) / (_CELL_WIDTH * radius)).astype(np.int64)
-        stride = int(cell[..., 1][unmoved].max()) + 3
-        key = cell[..., 0] * stride + cell[..., 1]
-        keys = key[unmoved]
+        x, y = flat.T
+        cx = ((x - x.min()) / (_CELL_WIDTH * radius)).astype(np.intp)
+        cy = ((y - y.min()) / (_CELL_WIDTH * radius)).astype(np.intp)
+        ny = cy.max() + 3
+        key = cx * ny + cy + (ny + 1)
+        keys = key.take(still)
         order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = key[moved][:, None] + (np.array([-1, 0, 1]) * stride - 1)
-        start = np.searchsorted(keys, first).ravel()
-        count = np.searchsorted(keys, first + 2, side="right").ravel() - start
-        # Every run's indices into the sorted keys, one run after another.
-        owner = np.repeat(np.arange(len(first)), count.reshape(-1, 3).sum(axis=1))
-        cand = order[np.arange(count.sum()) + np.repeat(start - count.cumsum() + count, count)]
-
-        d = base[cand, 0] - reflected[owner, 0]
+        keys = keys.take(order)
+        slot = np.arange(len(keys)) - np.searchsorted(keys, keys)    # rank in its cell
+        far = len(flat)                                              # index of _FAR
+        table = np.full((slot.max() + 1, key.max() + ny + 2), far)
+        table[slot, keys] = still.take(order)
+        cand = table.take(key.take(moved) + (_NEIGHBOURS @ (ny, 1))[:, None], axis=1)
+        cand = cand.reshape(-1, len(moved))                          # [candidates, moved]
+        x, y = np.concatenate((flat, _FAR)).T
+        d = x.take(cand)
+        d -= reflected[:, 0]
         d *= d
-        dy = base[cand, 1] - reflected[owner, 1]
+        dy = y.take(cand)
+        dy -= reflected[:, 1]
         dy *= dy
         d += dy
         np.sqrt(d, out=d)
-        near = d <= radius
-        owner, cand = owner[near], cand[near]
-        best = np.lexsort((cand, d[near], owner))       # by owner, distance, index
-        owner, cand = owner[best], cand[best]
-        head = np.ones(len(owner), dtype=bool)          # each owner's first pair
-        np.not_equal(owner[1:], owner[:-1], out=head[1:])
-        gain = np.zeros(len(first), dtype=out.layers.dtype)
-        gain[owner[head]] = mesh.layers[unmoved][cand[head]]
-        out.layers[moved] += gain
+        nearest = d.min(axis=0)
+        first = cand.min(axis=0, where=d == nearest, initial=far)   # the least index of a tie
+        lands = nearest <= radius
+        out.layers.reshape(-1)[moved[lands]] += mesh.layers.reshape(-1).take(first[lands])
     return out

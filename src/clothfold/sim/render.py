@@ -105,7 +105,8 @@ class Observation:
             if self._splats is None:
                 self._mask = cloth_mask_from_rgb(self.rgb)
             else:
-                flat, _ = self._disk_pixels(self._splats.z_c <= self.camera.table_depth)
+                flat, _ = self._disk_pixels(self._splats.z_c <= self.camera.table_depth,
+                                            depths=False)
                 self._mask = np.zeros(self._shape, dtype=bool)
                 self._mask.reshape(-1)[flat] = True
             self._mask.flags.writeable = False
@@ -149,26 +150,27 @@ class Observation:
         covering = s.z_c[dv * dv + du * du <= s.r_px * s.r_px]
         return float(covering.min(initial=self.camera.table_depth))
 
-    def _disk_pixels(self, keep=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """Flat index and depth of every in-image pixel of the disks of the
-        splats ``keep`` selects (all by default). ``np.minimum.at`` over it is
-        exactly a per-particle z-buffer in any order, as all particles share
-        one color. A particle whose centre is at least ``r_px`` from every
-        edge has its whole disk inside the image: its pixels are its flat
-        centre plus the disk's flat offsets ``dv * w + du``. Only particles
-        nearer an edge clip each pixel."""
+    def _disk_pixels(self, keep=slice(None), depths=True) -> tuple[np.ndarray, np.ndarray | None]:
+        """Flat index and depth (None unless ``depths``) of every in-image
+        pixel of the disks of the splats ``keep`` selects (all by default).
+        ``np.minimum.at`` over it is exactly a per-particle z-buffer in any
+        order, as all particles share one color. A particle whose centre is
+        at least ``r_px`` from every edge has its whole disk inside the
+        image: its pixels are its flat centre plus the disk's flat offsets
+        ``dv * w + du``. Only particles nearer an edge clip each pixel."""
         (h, w), s = self._shape, self._splats
         vi, ui, z_c, r_px = s.vi[keep], s.ui[keep], s.z_c[keep], s.r_px
         dv, du = _splat_disk(r_px)
         edge = (vi < r_px) | (vi >= h - r_px) | (ui < r_px) | (ui >= w - r_px)
         flat = ((vi * w + ui)[~edge, None] + (dv * w + du)).ravel()
-        z_px = np.repeat(z_c[~edge], dv.size)
+        z_px = np.repeat(z_c[~edge], dv.size) if depths else None
         if edge.any():
             rows = vi[edge, None] + dv
             cols = ui[edge, None] + du
             inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
             flat = np.concatenate([flat, (rows * w + cols)[inside]])
-            z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
+            if depths:
+                z_px = np.concatenate([z_px, np.broadcast_to(z_c[edge, None], rows.shape)[inside]])
         return flat, z_px
 
 

@@ -70,3 +70,8 @@ def frozen_write_on_step(monkeypatch):
 
     monkeypatch.setattr(PerceptionModel, "__init__", recording_init)
     monkeypatch.setattr(ad.Adam, "step", leaky_step)
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: an end-to-end run of several seconds; "
+                                       "deselect with -m 'not slow'")

@@ -582,6 +582,8 @@ _PNG_FLIPS = {                # PNG bytes -> the offset of the byte to flip
 _PNG_IHDR_EDITS = {           # IHDR payload offset -> the bytes written there
     "png_grey_colour_type": (9, b"\x00"),
     "png_taller_than_its_data": (4, (225).to_bytes(4, "big")),
+    # an inflate buffer sized from this IHDR alone would not fit in memory
+    "png_2_31_minus_1_square": (0, (2**31 - 1).to_bytes(4, "big") * 2),
 }
 
 _BAD_CAMERA_FIELDS = {        # manifest camera record's field -> a value no camera has
@@ -769,7 +771,7 @@ _BAD_ARGS = {                 # command line -> its exit code and what stderr sa
         "could not infer the cloth kind"),
     "plan_parts_of_two_cloths": (
         ["plan", "--command", "Grasp the left leg and place it to the left sleeve"], 3,
-        "cannot decompose"),
+        "no cloth has both 'left leg' and 'left sleeve'"),
     "eval_checkpoint_and_expert": (
         ["eval", "--checkpoint", "missing.cfck", "--expert"], 2,
         "not allowed with argument"),

@@ -204,6 +204,23 @@ class TestDecompose:
         with pytest.raises(planner.PlanningError):
             planner.decompose("Iron the shirt flat")
 
+    @pytest.mark.parametrize("text,reason", [
+        ("Grasp the left leg and place it to the left sleeve", "cloth-mismatch"),
+        ("Grasp the left leg of the Towel and place it to the center", "unresolvable-part"),
+        ("Grasp the center and place it to the hood", "unresolvable-target"),
+    ])
+    def test_a_sub_task_sentence_keeps_its_reason(self, text, reason):
+        # No command template matches these either, so the sentence's own
+        # fault is the one reported, not an unrecognized task family.
+        with pytest.raises(planner.GrammarError) as err:
+            planner.decompose(text)
+        assert err.value.reason == reason
+
+    def test_a_sentence_of_another_shape_is_an_unknown_family(self):
+        with pytest.raises(planner.PlanningError, match="task family not recognized") as err:
+            planner.decompose("Grasp the center or place it to the center")
+        assert not isinstance(err.value, planner.GrammarError)
+
     def test_deterministic(self):
         cmd = "Fold all corners of the Towel to the center"
         a = [s.text for s in planner.decompose(cmd)]

@@ -225,6 +225,24 @@ def dyadic_towel():
     return mesh
 
 
+FOUR_STACKED_FOLDS = (("left edge", "right edge"), ("top edge", "bottom edge"),
+                      ("bottom-right corner", "center"), ("left edge", "bottom edge"))
+TOWEL_LANDMARKS = sim.init_cloth("towel").landmark_names()
+
+
+def fullest_cell(mesh, out):
+    """The most unmoved particles in one landing cell of the fold from
+    ``mesh`` to ``out``: cells of ``_CELL_WIDTH`` landing radii counted from
+    the lowest corner of all particles, as ``fold`` bins them."""
+    unmoved = out.active & (out.positions == mesh.positions).all(axis=-1)
+    if not unmoved.any():
+        return 0
+    width = _CELL_WIDTH * 0.75 * out.spacing
+    cells = np.floor((out.positions[unmoved] - out.positions.reshape(-1, 2).min(axis=0))
+                     / width)
+    return int(np.unique(cells, axis=0, return_counts=True)[1].max())
+
+
 class TestFoldLandingCases:
     """Layer landings where an approximate neighbour search would go wrong."""
 
@@ -285,13 +303,62 @@ class TestFoldLandingCases:
     def test_four_stacked_folds(self):
         mesh = sim.init_cloth("towel")
         camera = sim.default_camera()
-        for pick, place in (("left edge", "right edge"), ("top edge", "bottom edge"),
-                            ("bottom-right corner", "center"),
-                            ("left edge", "bottom edge")):
+        for pick, place in FOUR_STACKED_FOLDS:
             mesh = assert_same_fold(mesh, mesh.landmark_point(pick),
                                     mesh.landmark_point(place))
             assert_same_render(mesh, camera)
         assert mesh.layers.max() == 16
+
+    def test_four_stacked_folds_memory(self):
+        # The landing table pads every cell to the fullest one, so it grows
+        # with the deepest stack: the last of these folds lands on 8 layers
+        # and peaks at about 0.67 MB.
+        mesh = sim.init_cloth("towel")
+        for pick, place in FOUR_STACKED_FOLDS:
+            pick, place = mesh.landmark_point(pick), mesh.landmark_point(place)
+            tracemalloc.start()
+            try:
+                mesh = sim.fold(mesh, pick, place)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1024 * 1024
+        assert mesh.layers.max() == 16
+
+    @given(st.integers(8, 30), st.integers(8, 30), st.floats(0.15, 0.5),
+           st.floats(-math.pi, math.pi),
+           st.lists(st.tuples(st.sampled_from(TOWEL_LANDMARKS),
+                              st.sampled_from(TOWEL_LANDMARKS)), min_size=1, max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_folds_onto_cells_four_deep(self, rows, cols, size, rotation, more):
+        # Two halving folds stack four layers, so the third fold's cells
+        # hold four or more unmoved particles; one or two more folds follow.
+        mesh = sim.init_cloth("towel", (rows, cols), size, rotation_rad=rotation)
+        fullest = 0
+        for pick, place in [*FOUR_STACKED_FOLDS[:3], *more]:
+            out = assert_same_fold(mesh, mesh.landmark_point(pick),
+                                   mesh.landmark_point(place))
+            if out is None:
+                break
+            fullest = max(fullest, fullest_cell(mesh, out))
+            mesh = out
+        assert fullest >= 4
+
+    @pytest.mark.parametrize("beyond", [0.5, 1.0])
+    @pytest.mark.parametrize("corner,far", [((0, 0), (7, 7)), ((7, 7), (0, 0))])
+    def test_landing_beyond_the_unmoved_cloth(self, corner, far, beyond):
+        # A corner folded along the diagonal past the far corner lands beyond
+        # every unmoved particle on both axes: half a spacing out along each
+        # is within the radius of the far corner, a whole spacing is not.
+        mesh = dyadic_towel()
+        s = mesh.spacing
+        outward = np.sign(mesh.positions[far] - mesh.positions[corner])
+        place = mesh.positions[far] + beyond * s * outward
+        got = assert_same_fold(mesh, mesh.positions[corner], place)
+        unmoved = got.active & (got.positions == mesh.positions).all(axis=-1)
+        assert ((got.positions[corner] - got.positions[unmoved]) * outward > 0).all()
+        lands = beyond == 0.5
+        assert got.layers[corner] == mesh.layers[corner] + (mesh.layers[far] if lands else 0)
 
     def test_landing_memory_stays_small(self):
         # The landing compares neighbouring cells, not every moved particle
