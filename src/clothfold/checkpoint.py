@@ -81,6 +81,8 @@ def load_checkpoint(path) -> Checkpoint:
         tensors = {}
         for name, rec in header["tensors"].items():
             start, nbytes = rec["offset"], rec["nbytes"]
+            if not all(type(n) is int and n >= 0 for n in (start, nbytes)):   # not a bool
+                raise CheckpointError(f"{path}: offset and nbytes of {name!r} must be ints >= 0")
             if start + nbytes > len(body):
                 raise CheckpointError(f"{path}: truncated payload for {name!r}")
             arr = np.frombuffer(body[start:start + nbytes], dtype="<f8")

@@ -89,8 +89,8 @@ def expert_rollout(env: ClothSim, plan) -> ClothMesh:
 def pixel_to_base(pixel: tuple[int, int], obs, camera: SimCamera) -> np.ndarray:
     """Full-frame (row, col) -> base-frame point via the measured depth."""
     row, col = pixel
-    p_cam = geometry.pixel_to_camera(col, row, obs.depth_at(row, col), camera.intrinsics)
-    return camera.base_from_camera().apply(p_cam)
+    x, y, z = geometry.pixel_to_camera(col, row, obs.depth_at(row, col), camera.intrinsics)
+    return np.array([x, 0.0 - y, camera.height - z])   # 0.0 - y: +0.0 on the principal row
 
 
 def run_episode(command: str, model: Optional[PerceptionModel],
@@ -135,8 +135,7 @@ def run_episode(command: str, model: Optional[PerceptionModel],
             pick_base = pixel_to_base(pick_full, obs, env.camera)
             place_base = pixel_to_base(place_full, obs, env.camera)
             primitives = geometry.action_to_primitives(pick_base, place_base)
-            grasp, _, place = primitives
-            obs = env.step(grasp.position[:2], place.position[:2])
+            obs = env.step(pick_base[:2], place_base[:2])
             actions.append({"subtask": subtask.text,
                             "pick_pixel": list(pick_full),
                             "place_pixel": list(place_full),

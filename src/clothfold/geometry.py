@@ -1,5 +1,4 @@
-"""Action translation: pixel + depth -> camera frame -> robot base frame,
-and expansion of a pick/place pair into grasp / move / place primitives."""
+"""Pinhole back-projection of a pixel, and a pick/place's grasp / move / place primitives."""
 
 from __future__ import annotations
 
@@ -52,32 +51,6 @@ def pixel_to_camera(u: float, v: float, depth: float, k: CameraIntrinsics) -> np
     x = (u - k.cx) * depth / k.fx
     y = (v - k.cy) * depth / k.fy
     return np.array([x, y, depth])
-
-
-_ORTHO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """Rotation + translation; maps points p -> R @ p + t."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError(f"bad transform shapes {r.shape}, {t.shape}")
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHO_TOL):
-            raise ValueError("rotation is not orthonormal")
-        if abs(np.linalg.det(r) - 1.0) > 1e-6:
-            raise ValueError("rotation determinant is not +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(p, dtype=np.float64) + self.translation
 
 
 @dataclass(frozen=True)

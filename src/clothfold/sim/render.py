@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, RigidTransform
+from ..geometry import CameraIntrinsics
 from ..images import DEPTH_UNIT, StoredPng
 from .mesh import LAYER_THICKNESS, WORKSPACE_HALF, ClothMesh, cloth_color
 
@@ -27,9 +27,8 @@ def cloth_mask_from_rgb(rgb: np.ndarray) -> np.ndarray:
 class SimCamera:
     """Overhead camera: optical axis straight down at the table center.
 
-    Camera frame: x right (world +x), y toward image rows (world -y),
-    z along the view direction (down), so depth = height above the table
-    subtracted from the mount height.
+    Camera frame: x right (world +x), y toward image rows (world -y), z down
+    the view; the base point of a pixel at depth d is (x, -y, height - d).
     """
 
     intrinsics: CameraIntrinsics
@@ -38,15 +37,6 @@ class SimCamera:
     def __post_init__(self):
         if not (math.isfinite(self.height) and self.height > 0):
             raise ValueError(f"mount height must be finite and positive, got {self.height!r}")
-        # Built and checked once per camera; a rollout applies it twice per
-        # step. Its arrays are read-only, as every caller shares them.
-        rotation = np.diag([1.0, -1.0, -1.0])
-        translation = np.array([0.0, 0.0, self.height])
-        rotation.flags.writeable = translation.flags.writeable = False
-        object.__setattr__(self, "_base_from_camera", RigidTransform(rotation, translation))
-
-    def base_from_camera(self) -> RigidTransform:
-        return self._base_from_camera
 
     def world_to_pixel(self, x: float, y: float, z_world: float = 0.0) -> tuple[float, float]:
         """World table point -> (u, v) pixel (u = column, v = row); takes

@@ -497,6 +497,10 @@ def _forged_checkpoints(model, tmp_path):
         "tensor_renamed": forged(lambda h, t: h["tensors"].update(
             {"renamed": h["tensors"].pop(sorted(h["tensors"])[0])})),
         "tensor_without_offset": forged(lambda h, t: t.pop("offset")),
+        # Both load the bytes of a real tensor unless rejected: the first
+        # tensor's offset is 0, and a negative one counts from the end.
+        "tensor_offset_negative": forged(lambda h, t: t.update(offset=-t["nbytes"] - 8)),
+        "tensor_offset_bool": forged(lambda h, t: t.update(offset=False)),
         "model_config_invalid": forged(lambda h, t: h["model_config"].update(embed_dim=-3)),
         "tensor_not_finite": blob[:-8] + np.array([np.nan], "<f8").tobytes(),
     }
@@ -784,7 +788,8 @@ _BAD_INPUTS = [(case, 2) for case in (*_BAD_CONFIGS, *_SMALL_FRAME_RUNS)] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
-                           "tensor_without_offset", "tensor_renamed",
+                           "tensor_without_offset", "tensor_offset_negative",
+                           "tensor_offset_bool", "tensor_renamed",
                            "model_config_invalid", "tensor_not_finite")] + [
     (case, 5) for case in _BAD_DATASETS] + [
     (case, 3) for case in _BAD_COMPLETIONS] + [

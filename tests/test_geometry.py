@@ -1,4 +1,5 @@
-"""Pinhole back-projection, rigid transforms, and primitive expansion."""
+"""Pinhole back-projection, the overhead camera's base frame, and primitive
+expansion."""
 
 import math
 
@@ -6,21 +7,10 @@ import numpy as np
 import pytest
 
 from clothfold import geometry as geo
-
-
-def _identity():
-    return geo.RigidTransform(np.eye(3), np.zeros(3))
-
-
-def _compose(a, b):
-    """a after b: _compose(a, b)(p) == a(b(p))."""
-    return geo.RigidTransform(a.rotation @ b.rotation,
-                              a.rotation @ b.translation + a.translation)
-
-
-def _inverse(tr):
-    rt = tr.rotation.T
-    return geo.RigidTransform(rt, -rt @ tr.translation)
+from clothfold.evaluation import pixel_to_base
+from clothfold.sim import default_camera
+from clothfold.sim.mesh import LAYER_THICKNESS
+from clothfold.sim.render import DEPTH_QUANTUM
 
 
 def _tags(seq):
@@ -77,59 +67,54 @@ class TestPixelToCamera:
             geo.CameraIntrinsics(*args)
 
 
-class TestRigidTransform:
-    def test_identity(self, rng):
-        p = rng.normal(size=3)
-        np.testing.assert_array_equal(_identity().apply(p), p)
+class _Depth:
+    """An observation whose every pixel reads one depth."""
 
-    def test_pure_translation(self, rng):
-        t = rng.normal(size=3)
-        tr = geo.RigidTransform(np.eye(3), t)
-        p = rng.normal(size=3)
-        np.testing.assert_allclose(tr.apply(p), p + t, atol=1e-15)
+    def __init__(self, depth):
+        self.depth = depth
 
-    def test_inverse_composition_is_identity(self, rng):
-        for _ in range(10):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            angle = rng.uniform(-np.pi, np.pi)
-            kmat = np.array([[0, -axis[2], axis[1]],
-                             [axis[2], 0, -axis[0]],
-                             [-axis[1], axis[0], 0]])
-            r = np.eye(3) + np.sin(angle) * kmat + (1 - np.cos(angle)) * kmat @ kmat
-            tr = geo.RigidTransform(r, rng.normal(size=3))
-            p = rng.normal(size=3)
-            np.testing.assert_allclose(_inverse(tr).apply(tr.apply(p)), p, atol=1e-12)
+    def depth_at(self, row, col):
+        return self.depth
 
-    def test_composition_associative(self, rng):
-        def random_transform():
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            a = rng.uniform(-np.pi, np.pi)
-            kmat = np.array([[0, -axis[2], axis[1]],
-                             [axis[2], 0, -axis[0]],
-                             [-axis[1], axis[0], 0]])
-            r = np.eye(3) + np.sin(a) * kmat + (1 - np.cos(a)) * kmat @ kmat
-            return geo.RigidTransform(r, rng.normal(size=3))
 
-        a, b, c = random_transform(), random_transform(), random_transform()
-        p = rng.normal(size=3)
-        left = _compose(_compose(a, b), c).apply(p)
-        right = _compose(a, _compose(b, c)).apply(p)
-        np.testing.assert_allclose(right, a.apply(b.apply(c.apply(p))), atol=1e-12)
-        np.testing.assert_allclose(left, right, atol=1e-12)
+def _old_base(p_cam, height):
+    """The retired rigid transform, ``R @ p + t``: the oracle for the bytes."""
+    return np.diag([1.0, -1.0, -1.0]) @ p_cam + np.array([0.0, 0.0, height])
 
-    def test_non_orthonormal_rejected(self):
-        with pytest.raises(ValueError):
-            geo.RigidTransform(np.eye(3) * 2.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            geo.RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # det -1
 
-    def test_camera_to_base(self, rng):
-        tr = geo.RigidTransform(np.diag([1.0, -1.0, -1.0]), np.array([0, 0, 1.0]))
-        p = np.array([0.1, 0.2, 0.998])
-        out = tr.apply(p)
-        np.testing.assert_allclose(out, [0.1, -0.2, 1.0 - 0.998], atol=1e-15)
+class TestPixelToBase:
+    def test_camera_to_base(self):
+        base = pixel_to_base((156, 168), _Depth(0.998), default_camera(224, 1.0))
+        np.testing.assert_allclose(
+            base, [56 * 0.998 / 224, -44 * 0.998 / 224, 1.0 - 0.998], atol=1e-15)
+
+    @pytest.mark.parametrize("height", [1.0, 1.3])
+    def test_bytes_equal_the_rigid_transform(self, height):
+        """Every pixel of a 224x224 frame, at the table's depth or 1-16 layers
+        up (a pixel's depth cycles with row + col, so each row and column
+        meets every depth), and the whole principal row and column (112,
+        where a camera coordinate is +0.0) at every depth. Signed zeros
+        count: the bytes must match."""
+        cam = default_camera(224, height)
+        depths = [cam.table_depth] + [
+            float(np.rint((height - n * LAYER_THICKNESS) / DEPTH_QUANTUM) * DEPTH_QUANTUM)
+            for n in range(1, 17)]
+        cases = [((r, c), depths[(r + c) % len(depths)]) for r in range(224) for c in range(224)]
+        principal = [(112, c) for c in range(224)] + [(r, 112) for r in range(224)]
+        cases += [(px, d) for d in depths for px in principal]
+        got = np.array([pixel_to_base(px, _Depth(d), cam) for px, d in cases])
+        want = np.array([_old_base(geo.pixel_to_camera(px[1], px[0], d, cam.intrinsics), height)
+                         for px, d in cases])
+        assert got.tobytes() == want.tobytes()
+        centre = pixel_to_base((112, 112), _Depth(depths[3]), cam)
+        assert not np.signbit(centre).any()
+
+    def test_depth_and_frame_checks_stay(self):
+        cam = default_camera(224, 1.0)
+        with pytest.raises(geo.InvalidDepthError):
+            pixel_to_base((10, 10), _Depth(0.0), cam)
+        with pytest.raises(ValueError, match="outside 224x224 image"):
+            pixel_to_base((224, 10), _Depth(1.0), cam)
 
 
 class TestPrimitives:

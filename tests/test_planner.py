@@ -4,15 +4,16 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clothfold import planner
-from clothfold.planner.grammar import PREPOSITIONS
+from clothfold.planner.grammar import PREPOSITIONS, landmark_names
 from clothfold.planner.templates import (AUX_FAMILIES, CLOTH_DISPLAY, FAMILY_KIND,
                                          PREP_VARIANTS, TASK_FAMILIES)
-from clothfold.sim import cloth_kinds, init_cloth
+from clothfold.sim import cloth_kinds, init_cloth, jittered_sim, scripted_expert
 
 
 class TestSplitAtConjunction:
@@ -151,6 +152,28 @@ class TestValidateSubtask:
             with pytest.raises(planner.GrammarError) as e:
                 planner.validate_subtask(text)
             assert e.value.reason == reason
+
+    def test_every_accepted_sentence_is_executable(self):
+        """Every ordered pair of a cloth's parts, named with its cloth, is
+        accepted, scripted and folded on three random poses of that cloth:
+        155 pairs, 465 folds, none of which may raise."""
+        rng = np.random.default_rng(21)
+        n = 0
+        for kind in cloth_kinds():
+            parts = landmark_names(kind)
+            for env in [jittered_sim(kind, rng) for _ in range(3)]:
+                rest = env.mesh
+                for pick, place in itertools.product(parts, parts):
+                    text = (f"Grasp the {pick} of the {CLOTH_DISPLAY[kind]} "
+                            f"and place it to the {place}")
+                    subtask = planner.validate_subtask(text)
+                    assert (subtask.pick_landmark, subtask.place_landmark,
+                            subtask.cloth_kind) == (pick, place, kind), text
+                    env.mesh = rest
+                    action = scripted_expert(rest, subtask, env.camera)
+                    env.step(action.pick_world, action.place_world)
+                    n += 1
+        assert n == 465
 
     def test_tokens_split_never_errors_for_valid(self):
         st_ = planner.validate_subtask(
