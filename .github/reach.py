@@ -6,11 +6,14 @@ Runs the Tier-1 suite (unless ``--no-tests``) and a small CLI chain with
 every Python process traced: a ``sitecustomize`` written to a temporary
 directory at the head of ``PYTHONPATH`` starts ``sys.settrace`` in each
 interpreter that starts, pytest's and every subprocess's that keeps that
-``PYTHONPATH``, and each one writes the ``src/`` lines it ran when it exits.
-Then it prints, per file, the statements that none of them ran, each by its
-first line number and source line, ``raise`` statements listed apart. Last
-it lists each function, class and method of ``src/`` that no ``src/`` module
-names, from the AST alone: a name counts as used when some ``src/`` module
+``PYTHONPATH``, and each one writes the ``src/`` lines it ran when it exits,
+into the directory that ``REACH_OUT`` names: one for the chain's processes,
+another for the suite's. Then it prints, per file, the statements that none
+of them ran, each by its first line number and source line, ``raise``
+statements listed apart; then, the same way, the statements that the suite
+reaches but no chain command does, and how many the chain alone leaves
+unreached. Last it lists each function, class and method of ``src/`` that
+no ``src/`` module names, from the AST alone: a name counts as used when some ``src/`` module
 reads it, as a name or an attribute, outside the definition itself. A
 dunder method is left out (Python calls it), and so is an ``__init__.py``
 re-export, which is an import, not a use.
@@ -46,9 +49,9 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 PACKAGE = SRC / "clothfold"
 
-# Written as sitecustomize.py; ROOT and OUT are filled in. Code objects from
-# files under ROOT are traced until each of their lines has run; a process
-# writes what ran as OUT/<pid>-<ns>.json when it exits.
+# Written as sitecustomize.py; ROOT is filled in. Code objects from files
+# under ROOT are traced until each of their lines has run; a process writes
+# what ran as $REACH_OUT/<pid>-<ns>.json when it exits.
 SITECUSTOMIZE = '''\
 import atexit
 import os
@@ -57,7 +60,7 @@ import threading
 import time
 
 _ROOT = {root!r}
-_OUT = {out!r}
+_OUT = os.environ["REACH_OUT"]
 _todo = {{}}         # code object -> its lines not yet run (empty outside _ROOT)
 
 
@@ -120,8 +123,9 @@ RUNS = [[*argv[:1], "--config", "config.json", *argv[1:]] for argv in CHAIN] + [
 ]
 
 
-def run_traced(env: dict, tests: bool) -> list[str]:
-    """Run the chain (and Tier-1) under ``env``; returns what failed."""
+def run_traced(env: dict, chain_out: Path, tests_out: Path | None) -> list[str]:
+    """Run the chain, tracing into ``chain_out``, and Tier-1 (unless
+    ``tests_out`` is None), tracing into ``tests_out``; returns what failed."""
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
@@ -129,13 +133,15 @@ def run_traced(env: dict, tests: bool) -> list[str]:
         (cwd / "grad_check.json").write_text(json.dumps(GRAD_CHECK_CONFIG))
         for argv in RUNS:
             proc = subprocess.run([sys.executable, "-m", "clothfold", *argv], cwd=cwd,
-                                  env=env, capture_output=True, text=True)
+                                  env={**env, "REACH_OUT": str(chain_out)},
+                                  capture_output=True, text=True)
             if proc.returncode:
                 failed.append(f"clothfold {' '.join(argv)} (exit {proc.returncode}): "
                               f"{proc.stderr.strip()}")
-    if tests:
+    if tests_out is not None:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
-                               "--continue-on-collection-errors"], cwd=REPO, env=env)
+                               "--continue-on-collection-errors"], cwd=REPO,
+                              env={**env, "REACH_OUT": str(tests_out)})
         if proc.returncode:
             failed.append(f"Tier-1 (exit {proc.returncode})")
     return failed
@@ -176,29 +182,49 @@ def statements(path: Path) -> list[tuple[ast.stmt, range]]:
     return sorted(out, key=lambda item: item[1].start)
 
 
-def report(ran: dict[str, set[int]]) -> None:
-    total = unreached = raises = 0
+def _print_statements(path: Path, stmts: list[tuple[ast.stmt, range]]) -> int:
+    """Print each of ``stmts`` by its first line number and source line,
+    ``raise`` statements apart; returns how many are ``raise``."""
+    source = path.read_text().splitlines()
+    raises = [span.start for node, span in stmts if isinstance(node, ast.Raise)]
+    for node, span in stmts:
+        if not isinstance(node, ast.Raise):
+            print(f"  {span.start:5d}  {source[span.start - 1].strip()}")
+    if raises:
+        print("  raise:")
+        for line in raises:
+            print(f"  {line:5d}  {source[line - 1].strip()}")
+    return len(raises)
+
+
+def report(chain: dict[str, set[int]], suite: dict[str, set[int]]) -> None:
+    """The statements that neither run reaches, then those only the suite does."""
+    total = unreached = raises = only = only_raises = 0
+    suite_only = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        lines = ran.get(str(path), set())
+        by_chain, by_suite = chain.get(str(path), set()), suite.get(str(path), set())
         stmts = statements(path)
-        missed = [(node, span) for node, span in stmts if not lines.intersection(span)]
+        missed = [(node, span) for node, span in stmts
+                  if not by_chain.intersection(span) and not by_suite.intersection(span)]
         total += len(stmts)
         unreached += len(missed)
-        if not missed:
-            continue
-        source = path.read_text().splitlines()
-        missed_raises = [span.start for node, span in missed if isinstance(node, ast.Raise)]
-        raises += len(missed_raises)
-        print(f"{path.relative_to(REPO)}: {len(missed)} of {len(stmts)} statements unreached")
-        for node, span in missed:
-            if not isinstance(node, ast.Raise):
-                print(f"  {span.start:5d}  {source[span.start - 1].strip()}")
-        if missed_raises:
-            print("  raise:")
-            for line in missed_raises:
-                print(f"  {line:5d}  {source[line - 1].strip()}")
+        suite_only.append((path, [(node, span) for node, span in stmts
+                                  if by_suite.intersection(span)
+                                  and not by_chain.intersection(span)]))
+        if missed:
+            print(f"{path.relative_to(REPO)}: {len(missed)} of {len(stmts)} "
+                  f"statements unreached")
+            raises += _print_statements(path, missed)
     print(f"{unreached} of {total} executable statements unreached, "
           f"{unreached - raises} of them not raise")
+    for path, stmts in suite_only:
+        if stmts:
+            print(f"{path.relative_to(REPO)}: {len(stmts)} statements only the suite reaches")
+            only += len(stmts)
+            only_raises += _print_statements(path, stmts)
+    print(f"{only} statements only the suite reaches, {only - only_raises} of them not "
+          f"raise; the chain alone leaves {unreached + only} of {total} unreached, "
+          f"{unreached - raises + only - only_raises} of them not raise")
 
 
 def _definitions(body: list, prefix: str = ""):
@@ -231,26 +257,32 @@ def uncalled() -> list[str]:
     return out
 
 
+def _ran(out: Path) -> dict[str, set[int]]:
+    """Per file, the lines that the processes tracing into ``out`` ran."""
+    ran: dict[str, set[int]] = {}
+    for record in out.glob("*.json"):
+        for name, lines in json.loads(record.read_text()).items():
+            ran.setdefault(name, set()).update(lines)
+    return ran
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--no-tests", action="store_true",
                    help="trace the CLI chain only, not the Tier-1 suite")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        hook, out = Path(tmp) / "hook", Path(tmp) / "out"
-        hook.mkdir()
-        out.mkdir()
+        hook, chain_out, tests_out = (Path(tmp) / name for name in ("hook", "chain", "tests"))
+        for directory in (hook, chain_out, tests_out):
+            directory.mkdir()
         (hook / "sitecustomize.py").write_text(
-            SITECUSTOMIZE.format(root=str(PACKAGE) + os.sep, out=str(out)))
+            SITECUSTOMIZE.format(root=str(PACKAGE) + os.sep))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [str(hook), str(SRC),
                                                            os.environ.get("PYTHONPATH")]))}
-        failed = run_traced(env, not args.no_tests)
-        ran: dict[str, set[int]] = {}
-        for record in out.glob("*.json"):
-            for name, lines in json.loads(record.read_text()).items():
-                ran.setdefault(name, set()).update(lines)
-    report(ran)
+        failed = run_traced(env, chain_out, None if args.no_tests else tests_out)
+        chain, suite = _ran(chain_out), _ran(tests_out)
+    report(chain, suite)
     names = uncalled()
     print(f"{len(names)} functions, classes and methods that no src/ module names"
           + "".join(f"\n  {name}" for name in names))

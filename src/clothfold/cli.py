@@ -17,6 +17,7 @@ from . import checkpoint as ckpt_io
 from . import evaluation, images
 from .planner import BackendError, PlanningError, decompose, llm_decompose
 from .perception import PerceptionModel, TokenizeError
+from .perception.model import crop_origin
 from .runconfig import ConfigError, RunConfig, load_config
 from .sim import jittered_sim, scripted_expert
 from .trainer import (CropError, DatasetFormatError, Demonstration, LoadedDemo,
@@ -38,13 +39,15 @@ def _plan_subtasks(cfg: RunConfig, command: str):
     return decompose(command.strip())
 
 
-def _policy(args):
-    """The model ``--checkpoint`` names, or None for ``--expert``'s scripted expert."""
+def _policy(args, cfg: RunConfig):
+    """``--checkpoint``'s model, its crop fitting the camera's frame, or None for ``--expert``."""
     if args.expert:
         return None
     if not args.checkpoint:
         raise ConfigError(f"{args.command_name} needs --checkpoint (or --expert)")
-    return ckpt_io.model_from_checkpoint(ckpt_io.load_checkpoint(args.checkpoint))
+    model = ckpt_io.model_from_checkpoint(ckpt_io.load_checkpoint(args.checkpoint))
+    crop_origin((cfg.camera.intrinsics.height, cfg.camera.intrinsics.width), model.cfg.image_size)
+    return model
 
 
 def _train_split(dataset):
@@ -111,7 +114,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    model = _policy(args)
+    model = _policy(args, cfg)
     report = evaluation.run_benchmark(model, cfg.bench, camera=cfg.camera,
                                       artifacts_dir=(Path(args.out) / "heatmaps"
                                                      if not args.expert else None))
@@ -120,7 +123,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_run(args, cfg: RunConfig) -> int:
-    model = _policy(args)
+    model = _policy(args, cfg)
     subtasks = _plan_subtasks(cfg, args.command)
     kind = subtasks[0].cloth_kind
     if kind is None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autodiff as ad
-from ..planner.grammar import SubTask
+from ..planner.grammar import SubTask, split_at_conjunction
 from ..sim.render import Observation
 from .config import ModelConfig
 from .decoder import CunDecoder
@@ -23,15 +23,16 @@ class EmptyMaskError(RuntimeError):
     """Workspace segmentation found no cloth pixels."""
 
 
-class SegmentationError(ad.ShapeError):
-    pass
+class CropError(ValueError):
+    """``model.image_size``'s centre crop is larger than a frame or cuts off a demo's pixel."""
 
 
 def crop_origin(shape: tuple[int, int], crop_size: int) -> tuple[int, int]:
     """(row, col) of the centred ``crop_size`` square in a frame of ``shape``."""
     h, w = shape
     if crop_size > min(h, w):
-        raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
+        raise CropError(f"its {h}x{w} frame is smaller than the centre crop of "
+                        f"model.image_size {crop_size}")
     return (h - crop_size) // 2, (w - crop_size) // 2
 
 
@@ -39,15 +40,10 @@ def segment_workspace(obs: Observation, crop_size: int) -> tuple[np.ndarray, tup
     """The model's [crop, crop, 4] float64 input, the frame's centre crop: RGB
     and height above the table in [0, 1], all 0 off the cloth mask; and the
     (row, col) crop origin, which maps model pixels back to the frame."""
-    mask = obs.cloth_mask
+    r0, c0 = crop_origin(obs.shape, crop_size)
+    rgb, depth, mask = obs.crop((slice(r0, r0 + crop_size), slice(c0, c0 + crop_size)))
     if not mask.any():
-        raise EmptyMaskError("no cloth pixels found in the observation")
-    r0, c0 = crop_origin(mask.shape, crop_size)
-    window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
-    mask = mask[window]
-    if not mask.any():
-        raise EmptyMaskError("center crop removed all cloth pixels")
-    rgb, depth = obs.crop(window)
+        raise EmptyMaskError("no cloth pixels in the centre crop")
     rgb = np.where(mask[..., None], rgb, 0.0)
     depth = np.where(mask, depth, obs.camera.table_depth)
     depth_norm = np.clip((obs.camera.table_depth - depth) / DEPTH_RANGE, 0.0, 1.0)
@@ -108,14 +104,10 @@ class PerceptionModel:
 
     def segment_text_features(self, f_l: ad.Tensor,
                               token_ids: list[int]) -> tuple[ad.Tensor, ad.Tensor]:
-        """Split token features at the conjunction; its row is dropped."""
+        """Split token features where the grammar splits words; the 'and' row is dropped."""
         if len(token_ids) != f_l.shape[0]:
             raise ad.ShapeError(f"{len(token_ids)} ids vs {f_l.shape[0]} feature rows")
-        if self._and_id not in token_ids:
-            raise ad.ShapeError("no conjunction token in the instruction")
-        i = token_ids.index(self._and_id)
-        if i == 0 or i == len(token_ids) - 1:
-            raise ad.ShapeError("conjunction cannot start or end the instruction")
+        i = len(split_at_conjunction(token_ids, self._and_id)[0])
         return ad.slice_rows(f_l, 0, i), ad.slice_rows(f_l, i + 1, f_l.shape[0])
 
     def forward_heatmaps(self, image4: np.ndarray, token_ids: list[int],

@@ -42,15 +42,16 @@ def tokenize_text(text: str) -> list[str]:
     return norm.split() if norm else []
 
 
-def split_at_conjunction(tokens: list[str]) -> tuple[list[str], list[str]]:
-    """Split at the first ``and``; the conjunction joins neither segment."""
+def split_at_conjunction(tokens: list, conjunction="and") -> tuple[list, list]:
+    """Split words (or token ids, given the conjunction's id) at the first
+    ``conjunction``, which joins neither segment."""
     if not tokens:
         raise GrammarError("empty-text", "cannot split an empty token list")
     try:
-        i = tokens.index("and")
+        i = tokens.index(conjunction)
     except ValueError:
         raise GrammarError("missing-conjunction",
-                           f"no coordinating conjunction 'and' in {tokens}") from None
+                           f"no coordinating conjunction {conjunction!r} in {tokens}") from None
     before, after = tokens[:i], tokens[i + 1:]
     if not before or not after:
         raise GrammarError("empty-phrase",

@@ -85,7 +85,8 @@ class Observation:
                  camera: SimCamera, splats: Splats | None = None):
         self._rgb, self._depth, self._mask = rgb, depth, None  # None until built
         self.camera = camera
-        self._shape = camera.intrinsics.height, camera.intrinsics.width  # a rendered frame's
+        self.shape = (rgb.shape[:2] if rgb is not None       # [H, W] as given, else the camera's
+                      else (camera.intrinsics.height, camera.intrinsics.width))
         self._splats = splats
 
     @property
@@ -97,7 +98,7 @@ class Observation:
             else:
                 flat, _ = self._disk_pixels(self._splats.z_c <= self.camera.table_depth,
                                             depths=False)
-                self._mask = np.zeros(self._shape, dtype=bool)
+                self._mask = np.zeros(self.shape, dtype=bool)
                 self._mask.reshape(-1)[flat] = True
             self._mask.flags.writeable = False
         return self._mask
@@ -107,7 +108,7 @@ class Observation:
         """[H, W]: the least depth of the splats covering a pixel, else the table's."""
         if self._depth is None:
             flat, z_px = self._disk_pixels()
-            self._depth = depth = np.full(self._shape, self.camera.table_depth)
+            self._depth = depth = np.full(self.shape, self.camera.table_depth)
             np.minimum.at(depth.reshape(-1), flat, z_px)
         return _as_float(self._depth)
 
@@ -118,13 +119,14 @@ class Observation:
             self._rgb = self._splats.colors.take(self.cloth_mask.view(np.uint8), axis=0)
         return _as_float(self._rgb)
 
-    def crop(self, window: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray]:
-        """``(self.rgb[window], self.depth[window])``. Of a stored PNG and
-        counts only the window is scaled, to the same bits, as scaling is
-        elementwise; a rendered frame is built whole, as on any read."""
+    def crop(self, window: tuple[slice, slice]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(self.rgb[window], self.depth[window], self.cloth_mask[window])``.
+        Of a stored frame only the window is scaled and masked, to the same
+        bits, as both rules are elementwise; a rendered one is built whole."""
         if self._splats is not None:
-            return self.rgb[window], self.depth[window]
-        return _as_float(self._rgb, window), _as_float(self._depth, window)
+            return self.rgb[window], self.depth[window], self.cloth_mask[window]
+        rgb = _as_float(self._rgb, window)
+        return rgb, _as_float(self._depth, window), cloth_mask_from_rgb(rgb)
 
     def depth_at(self, row: int, col: int) -> float:
         """``float(self.depth[row, col])``. Before the depth is built, the same
@@ -132,7 +134,7 @@ class Observation:
         ``(row - vi)**2 + (col - ui)**2 <= r_px**2``, else the table depth."""
         if self._depth is not None:
             return float(_as_float(self._depth, (row, col)))
-        h, w = self._shape
+        h, w = self.shape
         if not (-h <= row < h and -w <= col < w):
             raise IndexError(f"pixel ({row}, {col}) is outside the {h}x{w} frame")
         s = self._splats
@@ -148,7 +150,7 @@ class Observation:
         at least ``r_px`` from every edge has its whole disk inside the
         image: its pixels are its flat centre plus the disk's flat offsets
         ``dv * w + du``. Only particles nearer an edge clip each pixel."""
-        (h, w), s = self._shape, self._splats
+        (h, w), s = self.shape, self._splats
         vi, ui, z_c, r_px = s.vi[keep], s.ui[keep], s.z_c[keep], s.r_px
         dv, du = _splat_disk(r_px)
         edge = (vi < r_px) | (vi >= h - r_px) | (ui < r_px) | (ui >= w - r_px)

@@ -38,11 +38,11 @@ TEST_FRACTION = FULL_SCALE_TEST / FULL_SCALE_TOTAL      # exactly 1/21
 
 
 class DatasetFormatError(RuntimeError):
-    """A manifest that is not UTF-8 JSON, misses a key, is not of version
-    DATASET_VERSION, whose demos are not a list of records, whose demo fields
-    have the wrong JSON type or a pixel off the camera's frame, or whose
-    sub-task the model cannot split at its conjunction; a demo frame not of
-    the camera's size, or with no cloth; a dataset with no demo to train on."""
+    """A manifest that is not UTF-8 JSON, misses a key, has a top-level field
+    other than ``_MANIFEST_FIELDS`` says, demo fields of the wrong JSON type or
+    a pixel off the camera's frame, or a sub-task the model cannot split at
+    its conjunction; a demo frame not of the camera's size, or with no cloth;
+    a dataset with no demo to train on."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,19 @@ class Demonstration:
         return demo
 
 
+_NATURAL = "an int >= 0", lambda v: type(v) is int and v >= 0
+_STRINGS = "a list of strings", lambda v: type(v) is list and all(type(s) is str for s in v)
+_OBJECT = "an object", lambda v: type(v) is dict
+# What each top-level manifest field but the camera must be, in the order checked.
+_MANIFEST_FIELDS = {
+    "version": (f"the int {DATASET_VERSION}", lambda v: type(v) is int and v == DATASET_VERSION),
+    "demos": ("a list", lambda v: type(v) is list), "seed": _NATURAL,
+    "episodes_per_family": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "held_out_family": ("null or a task family", lambda v: v is None or v in TASK_FAMILIES),
+    "skipped_episodes": _NATURAL, "cloth_kinds": _STRINGS, "families": _STRINGS,
+    "counts": _OBJECT, "provenance": _OBJECT}
+
+
 @dataclass
 class DatasetManifest:
     version: int
@@ -104,16 +117,13 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text: str | bytes) -> "DatasetManifest":
         try:
-            raw = json.loads(text)
-            if type(raw["version"]) is not int or raw["version"] != DATASET_VERSION:
-                raise ValueError(f"version {raw['version']!r}, not {DATASET_VERSION}")
-            if not isinstance(raw["demos"], list):
-                raise TypeError(f"'demos' is a {type(raw['demos']).__name__}, not a list")
-            demos = [Demonstration.from_record(r) for r in raw["demos"]]
-            return cls(raw["version"], raw["seed"], raw["episodes_per_family"],
-                       raw["held_out_family"], camera_from_record(raw["camera"]),
-                       raw["cloth_kinds"], raw["families"], raw["counts"],
-                       raw["skipped_episodes"], demos, raw.get("provenance", {}))
+            raw = {"provenance": {}, **json.loads(text)}      # provenance is optional
+            for name, (what, ok) in _MANIFEST_FIELDS.items():
+                if not ok(raw[name]):
+                    raise ValueError(f"{name!r} must be {what}, got {raw[name]!r}")
+            return cls(**{name: raw[name] for name in _MANIFEST_FIELDS}
+                       | {"demos": [Demonstration.from_record(r) for r in raw["demos"]],
+                          "camera": camera_from_record(raw["camera"])})
         except (KeyError, TypeError, ValueError, RecursionError) as e:
             raise DatasetFormatError(f"malformed dataset manifest: {e!r}") from e
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..perception.config import typed_fields
-from ..perception.model import (EmptyMaskError, PerceptionModel, SegmentationError,
-                                crop_origin, segment_workspace)
+from ..perception.model import (CropError, EmptyMaskError, PerceptionModel, crop_origin,
+                                segment_workspace)
 from .dataset import DatasetFormatError, LoadedDemo
 from .heatmaps import action_to_heatmap, total_loss
 
@@ -22,11 +22,6 @@ log = logging.getLogger(__name__)
 
 class TrainingDivergedError(RuntimeError):
     pass
-
-
-class CropError(ValueError):
-    """``model.image_size`` does not fit the data: its centre crop is larger
-    than a demonstration's frame, or cuts off its pick or place pixel."""
 
 
 @dataclass
@@ -70,15 +65,11 @@ class PreparedSample:
 def prepare_sample(model: PerceptionModel, demo: LoadedDemo,
                    sigma_hm: float) -> PreparedSample:
     """``segment_workspace``'s array as is, and crop-frame targets. A crop larger
-    than the camera's frame, or one cutting off the pick or place pixel, raises
+    than the frame, or one cutting off the pick or place pixel, raises
     CropError before any pixel is read; one with no cloth, DatasetFormatError."""
-    size, k, d = model.cfg.image_size, demo.observation.camera.intrinsics, demo.demo
+    size, d = model.cfg.image_size, demo.demo
     where = f"demo of episode {d.episode_id} step {d.step_index}"
-    try:
-        r0, c0 = crop_origin((k.height, k.width), size)
-    except SegmentationError as e:
-        raise CropError(f"{where}: its {k.height}x{k.width} frame is smaller than "
-                        f"the centre crop of model.image_size {size}") from e
+    r0, c0 = crop_origin(demo.observation.shape, size)
     crop, gt = [], []
     for what, (r, c) in (("pick", d.pick_pixel), ("place", d.place_pixel)):
         crop.append((r - r0, c - c0))

@@ -553,6 +553,9 @@ def _bad_dataset(case, data_dir, tmp_path):
         elif case in _BAD_CAMERA_FIELDS:
             key, value = _BAD_CAMERA_FIELDS[case]
             manifest["camera"][key] = value
+        elif case in _BAD_MANIFEST_FIELDS:
+            key, value = _BAD_MANIFEST_FIELDS[case]
+            manifest[key] = value
         elif case == "manifest_demos_not_a_list":
             manifest["demos"] = {"0": first}
         elif case == "manifest_version_unknown":
@@ -596,6 +599,17 @@ _BAD_CAMERA_FIELDS = {        # manifest camera record's field -> a value no cam
     "manifest_camera_width_float": ("width", 224.0),
 }
 
+_BAD_MANIFEST_FIELDS = {      # manifest top-level field -> a value of the wrong type or range
+    "manifest_seed_an_object": ("seed", {"not": "a seed"}),
+    "manifest_episodes_per_family_bool": ("episodes_per_family", True),
+    "manifest_held_out_family_a_number": ("held_out_family", 42),
+    "manifest_skipped_episodes_negative": ("skipped_episodes", -1),
+    "manifest_cloth_kinds_not_strings": ("cloth_kinds", ["towel", 1]),
+    "manifest_families_a_string": ("families", "DTF"),
+    "manifest_counts_a_list": ("counts", [1, 2]),
+    "manifest_provenance_a_list": ("provenance", []),
+}
+
 # A dataset with no demo, so no train split, and the command that reads it;
 # ``ablate`` reads the bad cameras, ``train`` the other bad datasets.
 _NO_TRAIN_SPLIT = {"train_without_train_split": "train",
@@ -606,7 +620,8 @@ _BAD_DATASETS = ("png_cut_to_100_bytes", "png_cut_to_10_bytes", *_PNG_FLIPS,
                  *_PNG_IHDR_EDITS,
                  "pgm_size_not_numeric", "pgm_size_negative", "pgm_data_odd_length",
                  "manifest_not_json", "manifest_key_missing", "manifest_camera_key_missing",
-                 "manifest_demos_not_a_list", "manifest_version_unknown", *_BAD_DEMO_FIELDS,
+                 "manifest_demos_not_a_list", "manifest_version_unknown", *_BAD_MANIFEST_FIELDS,
+                 *_BAD_DEMO_FIELDS,
                  *_BAD_CAMERA_FIELDS, "png_resized", "pgm_resized", "png_all_background",
                  *_NO_TRAIN_SPLIT)
 
@@ -692,6 +707,14 @@ _BAD_CONFIGS = {              # config (or the file's raw bytes) -> the command 
 # 112: the crop does not fit the frames.
 _SMALL_FRAME_RUNS = {"train_on_frames_smaller_than_crop": "train",
                      "ablate_on_frames_smaller_than_crop": "ablate"}
+
+# Commands running a model.image_size 112 checkpoint on a camera of 96x96
+# frames: the crop does not fit, which they find before writing anything.
+_CHECKPOINT_CROP_RUNS = {
+    "eval_checkpoint_crop_larger_than_frame": ["eval"],
+    "run_checkpoint_crop_larger_than_frame": ["run", "--command",
+                                              "Fold the Towel in half diagonally"],
+}
 
 
 @pytest.fixture(scope="module")
@@ -784,7 +807,8 @@ _BAD_ARGS = {                 # command line -> its exit code and what stderr sa
          "Fold the Towel in half diagonally"], 2, "not allowed with argument"),
 }
 
-_BAD_INPUTS = [(case, 2) for case in (*_BAD_CONFIGS, *_SMALL_FRAME_RUNS)] + [
+_BAD_INPUTS = [(case, 2) for case in (*_BAD_CONFIGS, *_SMALL_FRAME_RUNS,
+                                       *_CHECKPOINT_CROP_RUNS)] + [
     (case, 4) for case in ("shorter_than_16_bytes", "header_cut_off", "header_not_utf8",
                            "header_not_json", "header_nested_too_deep",
                            "header_not_an_object", "shape_disagrees_with_nbytes",
@@ -813,6 +837,11 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         argv = [_SMALL_FRAME_RUNS[case], "--config", str(cfg), "--dataset",
                 str(request.getfixturevalue("small_frame_dataset")),
                 "--out", str(tmp_path / "o")]
+    elif case in _CHECKPOINT_CROP_RUNS:
+        cfg.write_text(json.dumps({"model": {"image_size": 64}, "sim": {"resolution": 96}}))
+        ck.save_checkpoint(tmp_path / "model.cfck", model)
+        argv = [*_CHECKPOINT_CROP_RUNS[case], "--config", str(cfg),
+                "--checkpoint", str(tmp_path / "model.cfck"), "--out", str(tmp_path / "o")]
     elif case in _BAD_COMPLETIONS:
         cfg.write_text(json.dumps({"planner": {"backend": {
             "endpoint_url": f"{llm_endpoint}/{case}", "timeout_s": 30.0}}}))
@@ -858,3 +887,9 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         assert "its 100x100 frame is smaller than the centre crop of model.image_size 112" \
             in proc.stderr
         assert "raise model.image_size" not in proc.stderr
+    if case in _CHECKPOINT_CROP_RUNS:
+        assert "its 96x96 frame is smaller than the centre crop of model.image_size 112" \
+            in proc.stderr
+        assert not (tmp_path / "o").exists()
+    if case in _BAD_MANIFEST_FIELDS:
+        assert f"{_BAD_MANIFEST_FIELDS[case][0]!r} must be" in proc.stderr, proc.stderr

@@ -2,7 +2,6 @@
 against their per-scanline, full-frame and Observation-path oracles: file
 bytes, decoded arrays, masks, model inputs, offsets and errors all equal."""
 
-import importlib
 import struct
 import zlib
 
@@ -15,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from clothfold import images, sim
 from clothfold.evaluation import expert_rollout
 from clothfold.images import _PNG_MAGIC, ImageFormatError, _chunk
-from clothfold.perception.model import (DEPTH_RANGE, EmptyMaskError, SegmentationError,
+from clothfold.perception.model import (DEPTH_RANGE, CropError, EmptyMaskError,
                                         segment_workspace)
 from clothfold.planner import decompose
 from clothfold.planner.templates import FAMILY_KIND, TASK_FAMILIES, command_bank
@@ -23,9 +22,6 @@ from clothfold.sim.mesh import cloth_color
 from clothfold.sim.render import (CLOTH_COLOR_MARGIN, Observation,
                                   cloth_mask_from_rgb)
 from clothfold.trainer import generate_dataset, load_dataset
-
-# The module; ``clothfold.sim.render`` as an attribute is the function.
-render_module = importlib.import_module("clothfold.sim.render")
 
 
 def loop_write_png_rgb(path, rgb01):
@@ -85,18 +81,17 @@ def full_frame_segment_workspace(obs, crop_size):
     """Mask, suppress the background and scale depth to height on the whole
     frame, then crop the RGB-D array."""
     mask = obs.rgb.max(axis=-1) > CLOTH_COLOR_MARGIN
-    if not mask.any():
-        raise EmptyMaskError("no cloth pixels found in the observation")
     rgb = np.where(mask[..., None], obs.rgb, 0.0)
     depth = np.where(mask, obs.depth, obs.camera.table_depth)
     h, w = mask.shape
     if crop_size > min(h, w):
-        raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
+        raise CropError(f"its {h}x{w} frame is smaller than the centre crop of "
+                        f"model.image_size {crop_size}")
     r0 = (h - crop_size) // 2
     c0 = (w - crop_size) // 2
     window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
     if not mask[window].any():
-        raise EmptyMaskError("center crop removed all cloth pixels")
+        raise EmptyMaskError("no cloth pixels in the centre crop")
     depth_norm = np.clip((obs.camera.table_depth - depth) / DEPTH_RANGE, 0.0, 1.0)
     return np.concatenate([rgb, depth_norm[..., None]], axis=-1)[window], (r0, c0)
 
@@ -105,18 +100,17 @@ def observation_segment_workspace(obs, crop_size):
     """The two-step path the model input used to take: crop and mask into a
     new ``Observation``, then read that back into the RGB-D array."""
     mask = obs.cloth_mask
-    if not mask.any():
-        raise EmptyMaskError("no cloth pixels found in the observation")
     h, w = mask.shape
     if crop_size > min(h, w):
-        raise SegmentationError(f"crop {crop_size} larger than image {h}x{w}")
+        raise CropError(f"its {h}x{w} frame is smaller than the centre crop of "
+                        f"model.image_size {crop_size}")
     r0 = (h - crop_size) // 2
     c0 = (w - crop_size) // 2
     window = (slice(r0, r0 + crop_size), slice(c0, c0 + crop_size))
     mask = mask[window]
     if not mask.any():
-        raise EmptyMaskError("center crop removed all cloth pixels")
-    rgb, depth = obs.crop(window)
+        raise EmptyMaskError("no cloth pixels in the centre crop")
+    rgb, depth, _ = obs.crop(window)
     rgb = np.where(mask[..., None], rgb, 0.0)
     depth = np.where(mask, depth, obs.camera.table_depth)
     return observation_normalize(Observation(rgb, depth, obs.camera)), (r0, c0)
@@ -302,7 +296,7 @@ class TestSegmentAgainstFullFrameOracle:
         rgb[0:4, 0:4] = cloth_color("towel")
         obs = Observation(rgb, np.ones((32, 32)), _CAMERA)
         for fn in (segment_workspace, full_frame_segment_workspace):
-            with pytest.raises(EmptyMaskError, match="center crop removed"):
+            with pytest.raises(EmptyMaskError, match="no cloth pixels in the centre crop"):
                 fn(obs, 16)
 
     @pytest.mark.parametrize("crop", range(1, 8))
@@ -313,30 +307,14 @@ class TestSegmentAgainstFullFrameOracle:
         _assert_same_input(segment_workspace(obs, crop),
                            full_frame_segment_workspace(obs, crop))
 
-    def test_loaded_frames_scale_only_the_window(self, tmp_path, monkeypatch):
-        """A loaded demo's whole RGB is scaled once, for its mask; the crop
-        scales only the window of the stored PNG and counts, to the bytes
-        of the full-frame oracle."""
-        as_float, full = render_module._as_float, []
-
-        def counting(stored, window=...):
-            scaled = as_float(stored, window)
-            if scaled.shape[:2] == (224, 224):
-                full.append(type(stored))
-            return scaled
-
+    def test_loaded_frames_equal(self, tmp_path):
+        """The crop's window of a loaded demo, scaled and masked alone, gives
+        the bytes of the whole frame's."""
         generate_dataset(tmp_path, seed=0, episodes_per_family=1)
         _, demos = load_dataset(tmp_path)
         for demo in demos:
-            obs = demo.observation
-            monkeypatch.setattr(render_module, "_as_float", counting)
-            full.clear()
-            got = segment_workspace(obs, 112)
-            assert full == [images.StoredPng]
-            segment_workspace(obs, 112)
-            assert full == [images.StoredPng]
-            monkeypatch.undo()
-            _assert_same_input(got, full_frame_segment_workspace(obs, 112))
+            _assert_same_input(segment_workspace(demo.observation, 112),
+                               full_frame_segment_workspace(demo.observation, 112))
 
     @pytest.mark.parametrize("kind", ["towel", "t-shirt", "trousers"])
     def test_rendered_frames_equal(self, kind):

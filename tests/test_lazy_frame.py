@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clothfold import evaluation, sim
+from clothfold import evaluation, images, sim
 from clothfold.geometry import CameraIntrinsics
 from clothfold.images import DEPTH_UNIT
 from clothfold.perception import segment_workspace
@@ -124,7 +124,7 @@ class TestLazyFrame:
             assert not obs.cloth_mask.flags.writeable
             assert obs.depth.flags.writeable and obs.rgb.flags.writeable
             # Mask and depth each build their pixels; no splat index is kept.
-            assert set(vars(obs)) == {"_rgb", "_depth", "_mask", "camera", "_shape", "_splats"}
+            assert set(vars(obs)) == {"_rgb", "_depth", "_mask", "camera", "shape", "_splats"}
 
     @given(rendered_cases())
     @settings(max_examples=20, deadline=None)
@@ -255,25 +255,12 @@ class TestOneMaskSource:
         given = Observation(obs.rgb, obs.depth, obs.camera)
         assert given.cloth_mask.tobytes() == splat_mask.tobytes()
 
-    def test_mask_is_derived_once_and_only_for_given_frames(self, tmp_path, monkeypatch):
+    def test_rendered_frames_derive_no_mask_from_rgb(self, monkeypatch):
         calls = []
-
-        def counting(rgb):
-            calls.append(rgb.shape)
-            return cloth_mask_from_rgb(rgb)
-
-        monkeypatch.setattr(render_module, "cloth_mask_from_rgb", counting)
-        generate_dataset(tmp_path, seed=0, episodes_per_family=1)
-        _, demos = load_dataset(tmp_path)
-        assert calls == []
-        loaded = demos[0].observation
-        first, _ = segment_workspace(loaded, 112)
-        assert calls == [(224, 224, 3)]
-        again, _ = segment_workspace(loaded, 112)
-        assert len(calls) == 1
-        assert again.tobytes() == first.tobytes()
+        monkeypatch.setattr(render_module, "cloth_mask_from_rgb",
+                            lambda rgb: calls.append(rgb) or cloth_mask_from_rgb(rgb))
         segment_workspace(sim.render(sim.init_cloth("towel"), sim.default_camera()), 112)
-        assert len(calls) == 1
+        assert calls == []
 
 
 def traced(fn):
@@ -314,6 +301,50 @@ class TestFrameMemory:
         (_, demos), held = traced(lambda: load_dataset(tmp_path))
         counts = self.DEPTH_BYTES // 8 * 2
         assert counts <= held / len(demos) <= 0.11e6
+
+    def test_loaded_demo_segments_its_window_only_and_keeps_no_mask(self, tmp_path,
+                                                                     monkeypatch):
+        """A freshly loaded demo's first segmentation inflates its PNG once,
+        scales only the crop's window and derives the mask of that window
+        alone; afterwards the demo holds no mask or frame."""
+        generate_dataset(tmp_path, seed=0, episodes_per_family=2)
+        _, demos = load_dataset(tmp_path)
+        assert len(demos) >= 24
+        levels, as_float, derive = (images.StoredPng.levels, render_module._as_float,
+                                    render_module.cloth_mask_from_rgb)
+        inflated, scaled, masked = [], [], []
+
+        def counting_levels(png):
+            inflated.append(png)
+            return levels(png)
+
+        def counting_as_float(stored, window=...):
+            scaled.append(as_float(stored, window))
+            return scaled[-1]
+
+        def counting_derive(rgb):
+            masked.append(rgb.shape)
+            return derive(rgb)
+
+        monkeypatch.setattr(images.StoredPng, "levels", counting_levels)
+        monkeypatch.setattr(render_module, "_as_float", counting_as_float)
+        monkeypatch.setattr(render_module, "cloth_mask_from_rgb", counting_derive)
+        first = demos[:3]
+        for demo in first:
+            segment_workspace(demo.observation, 112)
+        assert inflated == [demo.observation._rgb for demo in first]
+        assert [a.shape for a in scaled] == [(112, 112, 3), (112, 112)] * len(first)
+        assert masked == [(112, 112, 3)] * len(first)
+        monkeypatch.undo()
+        segment_workspace(sim.render(sim.init_cloth("towel"), self.CAMERA), 112)  # warm-up
+
+        def segment_all():
+            for demo in demos:
+                segment_workspace(demo.observation, 112)
+
+        _, held = traced(segment_all)
+        assert held < 1024 * len(demos)
+        assert all(d.observation._mask is None for d in demos)
 
     def test_expert_episode_builds_no_depth_frame_and_two_masks(self, monkeypatch):
         kept = []

@@ -15,7 +15,7 @@ from clothfold.perception import (ModelConfig, PerceptionModel, TokenizeError,
                                   select_action, tokenize)
 from clothfold.perception.fusion import prepend_tokens
 from clothfold.perception.model import EmptyMaskError
-from clothfold.planner import validate_subtask
+from clothfold.planner import GrammarError, validate_subtask
 
 
 @pytest.fixture(scope="module")
@@ -271,14 +271,16 @@ class TestSegmentTextFeatures:
     def test_conjunction_at_either_end_rejected(self, small_model, rng, text):
         ids = small_model.tokenize(text)
         f_l = ad.Tensor(rng.normal(size=(3, small_model.cfg.embed_dim)))
-        with pytest.raises(ad.ShapeError, match="cannot start or end"):
+        with pytest.raises(GrammarError) as err:
             small_model.segment_text_features(f_l, ids)
+        assert err.value.reason == "empty-phrase"
 
     def test_missing_conjunction_rejected(self, small_model, rng):
         ids = small_model.tokenize("grasp the left leg")
         f_l = ad.Tensor(rng.normal(size=(4, small_model.cfg.embed_dim)))
-        with pytest.raises(ad.ShapeError):
+        with pytest.raises(GrammarError) as err:
             small_model.segment_text_features(f_l, ids)
+        assert err.value.reason == "missing-conjunction"
 
 
 class TestDecoder:

@@ -222,7 +222,8 @@ class TestDatasetGeneration:
         assert DatasetManifest.from_json(manifest.to_json()) == manifest
         raw = json.loads(manifest.to_json())
         raw["version"] = version
-        with pytest.raises(DatasetFormatError, match=re.escape(f"version {version!r}, not 1")):
+        with pytest.raises(DatasetFormatError, match=re.escape(f"'version' must be the int 1, "
+                                                              f"got {version!r}")):
             DatasetManifest.from_json(json.dumps(raw))
 
     def test_full_scale_protocol_documented(self, tmp_path):
@@ -428,12 +429,10 @@ class TestTrain:
                             no_read)
         model = PerceptionModel(ModelConfig(embed_dim=8, depth=1, patch_size=16,
                                             image_size=112, seed=1))
-        d = demos[0].demo
         with pytest.raises(CropError) as err:
             prepare_sample(model, demos[0], 4.0)
-        assert str(err.value) == (f"demo of episode {d.episode_id} step {d.step_index}: "
-                                  f"its 100x100 frame is smaller than the centre crop "
-                                  f"of model.image_size 112")
+        assert str(err.value) == ("its 100x100 frame is smaller than the centre crop "
+                                  "of model.image_size 112")
 
     @pytest.mark.parametrize("field,pixel", [("pick_pixel", [500, 500]),
                                              ("pick_pixel", [-1, 120]),
@@ -458,7 +457,7 @@ class TestTrain:
         cfg = ModelConfig(embed_dim=8, depth=1, patch_size=16, image_size=112, seed=1)
         with pytest.raises(DatasetFormatError,
                            match=rf"episode {d.episode_id} step {d.step_index}: "
-                                 r"no cloth pixels found"):
+                                 r"no cloth pixels in the centre crop"):
             train(demos[2:3], PerceptionModel(cfg), TrainConfig(epochs=1, batch_size=1))
 
     def test_prepare_sample_scales_one_depth_window_in_segmentation(self, tiny_dataset,
