@@ -18,7 +18,9 @@ change to the simulator, the planner or the scoring show on more episodes
 than the chain's 15. A desk-scale pair follows: ``gen-data`` at the default
 42 episodes per family (504 demos) and ``train`` with ``train.epochs: 0``,
 which only loads that dataset and prepares its samples, so its peak RSS is
-the data path's.
+the data path's. Last, ``gen-data`` runs with ``data.held_out_family: TF``
+(2 episodes per family), the path that holds that family out of training
+and writes the unseen-task (UT) and test-split demos.
 Each side runs in its own directory with the same relative output paths, so
 paths recorded in the outputs agree. Each command's stdout is kept as
 ``out/stdout/<config>_<position>_<command>.txt``, so what ``plan`` and every
@@ -68,8 +70,10 @@ CONFIG = {
 BATCH1_CONFIG = {**CONFIG, "train": {"epochs": 2, "batch_size": 1}}
 EXPERT_CONFIG = {**CONFIG, "seed": 173, "benchmark": {"episodes_per_cell": 3}}
 DESK_CONFIG = {**CONFIG, "train": {"epochs": 0}, "data": {"episodes_per_family": 42}}
+HELDOUT_CONFIG = {**CONFIG, "data": {"episodes_per_family": 2, "held_out_family": "TF"}}
 CONFIGS = {"config.json": CONFIG, "batch1.json": BATCH1_CONFIG,
-           "expert.json": EXPERT_CONFIG, "desk.json": DESK_CONFIG}
+           "expert.json": EXPERT_CONFIG, "desk.json": DESK_CONFIG,
+           "heldout.json": HELDOUT_CONFIG}
 TRAIN = ["train", "--dataset", "out/dataset", "--out", "out/train"]
 CHAIN = [
     ["gen-data", "--out", "out/dataset"],
@@ -87,10 +91,12 @@ BATCH1_CHAIN = [["train", "--dataset", "out/dataset", "--out", "out/train_batch1
 EXPERT_CHAIN = [["eval", "--expert", "--out", "out/eval_expert_seed173"]]
 DESK_CHAIN = [["gen-data", "--out", "out/desk/dataset"],
               ["train", "--dataset", "out/desk/dataset", "--out", "out/desk/train"]]
+HELDOUT_CHAIN = [["gen-data", "--out", "out/heldout/dataset"]]
 # Chains run after CHAIN, each under its own config, and the tag of their costs.
 SUFFIX_CHAINS = [(BATCH1_CHAIN, "batch1.json", "(batch 1)"),
                  (EXPERT_CHAIN, "expert.json", "(seed 173)"),
-                 (DESK_CHAIN, "desk.json", "(desk)")]
+                 (DESK_CHAIN, "desk.json", "(desk)"),
+                 (HELDOUT_CHAIN, "heldout.json", "(UT)")]
 
 
 def run_chain(src: Path, cwd: Path, chain: list[list[str]] = CHAIN,

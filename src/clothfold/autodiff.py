@@ -133,10 +133,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)

@@ -82,8 +82,8 @@ def _write_report(out: Path, stem: str, report, cfg: RunConfig) -> None:
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
     manifest = generate_dataset(args.out, seed=cfg.seed,
-                                episodes_per_family=cfg.data["episodes_per_family"],
-                                held_out_family=cfg.data["held_out_family"],
+                                episodes_per_family=cfg.episodes_per_family,
+                                held_out_family=cfg.bench.held_out_family,
                                 camera=cfg.camera,
                                 provenance=cfg.provenance())
     print(_dump({"out": str(args.out), "counts": manifest.counts,
@@ -172,9 +172,7 @@ def cmd_grad_check(args, cfg: RunConfig) -> int:
 
 def cmd_ablate(args, cfg: RunConfig) -> int:
     manifest, demos = _train_split(args.dataset)
-    report = run_ablation(demos, cfg.model, cfg.train, manifest.camera,
-                          episodes_per_cell=cfg.bench.episodes_per_cell,
-                          benchmark_seed=cfg.seed)
+    report = run_ablation(demos, cfg.model, cfg.train, manifest.camera, cfg.bench)
     _write_report(_out_dir(args), "ablation", report, cfg)
     return EXIT_OK
 

@@ -22,20 +22,14 @@ class ConfigError(ValueError):
     pass
 
 
-_SIM_DEFAULTS = {"resolution": 224}
-
-_DATA_DEFAULTS = {
-    "episodes_per_family": 42,
-    "held_out_family": None,
-}
-
-_BENCH_DEFAULTS = {
-    "episodes_per_cell": 3,
-    "mask_only": False,
-}
-
-_PLANNER_DEFAULTS = {
-    "backend": None,     # or {"endpoint_url", "model", "api_key_env", "timeout_s"}
+# Each section's keys and their defaults; a config may override any of them.
+_SECTIONS = {
+    "model": ModelConfig().to_record(),
+    "train": TrainConfig().to_record(),
+    "sim": {"resolution": 224},
+    "data": {"episodes_per_family": 42, "held_out_family": None},
+    "benchmark": {"episodes_per_cell": 3, "mask_only": False},
+    "planner": {"backend": None},  # or {"endpoint_url", "model", "api_key_env", "timeout_s"}
 }
 
 
@@ -52,55 +46,37 @@ def _merge_section(name: str, defaults: dict, override: Any) -> dict:
 
 @dataclass
 class RunConfig:
-    """The sections as read, which the hash covers, and the records built
-    from them once, which the commands use."""
+    """The records the commands use, built once from the merged config, and
+    that config's hash."""
     seed: int
     model: ModelConfig
     train: TrainConfig
-    sim: dict
-    data: dict
-    benchmark: dict
-    planner: dict
-    camera: SimCamera                        # built from sim["resolution"]
-    bench: BenchmarkConfig                   # built from seed, data and benchmark
-    backend: Optional[LlmBackendConfig]      # built from planner["backend"]
-
-    def to_record(self) -> dict:
-        return {"seed": self.seed, "model": self.model.to_record(),
-                "train": self.train.to_record(), "sim": dict(self.sim),
-                "data": dict(self.data), "benchmark": dict(self.benchmark),
-                "planner": dict(self.planner)}
-
-    def config_hash(self) -> str:
-        canon = json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    camera: SimCamera                        # from sim.resolution
+    bench: BenchmarkConfig                   # from seed, data and benchmark
+    backend: Optional[LlmBackendConfig]      # from planner.backend
+    episodes_per_family: int                 # data.episodes_per_family, for gen-data
+    config_hash: str
 
     def provenance(self) -> dict:
-        return {"config_hash": self.config_hash(), "seed": self.seed}
-
-
-_TOP_KEYS = ("seed", "model", "train", "sim", "data", "benchmark", "planner")
+        return {"config_hash": self.config_hash, "seed": self.seed}
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - set(_TOP_KEYS))
+    unknown = sorted(set(raw) - {"seed", *_SECTIONS})
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
     seed = raw.get("seed", 0)
+    merged = {name: _merge_section(name, defaults, raw.get(name))
+              for name, defaults in _SECTIONS.items()}
+    sim, data, benchmark = merged["sim"], merged["data"], merged["benchmark"]
 
-    model_rec = _merge_section("model", ModelConfig().to_record(), raw.get("model"))
-    train_rec = _merge_section("train", TrainConfig().to_record(), raw.get("train"))
     try:
-        model = ModelConfig(**model_rec)
-        train = TrainConfig(**train_rec)
+        model = ModelConfig(**merged["model"])
+        train = TrainConfig(**merged["train"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid model/train settings: {e}") from e
-
-    sim = _merge_section("sim", _SIM_DEFAULTS, raw.get("sim"))
-    data = _merge_section("data", _DATA_DEFAULTS, raw.get("data"))
-    benchmark = _merge_section("benchmark", _BENCH_DEFAULTS, raw.get("benchmark"))
     try:
         camera = default_camera(sim["resolution"])
     except (TypeError, ValueError) as e:
@@ -109,24 +85,21 @@ def parse_config(raw: dict) -> RunConfig:
     if type(episodes) is not int or episodes <= 0:
         raise ConfigError(f"data.episodes_per_family must be a positive integer, "
                           f"got {episodes!r}")
-    if model.image_size > sim["resolution"]:
-        raise ConfigError(f"model.image_size {model.image_size} exceeds "
-                          f"sim.resolution {sim['resolution']}")
     try:
         bench = BenchmarkConfig(episodes_per_cell=benchmark["episodes_per_cell"], seed=seed,
                                 held_out_family=data["held_out_family"],
                                 mask_only=benchmark["mask_only"])
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid seed/data/benchmark settings: {e}") from e
-    planner = _merge_section("planner", _PLANNER_DEFAULTS, raw.get("planner"))
-    rec = planner["backend"]
+    rec = merged["planner"]["backend"]
     try:
         backend = None if rec is None else LlmBackendConfig(**rec)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid planner backend config: {e}") from e
-    return RunConfig(seed=seed, model=model, train=train, sim=sim, data=data,
-                     benchmark=benchmark, planner=planner, camera=camera, bench=bench,
-                     backend=backend)
+    canon = json.dumps({"seed": seed, **merged}, sort_keys=True, separators=(",", ":"))
+    return RunConfig(seed=seed, model=model, train=train, camera=camera, bench=bench,
+                     backend=backend, episodes_per_family=episodes,
+                     config_hash=hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16])
 
 
 def load_config(path: Optional[str]) -> RunConfig:

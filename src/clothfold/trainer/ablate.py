@@ -39,30 +39,29 @@ class AblationReport:
 
 def run_ablation(demos: Sequence[LoadedDemo], model_cfg: ModelConfig,
                  train_cfg: TrainConfig, camera: SimCamera,
-                 episodes_per_cell: int = 1,
-                 benchmark_seed: int = 0) -> AblationReport:
+                 bench: BenchmarkConfig) -> AblationReport:
     """Train each combination from the same seed and data, then benchmark it
-    on seen instructions. Values are desk-scale; the row schema is the point.
+    with ``bench``'s settings on seen instructions. Values are desk-scale;
+    the row schema is the point.
     """
+    seen = replace(bench, conditions=("SI",))
     report = AblationReport()
     for adapter in ADAPTER_TYPES:
         for fusion in FUSION_TYPES:
             m_cfg = replace(model_cfg, adapter=adapter, fusion=fusion)
             model = PerceptionModel(m_cfg)
             result = train(demos, model, train_cfg)
-            bench = run_benchmark(model, BenchmarkConfig(
-                episodes_per_cell=episodes_per_cell, seed=benchmark_seed,
-                conditions=("SI",)), camera=camera)
+            scores = run_benchmark(model, seen, camera=camera)
             row = {
                 "adapter": adapter,
                 "fusion": fusion,
                 "trainable_params": model.parameter_census()["trainable"],
                 "final_train_loss": result.final_train_loss,
-                "sr_avg": bench.averages["SI"]["sr_percent"],
-                "mpd_avg": bench.averages["SI"]["mean_mpd_m"],
-                "miou_avg": bench.averages["SI"]["miou_percent"],
+                "sr_avg": scores.averages["SI"]["sr_percent"],
+                "mpd_avg": scores.averages["SI"]["mean_mpd_m"],
+                "miou_avg": scores.averages["SI"]["miou_percent"],
             }
-            for key, cell in bench.cells.items():
+            for key, cell in scores.cells.items():
                 fam = key.split("/", 1)[1]
                 row[f"sr/{fam}"] = cell["sr_percent"]
             report.rows.append(row)

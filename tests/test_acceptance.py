@@ -294,7 +294,7 @@ class TestAcceptance:
                          val_fraction=0.0, seed=0)
         t0 = time.time()
         ablation = run_ablation(train_demos, cfg, tc, manifest.camera,
-                                episodes_per_cell=1, benchmark_seed=0)
+                                evaluation.BenchmarkConfig(episodes_per_cell=1, seed=0))
         dt = time.time() - t0
         combos = {(r["adapter"], r["fusion"]) for r in ablation.rows}
         expected = {(a, f) for a in ("dora", "lora", "ia3", "none")

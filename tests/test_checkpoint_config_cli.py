@@ -186,13 +186,28 @@ class TestRunConfig:
         a = parse_config({"seed": 1})
         b = parse_config({"seed": 1})
         c = parse_config({"seed": 2})
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+        assert a.config_hash == b.config_hash
+        assert a.config_hash != c.config_hash
+
+    # Every artifact's provenance carries this hash, so its bytes are pinned,
+    # one config per section at least.
+    @pytest.mark.parametrize("raw,digest", [
+        ({}, "b556bb48c9414951"),
+        ({"seed": 3}, "8a1eb23a4f481b6e"),
+        ({"model": {"embed_dim": 32, "adapter": "lora"},
+          "train": {"learning_rate": 1, "epochs": 2}}, "bcd7999d8cedcfc5"),
+        ({"sim": {"resolution": 160},
+          "data": {"held_out_family": "TF", "episodes_per_family": 2}}, "caaa9ef1f1bad428"),
+        ({"benchmark": {"episodes_per_cell": 2, "mask_only": True}}, "b8f8f07a96134d95"),
+        ({"planner": {"backend": {"endpoint_url": "http://x/v1"}}}, "4200a9c3b7197189"),
+        ({"train": {"learning_rate": 0.001, "sigma_hm": 4}}, "b6c294a1c89739dd"),
+    ])
+    def test_hash_pinned(self, raw, digest):
+        assert parse_config(raw).config_hash == digest
 
     def test_backend_built_on_load(self):
         cfg = parse_config({"planner": {"backend": {"endpoint_url": "http://x/v1"}}})
         assert cfg.backend.endpoint_url == "http://x/v1"
-        assert cfg.planner == {"backend": {"endpoint_url": "http://x/v1"}}
         assert parse_config({}).backend is None
 
     def test_camera_and_benchmark_built_on_load(self):
@@ -309,7 +324,7 @@ class TestCli:
         assert {p.name for p in (eval_dir / "heatmaps").iterdir()} == listed
         # One config hash, the run's own.
         assert (eval_dir / "report.json").read_text().count('"config_hash"') == 1
-        assert report["provenance"]["config_hash"] == load_config(cfg_path).config_hash()
+        assert report["provenance"]["config_hash"] == load_config(cfg_path).config_hash
 
         run_dir = root / "run"
         rc = cli_main(["run", "--config", str(cfg_path),
@@ -321,6 +336,24 @@ class TestCli:
         assert len(episode["subtasks"]) == 2
         assert (run_dir / "before.rgb.png").exists()
         assert (run_dir / "after.rgb.png").exists()
+
+    def test_crop_checked_against_the_frames_cropped(self, tmp_path, capsys):
+        """A crop larger than sim.resolution's frame runs where the command
+        crops other frames: ``train`` the dataset's, ``plan`` none."""
+        gen_cfg, cfg = tmp_path / "gen.json", tmp_path / "cfg.json"
+        gen_cfg.write_text(json.dumps({"sim": {"resolution": 256},
+                                       "data": {"episodes_per_family": 1}}))
+        assert cli_main(["gen-data", "--config", str(gen_cfg),
+                         "--out", str(tmp_path / "data")]) == 0
+        cfg.write_text(json.dumps({
+            "model": {"embed_dim": 8, "depth": 1, "image_size": 240, "patch_size": 16},
+            "train": {"epochs": 1}}))
+        assert cli_main(["train", "--config", str(cfg), "--dataset", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "train")]) == 0
+        assert (tmp_path / "train" / "model.cfck").exists()
+        cfg.write_text(json.dumps({"model": {"image_size": 232}}))
+        assert cli_main(["plan", "--config", str(cfg),
+                         "--command", "Fold the Towel in half diagonally"]) == 0
 
     def test_eval_expert_mode_bypasses_model(self, cli_env, capsys):
         root, cfg_path, _ = cli_env
@@ -887,6 +920,9 @@ def test_bad_input_exits_with_its_code_and_no_traceback(case, exit_code, model, 
         assert "its 100x100 frame is smaller than the centre crop of model.image_size 112" \
             in proc.stderr
         assert "raise model.image_size" not in proc.stderr
+    if case == "model_image_size_above_resolution":
+        assert "its 224x224 frame is smaller than the centre crop of model.image_size 232" \
+            in proc.stderr, proc.stderr
     if case in _CHECKPOINT_CROP_RUNS:
         assert "its 96x96 frame is smaller than the centre crop of model.image_size 112" \
             in proc.stderr

@@ -567,3 +567,36 @@ class TestGradCheck:
         assert a.n_scalars == b.n_scalars == PerceptionModel(
             cfg).parameter_census()["trainable"]
         assert set(a.per_group) == {"adapter", "fusion", "tokens", "decoder"}
+
+
+class TestAblation:
+    def test_scores_with_the_runs_benchmark_record(self, monkeypatch):
+        """Every combination is scored with the given benchmark record, on seen
+        instructions only, its other settings kept; no model trains here."""
+        from types import SimpleNamespace
+
+        from clothfold.evaluation import BenchmarkConfig
+        from clothfold.trainer import ablate
+        trained, scored = [], []
+        cell = {"sr_percent": 0.0, "mean_mpd_m": 0.0, "miou_percent": 0.0}
+
+        def fake_train(demos, model, cfg):
+            trained.append(cfg)
+            return SimpleNamespace(final_train_loss=0.0)
+
+        def fake_run_benchmark(model, config, camera):
+            scored.append((config, camera))
+            return SimpleNamespace(averages={"SI": cell}, cells={"SI/DTF": cell})
+
+        monkeypatch.setattr(ablate, "train", fake_train)
+        monkeypatch.setattr(ablate, "run_benchmark", fake_run_benchmark)
+        bench = BenchmarkConfig(episodes_per_cell=2, seed=5, mask_only=True)
+        tc, camera = TrainConfig(epochs=1), sim.default_camera()
+        report = ablate.run_ablation([], ModelConfig(embed_dim=8, depth=1, patch_size=16),
+                                     tc, camera, bench)
+        assert len(report.rows) == len(trained) == len(scored) == 8
+        assert all(cfg is tc for cfg in trained)
+        for config, cam in scored:
+            assert config == BenchmarkConfig(episodes_per_cell=2, seed=5, mask_only=True,
+                                             conditions=("SI",))
+            assert cam is camera
